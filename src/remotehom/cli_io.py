@@ -615,7 +615,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (FilterRegimeError, RankDeficiencyError, np.linalg.LinAlgError) as exc:
+    except (FilterRegimeError, RankDeficiencyError, np.linalg.LinAlgError,
+            ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:

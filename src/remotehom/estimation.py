@@ -92,6 +92,8 @@ class LifetimeTrace:
         object.__setattr__(self, "counts", c)
         if t.shape != c.shape or t.ndim != 1:
             raise ValueError("time and counts arrays must be matching 1-d arrays")
+        if not (np.isfinite(t).all() and np.isfinite(c).all() and math.isfinite(self.background)):
+            raise ValueError("time, counts and background must be finite")
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
 

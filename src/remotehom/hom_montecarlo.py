@@ -13,6 +13,16 @@ suppression therefore reproduces the Voigt-averaged overlap without ever
 evaluating it, which is this module's role as an independent check of
 the closed form.
 
+A histogram is shape x counts. The detection-time difference of one
+coincidence does not depend on which pulse produced it, so each peak's
+bin probabilities are computed once per run (the cross-correlation of
+the two emission profiles, smoothed by the detector jitter, shifted by
+the peak's offset). A shard counts the coincidences of each peak: a
+per-pulse Bernoulli for the parallel central peak, where the
+wandering-correlated m changes from pulse to pulse, and binomial counts
+everywhere else. Each peak's histogram is then one multinomial draw of
+its count over its bin probabilities.
+
 Determinism: the pulse train is cut into fixed-size shards; every random
 stream is keyed by (seed, polarization, shard index, purpose), so merged
 histograms are bit-identical for any worker count or execution order.
@@ -131,7 +141,7 @@ _P_BLINK_A, _P_BLINK_B = 0, 1
 _P_EMIT_A, _P_EMIT_B = 2, 3
 _P_FREQ_A, _P_FREQ_B = 4, 5
 _P_SIDEBAND_A, _P_SIDEBAND_B = 6, 7
-_P_ACCEPT, _P_TIMES, _P_JITTER, _P_G2 = 8, 9, 10, 11
+_P_ACCEPT, _P_TIMES, _P_G2 = 8, 9, 11
 
 
 def _blink_chain(rng: np.random.Generator, n: int, p_on: float,
@@ -165,19 +175,47 @@ def _blink_chain(rng: np.random.Generator, n: int, p_on: float,
     return np.concatenate(pieces)[:n]
 
 
-def _sample_times(profile_cdf: np.ndarray, grid: np.ndarray,
-                  rng: np.random.Generator, n: int) -> np.ndarray:
-    return np.interp(rng.random(n), profile_cdf, grid)
+def _delay_bin_probs(profile_a: WavepacketProfile, profile_b: WavepacketProfile,
+                     cfg: HomExperimentConfig, edges: np.ndarray) -> np.ndarray:
+    """Bin probabilities of t_b - t_a + k*T for each peak offset k in [-W, W].
+
+    Row k + W holds one probability per bin plus a last overflow cell for
+    the mass outside the window. Arrival times are piecewise uniform within
+    the profile grid cells (the inverse of the piecewise-linear CDF), so the
+    difference density is the cross-correlation of the two profiles' cell
+    masses on one grid at the finer spacing, smoothed by the two detectors'
+    Gaussian jitter (combined width sigma * sqrt(2)).
+    """
+    dt = min(profile_a.dt, profile_b.dt)
+    t_end = max(profile_a.t_grid[-1], profile_b.t_grid[-1])
+    t = dt * np.arange(int(round(t_end / dt)) + 1)
+    m_a, m_b = (np.diff(np.interp(t, p.t_grid, p.intensity_cdf()))
+                for p in (profile_a, profile_b))
+    n = m_a.size
+    sig = math.sqrt(2.0) * cfg.jitter_sigma_ps / 1000.0
+    half = int(math.ceil(8.0 * sig / dt))
+    x = dt * np.arange(-half, half + 1)
+    kernel = np.exp(-0.5 * (x / sig) ** 2) if sig > 0 else np.ones(1)
+    lag0 = n - 1 + half  # lags -lag0 .. lag0, in units of dt
+    n_fft = 1 << (2 * lag0).bit_length()
+    spec = np.fft.rfft(m_b, n_fft) * np.conj(np.fft.rfft(m_a, n_fft)) \
+        * np.fft.rfft(np.roll(np.pad(kernel / kernel.sum(), (0, n_fft - kernel.size)), -half))
+    dens = np.roll(np.fft.irfft(spec, n_fft), lag0)[:2 * lag0 + 1]
+    cdf_x = dt * (np.arange(dens.size + 1) - lag0 - 0.5)
+    cdf = np.concatenate([[0.0], np.cumsum(dens)])
+    probs = []
+    for k in range(-cfg.window_peaks, cfg.window_peaks + 1):
+        p = np.clip(np.diff(np.interp(edges - k * cfg.rep_period_ns, cdf_x, cdf)), 0.0, None)
+        probs.append(np.append(p, max(0.0, 1.0 - p.sum())))
+    return np.array(probs)
 
 
 def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,
-                    seed: int, shard: int, n_shard: int, edges: np.ndarray,
-                    cdf_a: np.ndarray, grid_a: np.ndarray,
-                    cdf_b: np.ndarray, grid_b: np.ndarray) -> np.ndarray:
+                    seed: int, shard: int, n_shard: int, probs: np.ndarray) -> np.ndarray:
     pol_code = 0 if pol is Polarization.PARALLEL else 1
     key = (pol_code, shard)
     T = cfg.rep_period_ns
-    jit = cfg.jitter_sigma_ps / 1000.0
+    W = cfg.window_peaks
 
     on_a = _blink_chain(make_rng(seed, *key, _P_BLINK_A), n_shard,
                         cfg.blink_on_prob, T, cfg.blink_dwell_ns)
@@ -198,82 +236,50 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
         rest = _ou_path_uniform(sig, lam, x0, rng.standard_normal(n_shard - 1))
         return np.concatenate([[x0], rest])
 
-    x_a = ou(_P_FREQ_A, pair.a)
-    x_b = ou(_P_FREQ_B, pair.b)
-
-    p_sb_a, p_sb_b = pair.effective_sidebands
-    sb_a = make_rng(seed, *key, _P_SIDEBAND_A).random(n_shard) < p_sb_a
-    sb_b = make_rng(seed, *key, _P_SIDEBAND_B).random(n_shard) < p_sb_b
-
-    ga, gb = pair.a.gamma.value, pair.b.gamma.value
-    Ga, Gb = pair.a.total_linewidth.value, pair.b.total_linewidth.value
-    gsum, Gsum = ga + gb, Ga + Gb
-
     rng_accept = make_rng(seed, *key, _P_ACCEPT)
-    rng_times = make_rng(seed, *key, _P_TIMES)
-    rng_jitter = make_rng(seed, *key, _P_JITTER)
     rng_g2 = make_rng(seed, *key, _P_G2)
-
-    taus = []
-
-    def record(n_events: int, offset_ns: float) -> None:
-        if n_events == 0:
-            return
-        t_a = _sample_times(cdf_a, grid_a, rng_times, n_events)
-        t_b = _sample_times(cdf_b, grid_b, rng_times, n_events)
-        delt = t_b - t_a
-        if jit > 0:
-            delt = delt + jit * rng_jitter.standard_normal(n_events) \
-                        - jit * rng_jitter.standard_normal(n_events)
-        taus.append(delt + offset_ns)
+    n_peak = np.zeros(2 * W + 1, dtype=np.int64)  # coincidences at offset k, index k + W
 
     # central peak: same-pulse cross-source pairs, interference-sensitive
     both = present_a & present_b
-    u = rng_accept.random(n_shard)
     if pol is Polarization.PARALLEL:
-        delta = pair.mean_detuning.value + x_a - x_b
+        # the overlap m varies pulse to pulse with the correlated wandering,
+        # so acceptance stays a per-pulse Bernoulli here
+        p_sb_a, p_sb_b = pair.effective_sidebands
+        sb_a = make_rng(seed, *key, _P_SIDEBAND_A).random(n_shard) < p_sb_a
+        sb_b = make_rng(seed, *key, _P_SIDEBAND_B).random(n_shard) < p_sb_b
+        gsum = pair.a.gamma.value + pair.b.gamma.value
+        Gsum = pair.a.total_linewidth.value + pair.b.total_linewidth.value
+        delta = pair.mean_detuning.value + ou(_P_FREQ_A, pair.a) - ou(_P_FREQ_B, pair.b)
         m = pair.s_classical * Gsum * gsum / (Gsum * Gsum + 4.0 * delta * delta)
         m = np.where(sb_a | sb_b, 0.0, m)
-        accept = both & (u < 0.5 * (1.0 - m))
+        n_peak[W] = np.count_nonzero(both & (rng_accept.random(n_shard) < 0.5 * (1.0 - m)))
     else:
-        accept = both & (u < 0.5)
-    record(int(accept.sum()), 0.0)
+        n_peak[W] = rng_accept.binomial(np.count_nonzero(both), 0.5)
 
     # side peaks: cross-source pairs offset by whole periods, no interference
-    for off in range(1, cfg.window_peaks + 1):
-        if off >= n_shard:
-            break
-        for sign in (1, -1):
-            if sign > 0:
-                pairs_ok = present_a[:-off] & present_b[off:]
-            else:
-                pairs_ok = present_a[off:] & present_b[:-off]
-            u = rng_accept.random(pairs_ok.size)
-            record(int((pairs_ok & (u < 0.5)).sum()), sign * off * T)
+    for off in range(1, min(W, n_shard - 1) + 1):
+        n_peak[W + off] = rng_accept.binomial(
+            np.count_nonzero(present_a[:-off] & present_b[off:]), 0.5)
+        n_peak[W - off] = rng_accept.binomial(
+            np.count_nonzero(present_a[off:] & present_b[:-off]), 0.5)
 
     # residual multiphoton: per pulse and window, a fully distinguishable
     # extra coincidence candidate with probability g2, surviving 1/2
     if cfg.g2 > 0.0:
-        for off in range(-cfg.window_peaks, cfg.window_peaks + 1):
+        for off in range(-min(W, n_shard - 1), min(W, n_shard - 1) + 1):
             n_slots = n_shard - abs(off)
-            if n_slots <= 0:
-                continue
             if off == 0:
                 slots = both
             elif off > 0:
                 slots = present_a[:n_slots] & present_b[off:]
             else:
                 slots = present_a[-off:] & present_b[:n_slots]
-            inj = slots & (rng_g2.random(n_slots) < cfg.g2) \
-                        & (rng_g2.random(n_slots) < 0.5)
-            record(int(inj.sum()), off * T)
+            n_peak[W + off] += rng_g2.binomial(np.count_nonzero(slots), 0.5 * cfg.g2)
 
-    if taus:
-        all_tau = np.concatenate(taus)
-    else:
-        all_tau = np.empty(0)
-    counts, _ = np.histogram(all_tau, bins=edges)
-    return counts.astype(np.int64)
+    rng_times = make_rng(seed, *key, _P_TIMES)
+    counts = sum(rng_times.multinomial(n_k, p_k) for n_k, p_k in zip(n_peak, probs))
+    return counts[:-1]
 
 
 def simulate_histogram(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,
@@ -283,24 +289,19 @@ def simulate_histogram(pair: SourcePair, cfg: HomExperimentConfig, pol: Polariza
     Deterministic per (pair, cfg, pol, seed); `workers` only controls how
     many shards run concurrently and never changes the result.
     """
-    profile_a = emission_profile(pair.a)
-    profile_b = emission_profile(pair.b)
-    cdf_a, grid_a = profile_a.intensity_cdf(), profile_a.t_grid
-    cdf_b, grid_b = profile_b.intensity_cdf(), profile_b.t_grid
-
     T = cfg.rep_period_ns
     half_span = (cfg.window_peaks + 0.5) * T
     n_bins = max(1, int(round(2.0 * half_span / (cfg.bin_width_ps / 1000.0))))
     edges = np.linspace(-half_span, half_span, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
+    probs = _delay_bin_probs(emission_profile(pair.a), emission_profile(pair.b), cfg, edges)
 
     n_shards = (cfg.n_pulses + SHARD_SIZE - 1) // SHARD_SIZE
 
     def run(shard: int) -> np.ndarray:
         lo = shard * SHARD_SIZE
         n_shard = min(SHARD_SIZE, cfg.n_pulses - lo)
-        return _simulate_shard(pair, cfg, pol, seed, shard, n_shard, edges,
-                               cdf_a, grid_a, cdf_b, grid_b)
+        return _simulate_shard(pair, cfg, pol, seed, shard, n_shard, probs)
 
     total = np.zeros(n_bins, dtype=np.int64)
     if workers > 1 and n_shards > 1:

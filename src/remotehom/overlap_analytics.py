@@ -27,6 +27,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from scipy.special import erfcx
 
 from .units_core import Frequency, Rate, Wavelength, fwhm_pm_to_angular_rate
 from .wavepacket import EmitterParams, classical_overlap, default_grid, emission_profile
@@ -278,10 +279,6 @@ def indistinguishability_from_hom(v_hom: float, g2: float) -> float:
     return m
 
 
-def _gauss_pdf(x: np.ndarray | float, sigma: float) -> np.ndarray | float:
-    return np.exp(-np.square(x) / (2.0 * sigma * sigma)) / (sigma * math.sqrt(2.0 * math.pi))
-
-
 def filtered_wandering(sigma: Rate, filter_hwhm: Rate) -> tuple[float, Rate]:
     """Average transmission and reweighted wandering width behind a filter.
 
@@ -290,21 +287,18 @@ def filtered_wandering(sigma: Rate, filter_hwhm: Rate) -> tuple[float, Rate]:
     wandering as static during one emission (tau_c much longer than T1),
     the filter post-selects the Gaussian wandering distribution. Returns
     the mean transmission and the standard deviation of the transmitted
-    (reweighted) detuning distribution, both computed by quadrature.
+    (reweighted) detuning distribution, both in closed form: with
+    a = hw / (sigma sqrt 2), t_bar = sqrt(pi) a erfcx(a), and since
+    d^2 T(d) = hw^2 (1 - T(d)), the width is hw sqrt((1 - t_bar) / t_bar).
     """
-    from scipy.integrate import quad
-
     sig, hw = sigma.value, filter_hwhm.value
     if hw <= 0:
         raise ValueError("filter half width must be > 0")
     if sig == 0.0:
         return 1.0, Rate(0.0)
-    span = 12.0 * max(sig, hw)
-    t_bar = quad(lambda d: _gauss_pdf(d, sig) * hw * hw / (d * d + hw * hw),
-                 -span, span, points=[0.0], limit=400)[0]
-    second = quad(lambda d: d * d * _gauss_pdf(d, sig) * hw * hw / (d * d + hw * hw),
-                  -span, span, points=[0.0], limit=400)[0]
-    return t_bar, Rate(math.sqrt(second / t_bar))
+    a = hw / (sig * math.sqrt(2.0))
+    t_bar = float(math.sqrt(math.pi) * a * erfcx(a))
+    return t_bar, Rate(hw * math.sqrt(max(0.0, 1.0 - t_bar) / t_bar))
 
 
 def apply_filter(params: EmitterParams, filt: FilterParams) -> tuple[EmitterParams, float]:

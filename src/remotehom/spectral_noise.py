@@ -141,6 +141,8 @@ class DelayVisibilitySeries:
         object.__setattr__(self, "sigma_v", s)
         if not (d.shape == v.shape == s.shape) or d.ndim != 1 or d.size == 0:
             raise ValueError("delay, visibility and sigma arrays must match and be non-empty")
+        if not np.all(np.isfinite(np.stack([d, v, s]))):
+            raise ValueError("delay, visibility and sigma must be finite")
         if np.any(np.diff(d) <= 0):
             raise ValueError("delays must be strictly increasing")
         if np.any((v < 0) | (v > 1)):

@@ -395,6 +395,43 @@ def test_cli_sub_linewidth_filter_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_narrow_wandering_behind_filter_exits_0(tmp_path, capsys):
+    # wandering far narrower than the filter: the mean transmission is ~1
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "pair": {"a": {"t1_ps": 162, "delta_omega_ns_inv": 0.01, "wavelength_nm": 924.847},
+                 "b": {"t1_ps": 128, "delta_omega_ns_inv": 0.01}},
+        "experiment": {"n_pulses": 10000},
+        "filter": {"center_nm": 924.847, "fwhm_pm": 20}, "seed": 1}))
+    assert main(["overlap", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads((tmp_path / "out" / "overlap.json").read_text())
+    assert all(math.isfinite(v) for k, v in payload.items() if k != "config_hash")
+    assert 0.9 < payload["m_averaged"] <= payload["s_classical"]
+
+
+def test_cli_arithmetic_error_exits_3(tmp_path, capsys, monkeypatch):
+    import remotehom.cli_io as cli
+
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "mwo_voigt_averaged", boom)
+    assert main(["overlap", "--config", str(write_config(tmp_path))]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "Traceback" not in err
+
+
+def test_cli_fit_lifetime_nan_count_exits_2(tmp_path, capsys):
+    data = tmp_path / "trace.csv"
+    rows = [f"{10.0 * i!r},{1e4 * math.exp(-10.0 * i / 162.0)!r}" for i in range(160)]
+    rows[40] = "400.0,nan"
+    data.write_text("time_ps,counts\n" + "\n".join(rows) + "\n")
+    assert main(["fit-lifetime", str(data), "--model", "mono_exp"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_cli_unknown_subcommand_exits_nonzero(capsys):
     assert main(["frobnicate"]) != 0
     capsys.readouterr()

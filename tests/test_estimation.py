@@ -251,6 +251,19 @@ def test_fit_lifetime_rejects_sparse_or_short_traces():
                      LifetimeModel.MONO_EXP)
 
 
+@pytest.mark.parametrize("field", ["time_ps", "counts", "background"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lifetime_trace_rejects_non_finite(field, bad):
+    kw = {"time_ps": np.linspace(0.0, 1600.0, 200), "background": 2.0}
+    kw["counts"] = 1e4 * np.exp(-kw["time_ps"] / 162.0)
+    if field == "background":
+        kw["background"] = bad
+    else:
+        kw[field][7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        LifetimeTrace(**kw)
+
+
 def test_lifetime_trace_from_csv(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("time_ps,counts\n0,100\n10,90\n20,82\n")

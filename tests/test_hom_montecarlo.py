@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from remotehom.units_core import Frequency, Rate
-from remotehom.wavepacket import EmitterParams
+from remotehom.wavepacket import EmitterParams, emission_profile
 from remotehom.overlap_analytics import SourcePair, mwo_voigt_averaged
 from remotehom.hom_montecarlo import (
     CoincidenceHistogram,
@@ -191,6 +191,48 @@ def test_histogram_window_and_binning():
     assert h.bin_centers[-1] == pytest.approx(span - 0.05, abs=1e-9)
     d = np.diff(h.bin_centers)
     np.testing.assert_allclose(d, 0.1, rtol=1e-9)
+
+
+def event_level_histogram(pair, cfg, edges, rng):
+    """Reference sampler: every coincidence gets two inverse-CDF arrival
+    times and two jitter draws, then all go into one histogram. Models the
+    perpendicular run of an always-on, g2-free pair: offset k holds
+    Binomial(n_pulses - |k|, 1/2) coincidences."""
+    profiles = [emission_profile(p) for p in (pair.a, pair.b)]
+    (cdf_a, grid_a), (cdf_b, grid_b) = [(p.intensity_cdf(), p.t_grid) for p in profiles]
+    jit = cfg.jitter_sigma_ps / 1000.0
+    taus = []
+    for k in range(-cfg.window_peaks, cfg.window_peaks + 1):
+        n = rng.binomial(cfg.n_pulses - abs(k), 0.5)
+        t_a = np.interp(rng.random(n), cdf_a, grid_a)
+        t_b = np.interp(rng.random(n), cdf_b, grid_b)
+        taus.append(t_b - t_a + jit * rng.standard_normal(n) - jit * rng.standard_normal(n)
+                    + k * cfg.rep_period_ns)
+    return np.histogram(np.concatenate(taus), bins=edges)[0]
+
+
+@pytest.mark.parametrize("jitter_ps", [12.0, 100.0])
+def test_count_level_synthesis_matches_event_level_sampler(jitter_ps):
+    pair = quiet_pair(162.0, 128.0)
+    cfg = quiet_config(1_000_000, jitter_sigma_ps=jitter_ps)
+    h = simulate_histogram(pair, cfg, PERP, seed=115, workers=2)
+    width = h.bin_centers[1] - h.bin_centers[0]
+    edges = np.append(h.bin_centers - width / 2, h.bin_centers[-1] + width / 2)
+    ref = event_level_histogram(pair, cfg, edges, np.random.default_rng(116))
+    a, b = h.counts.astype(float), ref.astype(float)
+    assert b.sum() >= 1e6
+    # two-sample chi-square over the populated bins
+    sel = a + b > 20
+    n_a, n_b = a.sum(), b.sum()
+    chi2 = np.sum((math.sqrt(n_b / n_a) * a[sel] - math.sqrt(n_a / n_b) * b[sel]) ** 2
+                  / (a[sel] + b[sel]))
+    assert sel.sum() > 300
+    assert 0.8 <= chi2 / sel.sum() <= 1.25
+    # each peak holds Binomial(n_pulses - |k|, 1/2) coincidences
+    for k in range(-cfg.window_peaks, cfg.window_peaks + 1):
+        n = cfg.n_pulses - abs(k)
+        peak = np.abs(h.bin_centers - k * cfg.rep_period_ns) < cfg.rep_period_ns / 2
+        assert abs(h.counts[peak].sum() - n / 2) <= 5.0 * math.sqrt(n / 4), f"peak {k}"
 
 
 # --- estimator on synthetic histograms --------------------------------------

@@ -405,6 +405,35 @@ def test_filtered_wandering_monotone_in_filter_width():
     assert sigmas[-1] == pytest.approx(5.0, abs=0.1)
 
 
+def _filtered_wandering_quad(sig: float, hw: float) -> tuple[float, float]:
+    pdf = lambda d: math.exp(-d * d / (2 * sig * sig)) / (sig * math.sqrt(2 * math.pi))
+    span = 12.0 * max(sig, hw)
+    t_bar = quad(lambda d: pdf(d) * hw * hw / (d * d + hw * hw),
+                 -span, span, points=[0.0], limit=400, epsabs=0.0, epsrel=1e-13)[0]
+    second = quad(lambda d: d * d * pdf(d) * hw * hw / (d * d + hw * hw),
+                  -span, span, points=[0.0], limit=400, epsabs=0.0, epsrel=1e-13)[0]
+    return t_bar, math.sqrt(second / t_bar)
+
+
+@pytest.mark.parametrize("sig,hw", [(5.0, 2.0), (5.0, 30.0), (0.5, 5.0), (3.0, 3.0),
+                                    (40.0, 4.0), (2.12, 15.0)])
+def test_filtered_wandering_closed_form_matches_quadrature(sig, hw):
+    # the quadrature resolves the Gaussian only while sigma >~ hw / 10
+    t_ref, sig_ref = _filtered_wandering_quad(sig, hw)
+    t_bar, new = filtered_wandering(Rate(sig), Rate(hw))
+    assert t_bar == pytest.approx(t_ref, rel=1e-10)
+    assert new.value == pytest.approx(sig_ref, rel=1e-10)
+
+
+def test_filtered_wandering_narrow_wandering_behind_wide_filter():
+    # sigma << hw: T(d) ~ 1 - d^2/hw^2 over the Gaussian, so t_bar ~ 1 - sigma^2/hw^2
+    # and the reweighted width stays ~ sigma
+    for sig, hw in ((0.01, 19.0), (0.01, 47.0), (1e-4, 10.0)):
+        t_bar, new = filtered_wandering(Rate(sig), Rate(hw))
+        assert t_bar == pytest.approx(1.0 - (sig / hw) ** 2, rel=1e-12)
+        assert new.value == pytest.approx(sig, rel=1e-3)
+
+
 # --- pair construction and result types -------------------------------------
 
 def test_make_source_pair_computes_s_from_profiles():

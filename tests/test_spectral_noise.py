@@ -224,6 +224,16 @@ def test_series_validation():
                               np.array([0.01]))
 
 
+@pytest.mark.parametrize("which", range(3))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_series_rejects_non_finite(which, bad):
+    arrays = [np.array([12.2, 40.0, 525.0]), np.array([0.9, 0.8, 0.7]),
+              np.array([0.01, 0.01, 0.02])]
+    arrays[which][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DelayVisibilitySeries(*arrays)
+
+
 def test_series_csv_round_trip(tmp_path):
     s = DelayVisibilitySeries(
         np.array([12.2, 24.4, 525.0]),
