@@ -31,7 +31,6 @@ from .wavepacket import (
 )
 from .overlap_analytics import (
     FilterParams,
-    OverlapResult,
     SourcePair,
     apply_filter,
     make_source_pair,

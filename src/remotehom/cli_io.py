@@ -18,7 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -29,6 +29,7 @@ from .units_core import (
     Frequency,
     Rate,
     Wavelength,
+    lifetime_to_rate,
     wavelength_to_angular_frequency,
 )
 from .wavepacket import Charge, EmitterParams
@@ -54,6 +55,7 @@ from .hom_montecarlo import (
     write_visibility_json,
 )
 from .estimation import (
+    FitResult,
     LifetimeModel,
     LifetimeTrace,
     RankDeficiencyError,
@@ -73,6 +75,7 @@ __all__ = [
     "load_catalog",
     "demo_catalog",
     "match_pairs",
+    "overlap_report",
     "run_pipeline",
     "main",
 ]
@@ -167,6 +170,8 @@ def config_hash(resolved: dict) -> str:
 def _take(d: dict, context: str, required: Sequence[str] = (),
           optional: Optional[dict] = None) -> dict:
     """Validate a config section: every required key present, none unknown."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{context}: expected a JSON object, got {d!r}")
     optional = optional or {}
     out = {}
     for key in required:
@@ -251,7 +256,7 @@ def load_run_config(path: str | Path, *, seed_override: Optional[int] = None,
         if resolved.get("filter"):
             resolved["filter"]["fwhm_pm"] = float(filter_fwhm_override)
         else:
-            wl = pair_d["a"].get("wavelength_nm", 0.0)
+            wl = _take(pair_d["a"], "pair.a", ("t1_ps",), _EMITTER_OPTIONAL)["wavelength_nm"]
             if not wl:
                 raise ValueError("--filter-fwhm-pm without a filter section "
                                  "requires pair.a.wavelength_nm for the center")
@@ -379,6 +384,18 @@ def demo_catalog() -> SourceCatalog:
 # ---------------------------------------------------------------------------
 # Pipeline
 
+def overlap_report(pair: SourcePair, cfg_hash: str) -> dict:
+    """The closed-form overlaps of a pair, tagged with its config hash."""
+    return {
+        "s_classical": pair.s_classical,
+        "m_no_dephasing": mwo_no_dephasing(pair.a.gamma, pair.b.gamma, pair.mean_detuning),
+        "m_dephasing": mwo_with_dephasing(pair),
+        "m_averaged": mwo_voigt_averaged(pair),
+        "m_event_mean": analytic_prediction(pair),
+        "config_hash": cfg_hash,
+    }
+
+
 def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     """Analytic predictions, both-polarization Monte Carlo, visibility
     estimate and bound check; writes all artifacts into config.outputs."""
@@ -386,21 +403,10 @@ def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     pair = config.pair
 
-    m_plain = mwo_no_dephasing(pair.a.gamma, pair.b.gamma, pair.mean_detuning)
-    m_deph = mwo_with_dephasing(pair)
-    m_avg = mwo_voigt_averaged(pair)
     bound = remote_upper_bound(pair.s_classical, 1.0, 1.0)
-    overlap_report = {
-        "s_classical": pair.s_classical,
-        "m_no_dephasing": m_plain,
-        "m_dephasing": m_deph,
-        "m_averaged": m_avg,
-        "m_event_mean": analytic_prediction(pair),
-        "upper_bound": bound,
-        "config_hash": cfg_hash,
-    }
+    report = dict(overlap_report(pair, cfg_hash), upper_bound=bound)
     with (out / "overlap.json").open("w") as fh:
-        json.dump(overlap_report, fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
     h_par = simulate_histogram(pair, config.experiment, Polarization.PARALLEL,
@@ -413,9 +419,8 @@ def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     est = estimate_visibility(h_par, h_perp, config.experiment.rep_period_ns)
     write_visibility_json(est, out / "visibility.json", config_hash=cfg_hash,
                           seed=config.seed)
-    summary = dict(overlap_report, v_tpi=est.v_tpi, sigma=est.sigma,
-                   bound_satisfied=bool(est.v_tpi <= bound + 3.0 * est.sigma))
-    return summary
+    return dict(report, v_tpi=est.v_tpi, sigma=est.sigma,
+                bound_satisfied=bool(est.v_tpi <= bound + 3.0 * est.sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +435,19 @@ def _emit(payload: dict, out_dir: Optional[str], filename: str) -> None:
         (d / filename).write_text(text)
 
 
+def _emit_fit(result: FitResult, out_dir: Optional[str], filename: str) -> int:
+    _emit(result.to_dict(), out_dir, filename)
+    if not result.converged:
+        print("fit did not converge", file=sys.stderr)
+        return 3
+    return 0
+
+
 def _cmd_overlap(args: argparse.Namespace) -> int:
     config, h = load_run_config(args.config,
                                 filter_fwhm_override=args.filter_fwhm_pm,
                                 seed_override=args.seed)
-    pair = config.pair
-    payload = {
-        "s_classical": pair.s_classical,
-        "m_no_dephasing": mwo_no_dephasing(pair.a.gamma, pair.b.gamma,
-                                           pair.mean_detuning),
-        "m_dephasing": mwo_with_dephasing(pair),
-        "m_averaged": mwo_voigt_averaged(pair),
-        "m_event_mean": analytic_prediction(pair),
-        "config_hash": h,
-    }
-    _emit(payload, args.out, "overlap.json")
+    _emit(overlap_report(config.pair, h), args.out, "overlap.json")
     return 0
 
 
@@ -461,27 +464,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_fit_lifetime(args: argparse.Namespace) -> int:
     trace = LifetimeTrace.from_csv(args.data, background=args.background)
     result = fit_lifetime(trace, LifetimeModel(args.model))
-    payload = {"params": result.params, "sigmas": result.sigmas,
-               "residual_norm": result.residual_norm,
-               "converged": result.converged, "n_iter": result.n_iter}
-    _emit(payload, args.out, "fit_lifetime.json")
-    if not result.converged:
-        print("fit did not converge", file=sys.stderr)
-        return 3
-    return 0
+    return _emit_fit(result, args.out, "fit_lifetime.json")
 
 
 def _cmd_fit_reflectivity(args: argparse.Namespace) -> int:
     wl, refl = read_reflectivity_csv(args.data)
     result = fit_reflectivity(wl, refl)
-    payload = {"params": result.params, "sigmas": result.sigmas,
-               "residual_norm": result.residual_norm,
-               "converged": result.converged, "n_iter": result.n_iter}
-    _emit(payload, args.out, "fit_reflectivity.json")
-    if not result.converged:
-        print("fit did not converge", file=sys.stderr)
-        return 3
-    return 0
+    return _emit_fit(result, args.out, "fit_reflectivity.json")
 
 
 def _parse_override(text: str) -> tuple[str, float, float]:
@@ -496,17 +485,10 @@ def _cmd_fit_delay(args: argparse.Namespace) -> int:
     filtered = DelayVisibilitySeries.from_csv(args.filtered, filtered=True)
     unfiltered = DelayVisibilitySeries.from_csv(args.unfiltered, filtered=False)
     overrides = [_parse_override(o) for o in (args.outlier or [])]
-    gamma = Rate(1000.0 / args.t1_ps)
+    gamma = lifetime_to_rate(args.t1_ps)
     result = fit_delay_visibility(filtered, unfiltered, gamma,
                                   sigma_overrides=overrides or None)
-    payload = {"params": result.params, "sigmas": result.sigmas,
-               "residual_norm": result.residual_norm,
-               "converged": result.converged, "n_iter": result.n_iter}
-    _emit(payload, args.out, "fit_delay.json")
-    if not result.converged:
-        print("fit did not converge", file=sys.stderr)
-        return 3
-    return 0
+    return _emit_fit(result, args.out, "fit_delay.json")
 
 
 def _cmd_match_pairs(args: argparse.Namespace) -> int:
@@ -619,7 +601,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .units_core import HBAR_UEV_NS, Rate
+from .units_core import HBAR_UEV_NS, Rate, read_csv_columns
 from .wavepacket import read_lifetime_csv
 from .spectral_noise import DelayVisibilitySeries
 
@@ -64,17 +64,14 @@ class FitResult:
     converged: bool
     n_iter: int
 
+    def to_dict(self) -> dict:
+        """The serialized form: everything but the covariance matrix."""
+        return {"params": self.params, "sigmas": self.sigmas,
+                "residual_norm": self.residual_norm,
+                "converged": self.converged, "n_iter": self.n_iter}
+
     def to_json(self, path: str | Path) -> None:
-        payload = {
-            "params": self.params,
-            "sigmas": self.sigmas,
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-        }
-        with Path(path).open("w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 @dataclass(frozen=True)
@@ -429,20 +426,7 @@ def fit_lifetime(trace: LifetimeTrace, model: LifetimeModel) -> FitResult:
 
 def read_reflectivity_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a reflectivity spectrum CSV with header `wavelength_nm,reflectivity`."""
-    import csv
-
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise ValueError(f"{path}: empty spectrum")
-    header = [col.strip() for col in rows[0]]
-    if header[:2] != ["wavelength_nm", "reflectivity"]:
-        raise ValueError(f"{path}: expected header 'wavelength_nm,reflectivity'")
-    data = np.array([[float(r[0]), float(r[1])] for r in rows[1:]], dtype=float)
-    if data.size == 0:
-        raise ValueError(f"{path}: no data rows")
-    return data[:, 0], data[:, 1]
+    return read_csv_columns(path, ("wavelength_nm", "reflectivity"))
 
 
 def fit_reflectivity(wavelength_nm: np.ndarray, reflectivity: np.ndarray) -> FitResult:

@@ -39,13 +39,14 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .units_core import make_rng
-from .wavepacket import WavepacketProfile, emission_profile
+from .wavepacket import emission_profile
 from .overlap_analytics import SourcePair, mwo_voigt_averaged
 from .spectral_noise import _ou_path_uniform
 
@@ -89,6 +90,9 @@ class HomExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_pulses < 1:
             raise ValueError("n_pulses must be >= 1")
+        for name in ("rep_period_ns", "jitter_sigma_ps", "blink_dwell_ns", "bin_width_ps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rep_period_ns <= 0 or self.bin_width_ps <= 0:
             raise ValueError("rep_period_ns and bin_width_ps must be > 0")
         if not 0.0 <= self.g2 < 1.0:
@@ -167,7 +171,8 @@ def _blink_chain(rng: np.random.Generator, n: int, p_on: float,
         n_cyc = max(8, int(1.3 * (n - covered) / mean_cycle))
         lens_a = rng.geometric(to_off if state else to_on, n_cyc)
         lens_b = rng.geometric(to_on if state else to_off, n_cyc)
-        lens = np.column_stack([lens_a, lens_b]).ravel()
+        # cut at n: with p_on within ulps of 0 or 1 a dwell can exceed 1e16 pulses
+        lens = np.minimum(np.column_stack([lens_a, lens_b]).ravel(), n)
         vals = np.tile([state, not state], n_cyc)
         pieces.append(np.repeat(vals, lens))
         covered += int(lens.sum())
@@ -175,17 +180,23 @@ def _blink_chain(rng: np.random.Generator, n: int, p_on: float,
     return np.concatenate(pieces)[:n]
 
 
-def _delay_bin_probs(profile_a: WavepacketProfile, profile_b: WavepacketProfile,
-                     cfg: HomExperimentConfig, edges: np.ndarray) -> np.ndarray:
-    """Bin probabilities of t_b - t_a + k*T for each peak offset k in [-W, W].
+@lru_cache(maxsize=1)
+def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram bin edges and the bin probabilities of t_b - t_a + k*T for
+    each peak offset k in [-W, W], both read-only.
 
     Row k + W holds one probability per bin plus a last overflow cell for
     the mass outside the window. Arrival times are piecewise uniform within
     the profile grid cells (the inverse of the piecewise-linear CDF), so the
     difference density is the cross-correlation of the two profiles' cell
     masses on one grid at the finer spacing, smoothed by the two detectors'
-    Gaussian jitter (combined width sigma * sqrt(2)).
+    Gaussian jitter (combined width sigma * sqrt(2)). Cached on the last
+    (pair, cfg), so both polarizations of a run share one computation.
     """
+    half_span = (cfg.window_peaks + 0.5) * cfg.rep_period_ns
+    n_bins = max(1, int(round(2.0 * half_span / (cfg.bin_width_ps / 1000.0))))
+    edges = np.linspace(-half_span, half_span, n_bins + 1)
+    profile_a, profile_b = emission_profile(pair.a), emission_profile(pair.b)
     dt = min(profile_a.dt, profile_b.dt)
     t_end = max(profile_a.t_grid[-1], profile_b.t_grid[-1])
     t = dt * np.arange(int(round(t_end / dt)) + 1)
@@ -207,7 +218,10 @@ def _delay_bin_probs(profile_a: WavepacketProfile, profile_b: WavepacketProfile,
     for k in range(-cfg.window_peaks, cfg.window_peaks + 1):
         p = np.clip(np.diff(np.interp(edges - k * cfg.rep_period_ns, cdf_x, cdf)), 0.0, None)
         probs.append(np.append(p, max(0.0, 1.0 - p.sum())))
-    return np.array(probs)
+    probs = np.array(probs)
+    edges.setflags(write=False)
+    probs.setflags(write=False)
+    return edges, probs
 
 
 def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,
@@ -289,13 +303,8 @@ def simulate_histogram(pair: SourcePair, cfg: HomExperimentConfig, pol: Polariza
     Deterministic per (pair, cfg, pol, seed); `workers` only controls how
     many shards run concurrently and never changes the result.
     """
-    T = cfg.rep_period_ns
-    half_span = (cfg.window_peaks + 0.5) * T
-    n_bins = max(1, int(round(2.0 * half_span / (cfg.bin_width_ps / 1000.0))))
-    edges = np.linspace(-half_span, half_span, n_bins + 1)
+    edges, probs = _delay_bin_probs(pair, cfg)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    probs = _delay_bin_probs(emission_profile(pair.a), emission_profile(pair.b), cfg, edges)
-
     n_shards = (cfg.n_pulses + SHARD_SIZE - 1) // SHARD_SIZE
 
     def run(shard: int) -> np.ndarray:
@@ -303,7 +312,7 @@ def simulate_histogram(pair: SourcePair, cfg: HomExperimentConfig, pol: Polariza
         n_shard = min(SHARD_SIZE, cfg.n_pulses - lo)
         return _simulate_shard(pair, cfg, pol, seed, shard, n_shard, probs)
 
-    total = np.zeros(n_bins, dtype=np.int64)
+    total = np.zeros(centers.size, dtype=np.int64)
     if workers > 1 and n_shards > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for counts in pool.map(run, range(n_shards)):

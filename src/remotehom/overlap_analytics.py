@@ -23,26 +23,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Optional
 
-import numpy as np
-from scipy.special import erfcx
+from scipy.special import erfcx, voigt_profile
 
 from .units_core import Frequency, Rate, Wavelength, fwhm_pm_to_angular_rate
 from .wavepacket import EmitterParams, classical_overlap, default_grid, emission_profile
 
 __all__ = [
-    "FilterShape",
     "FilterParams",
     "FilterRegimeError",
     "SourcePair",
-    "OverlapMethod",
-    "OverlapResult",
     "make_source_pair",
     "mwo_no_dephasing",
     "mwo_with_dephasing",
-    "faddeeva",
     "voigt",
     "mwo_voigt_averaged",
     "remote_upper_bound",
@@ -51,10 +45,6 @@ __all__ = [
     "apply_filter",
     "calibrate_sideband_fraction",
 ]
-
-
-class FilterShape(Enum):
-    LORENTZIAN = "lorentzian"
 
 
 class FilterRegimeError(ValueError):
@@ -67,7 +57,6 @@ class FilterParams:
 
     center: Wavelength
     fwhm_pm: float
-    shape: FilterShape = FilterShape.LORENTZIAN
 
     def __post_init__(self) -> None:
         if not self.fwhm_pm > 0:
@@ -113,27 +102,6 @@ class SourcePair:
         return self.a.sideband_fraction, self.b.sideband_fraction
 
 
-class OverlapMethod(Enum):
-    NO_DEPHASING = "no_dephasing"
-    DEPHASING_LORENTZIAN = "dephasing_lorentzian"
-    VOIGT_AVERAGED = "voigt_averaged"
-    MONTE_CARLO_AVG = "monte_carlo_avg"
-
-
-@dataclass(frozen=True)
-class OverlapResult:
-    """An overlap value with its upper bound and the method that produced it."""
-
-    m: float
-    upper_bound: float
-    method: OverlapMethod
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.m <= self.upper_bound <= 1.0:
-            raise ValueError(
-                f"need 0 <= m <= upper_bound <= 1, got m={self.m}, bound={self.upper_bound}")
-
-
 def make_source_pair(a: EmitterParams, b: EmitterParams,
                      mean_detuning: Frequency = Frequency(0.0),
                      filt: Optional[FilterParams] = None,
@@ -175,68 +143,17 @@ def mwo_with_dephasing(pair: SourcePair) -> float:
     return pair.s_classical * (Gi + Gj) * (gi + gj) / ((Gi + Gj) ** 2 + 4.0 * dbar ** 2)
 
 
-# ---------------------------------------------------------------------------
-# Faddeeva function and Voigt profile
-#
-# w(z) is evaluated with Weideman's rational approximation (SIAM J. Numer.
-# Anal. 31, 1497 (1994)) using N = 64 terms, which is far inside the 1e-6
-# relative-error budget over the upper half plane, switching to the Laplace
-# continued fraction for large |z| where the rational form loses accuracy.
-
-_WEIDEMAN_N = 64
-_CF_RADIUS_SQ = 64.0  # switch to the continued fraction for |z|^2 above this
-_CF_TERMS = 20
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-
-
-def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
-    m = 2 * n
-    ell = math.sqrt(n / math.sqrt(2.0))
-    theta = np.arange(-m + 1, m) * math.pi / m
-    t = ell * np.tan(theta / 2.0)
-    f = np.concatenate([[0.0], np.exp(-t * t) * (ell * ell + t * t)])
-    coef = np.real(np.fft.fft(np.fft.fftshift(f))) / (2.0 * m)
-    return ell, coef[1:n + 1][::-1]
-
-
-_WEIDEMAN_L, _WEIDEMAN_A = _weideman_coefficients(_WEIDEMAN_N)
-
-
-def faddeeva(z: complex) -> complex:
-    """Scaled complex error function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0."""
-    z = complex(z)
-    if z.imag < 0:
-        raise ValueError("faddeeva requires Im z >= 0")
-    if abs(z) ** 2 >= _CF_RADIUS_SQ:
-        # Laplace continued fraction, truncated from the bottom up.
-        frac = 0.0 + 0.0j
-        for k in range(_CF_TERMS, 0, -1):
-            frac = (k / 2.0) / (z - frac)
-        return 1j * _INV_SQRT_PI / (z - frac)
-    izl = _WEIDEMAN_L - 1j * z
-    big_z = (_WEIDEMAN_L + 1j * z) / izl
-    poly = 0.0 + 0.0j
-    for a_k in _WEIDEMAN_A:
-        poly = poly * big_z + a_k
-    return 2.0 * poly / izl ** 2 + _INV_SQRT_PI / izl
-
-
 def voigt(x: float, lorentz_hwhm: Rate, gauss_sigma: Rate) -> float:
     """Normalized Voigt density at x (all arguments in rad/ns, result in ns).
 
     The convolution of a Lorentzian of HWHM `lorentz_hwhm` with a Gaussian
-    of std `gauss_sigma`; reduces exactly to either limit when one width
-    is zero. Raises ValueError when both widths are zero.
+    of std `gauss_sigma` (scipy's `voigt_profile`), which reduces to either
+    limit when one width is zero. Raises ValueError when both widths are zero.
     """
     gl, sig = lorentz_hwhm.value, gauss_sigma.value
     if gl == 0.0 and sig == 0.0:
         raise ValueError("Voigt profile needs at least one non-zero width")
-    if sig == 0.0:
-        return gl / math.pi / (x * x + gl * gl)
-    if gl == 0.0:
-        return math.exp(-x * x / (2.0 * sig * sig)) / (sig * math.sqrt(2.0 * math.pi))
-    z = complex(x, gl) / (sig * math.sqrt(2.0))
-    return faddeeva(z).real / (sig * math.sqrt(2.0 * math.pi))
+    return float(voigt_profile(x, sig, gl))
 
 
 def mwo_voigt_averaged(pair: SourcePair) -> float:

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .units_core import Rate, make_rng
+from .units_core import Rate, make_rng, read_csv_columns
 from .wavepacket import EmitterParams
 
 __all__ = [
@@ -46,10 +45,18 @@ class WanderingProcess:
 
 
 def _ou_path_uniform(sigma: float, lam: float, x0: float, noise: np.ndarray) -> np.ndarray:
-    """x_{k+1} = lam x_k + sigma sqrt(1-lam^2) eps_k, run at C speed."""
-    drive = sigma * math.sqrt(1.0 - lam * lam) * noise
-    # AR(1) recursion via an IIR filter with initial condition x0.
-    out = lfilter([1.0], [1.0, -lam], drive, zi=np.array([lam * x0]))[0]
+    """x_1 .. x_n of x_{k+1} = lam x_k + sigma sqrt(1-lam^2) eps_k, as a numpy scan.
+
+    With lam x0 folded into the first term, the passes s = 1, 2, 4, ... add
+    lam^s times the partial sums s steps back. They stop once lam^s
+    underflows to 0, after which every pass would add exact zeros.
+    """
+    out = sigma * math.sqrt(1.0 - lam * lam) * noise
+    out[0] += lam * x0
+    s, factor = 1, lam
+    while s < out.size and factor > 0.0:
+        out[s:] += factor * out[:-s]
+        s, factor = 2 * s, factor * factor
     return out
 
 
@@ -163,17 +170,5 @@ class DelayVisibilitySeries:
     @classmethod
     def from_csv(cls, path: str | Path, source_label: str = "",
                  filtered: bool = False) -> "DelayVisibilitySeries":
-        path = Path(path)
-        with path.open(newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-        if not rows:
-            raise ValueError(f"{path}: empty delay-visibility file")
-        header = [c.strip() for c in rows[0]]
-        if header[:3] != ["delay_ns", "visibility", "sigma_v"]:
-            raise ValueError(
-                f"{path}: expected header 'delay_ns,visibility,sigma_v', got {rows[0]}")
-        data = np.array([[float(c) for c in r[:3]] for r in rows[1:]], dtype=float)
-        if data.size == 0:
-            raise ValueError(f"{path}: no data rows")
-        return cls(data[:, 0], data[:, 1], data[:, 2],
+        return cls(*read_csv_columns(path, ("delay_ns", "visibility", "sigma_v")),
                    source_label=source_label, filtered=filtered)

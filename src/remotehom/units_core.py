@@ -8,8 +8,11 @@ kept in nm and energies in ueV at the API boundary.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +30,7 @@ __all__ = [
     "fwhm_pm_to_angular_rate",
     "make_rng",
     "uniform_grid",
+    "read_csv_columns",
 ]
 
 #: Reduced Planck constant in ueV * ns.
@@ -154,3 +158,26 @@ def uniform_grid(t_max_ns: float, n_samples: int = 4096) -> np.ndarray:
     if t_max_ns <= 0 or n_samples < 2:
         raise ValueError("grid needs t_max > 0 and at least 2 samples")
     return np.linspace(0.0, float(t_max_ns), int(n_samples))
+
+
+def read_csv_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ...]:
+    """The leading columns `names` of a CSV file, one float array each.
+
+    Lines starting with `#` are comments; the first other line is the
+    header and must start with `names`; further columns are ignored. Raises
+    ValueError on an empty file, a wrong header, no data rows, a short
+    row or a cell that is not a finite number.
+    """
+    path, n = Path(path), len(names)
+    with path.open(newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    if [c.strip() for c in rows[0][:n]] != list(names):
+        raise ValueError(f"{path}: expected header '{','.join(names)}', got {rows[0]}")
+    if len(rows) == 1 or min(map(len, rows[1:])) < n:
+        raise ValueError(f"{path}: no data rows, or a row with fewer than {n} cells")
+    data = np.array([float(c) for r in rows[1:] for c in r[:n]]).reshape(-1, n)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: every value must be finite")
+    return tuple(data.T)

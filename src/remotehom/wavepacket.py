@@ -12,16 +12,17 @@ photons and equals 4*g_i*g_j/(g_i+g_j)^2 for mono-exponential decays.
 
 from __future__ import annotations
 
-import csv
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .units_core import HBAR_UEV_NS, EnergySplitting, Frequency, Rate, lifetime_to_rate, uniform_grid
+from .units_core import (HBAR_UEV_NS, EnergySplitting, Frequency, Rate, lifetime_to_rate,
+                         read_csv_columns, uniform_grid)
 
 __all__ = [
     "Charge",
@@ -85,6 +86,8 @@ class EmitterParams:
             raise ValueError(f"t1_ps must be > 0, got {self.t1_ps}")
         if not self.tau_c_ns > 0:
             raise ValueError(f"tau_c_ns must be > 0, got {self.tau_c_ns}")
+        if not math.isfinite(self.theta_rad):
+            raise ValueError(f"theta_rad must be finite, got {self.theta_rad}")
         for name in ("brightness", "sideband_fraction"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -256,15 +259,4 @@ def closed_form_temporal_overlap(gamma_i: Rate, gamma_j: Rate) -> float:
 
 def read_lifetime_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a lifetime trace CSV with header `time_ps,counts`."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise ValueError(f"{path}: empty lifetime trace")
-    header = [c.strip() for c in rows[0]]
-    if header[:2] != ["time_ps", "counts"]:
-        raise ValueError(f"{path}: expected header 'time_ps,counts', got {rows[0]}")
-    data = np.array([[float(r[0]), float(r[1])] for r in rows[1:]], dtype=float)
-    if data.size == 0:
-        raise ValueError(f"{path}: no data rows")
-    return data[:, 0], data[:, 1]
+    return read_csv_columns(path, ("time_ps", "counts"))

@@ -358,6 +358,10 @@ def test_cli_fit_delay_with_outlier_flag(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["params"]["gamma_star"] == pytest.approx(0.17, rel=0.05)
+    for bad in ("0", "-5", "nan"):
+        assert main(["fit-delay", str(tmp_path / "filt.csv"), str(tmp_path / "unfilt.csv"),
+                     "--t1-ps", bad]) == 2
+        assert "lifetime must be > 0 ps" in capsys.readouterr().err
 
 
 def test_cli_predict_delay(tmp_path, capsys):
@@ -430,6 +434,66 @@ def test_cli_fit_lifetime_nan_count_exits_2(tmp_path, capsys):
     data.write_text("time_ps,counts\n" + "\n".join(rows) + "\n")
     assert main(["fit-lifetime", str(data), "--model", "mono_exp"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda cfg: cfg["pair"]["a"].update(t1_ps=None),
+    lambda cfg: cfg["pair"]["a"].update(t1_ps=[1]),
+    lambda cfg: cfg.update(experiment=5),
+], ids=["null", "list", "section-as-number"])
+def test_cli_wrongly_typed_config_value_exits_2(tmp_path, capsys, mutate):
+    path = write_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    mutate(cfg)
+    path.write_text(json.dumps(cfg))
+    assert main(["overlap", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("experiment", "rep_period_ns"), ("experiment", "jitter_sigma_ps"),
+    ("experiment", "blink_dwell_ns"), ("experiment", "bin_width_ps"),
+    ("a", "theta_rad"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cli_non_finite_config_value_exits_2(tmp_path, capsys, section, key, bad):
+    path = write_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    (cfg["pair"]["a"] if section == "a" else cfg[section])[key] = bad
+    path.write_text(json.dumps(cfg))  # written as the JSON tokens NaN / Infinity
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_fit_reflectivity_non_finite_cell_exits_2(tmp_path, capsys, bad):
+    wl = np.linspace(924.4, 925.0, 60)
+    refl = 0.97 - 0.6 * 0.1 ** 2 / ((wl - 924.7) ** 2 + 0.1 ** 2)
+    rows = [f"{float(w)!r},{float(r)!r}" for w, r in zip(wl, refl)]
+    rows[30] = f"{float(wl[30])!r},{bad}"
+    data = tmp_path / "refl.csv"
+    data.write_text("wavelength_nm,reflectivity\n" + "\n".join(rows) + "\n")
+    assert main(["fit-reflectivity", str(data), "--out", str(tmp_path / "o")]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_leaves_out_scipy_signal_and_integrate():
+    import subprocess
+    import sys
+
+    import remotehom
+
+    src = str(Path(remotehom.__file__).resolve().parents[1])
+    code = ("import sys, remotehom.cli_io; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_unknown_subcommand_exits_nonzero(capsys):

@@ -165,6 +165,15 @@ def test_blinking_bunches_both_polarizations_equally():
     assert abs(side_par - side_perp) <= 3.0 * sigma
 
 
+@pytest.mark.parametrize("p_on", [1.0 - 2.0 ** -53, 1e-300])
+def test_blink_chain_with_a_state_that_almost_never_switches(p_on):
+    from remotehom.hom_montecarlo import _blink_chain
+
+    chain = _blink_chain(np.random.default_rng(116), 5000, p_on, 12.2, 100.0)
+    assert chain.shape == (5000,)
+    assert chain.all() or not chain.any()
+
+
 def test_simulation_deterministic_and_worker_invariant():
     pair = quiet_pair(162.0, 128.0)
     cfg = quiet_config(200_000, blink_on_prob=0.9, blink_dwell_ns=100.0, g2=0.01)
@@ -173,6 +182,28 @@ def test_simulation_deterministic_and_worker_invariant():
     np.testing.assert_array_equal(h1.counts, h2.counts)
     h3 = simulate_histogram(pair, cfg, PAR, seed=112)
     assert not np.array_equal(h1.counts, h3.counts)
+
+
+def test_delay_shape_computed_once_per_run_and_read_only():
+    from remotehom.hom_montecarlo import _delay_bin_probs
+
+    pair = quiet_pair(162.0, 128.0)
+    cfg = quiet_config(70_000, g2=0.01)
+    _delay_bin_probs.cache_clear()
+    h_par = simulate_histogram(pair, cfg, PAR, seed=115)
+    h_perp = simulate_histogram(pair, cfg, PERP, seed=115)
+    info = _delay_bin_probs.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    edges, probs = _delay_bin_probs(pair, cfg)
+    assert not edges.flags.writeable and not probs.flags.writeable
+    assert h_par.bin_centers.flags.writeable
+    # a fresh computation draws the same histograms as the cached one
+    _delay_bin_probs.cache_clear()
+    np.testing.assert_array_equal(simulate_histogram(pair, cfg, PERP, seed=115).counts,
+                                  h_perp.counts)
+    _delay_bin_probs.cache_clear()
+    np.testing.assert_array_equal(simulate_histogram(pair, cfg, PAR, seed=115).counts,
+                                  h_par.counts)
 
 
 def test_polarizations_draw_independent_streams():
@@ -318,6 +349,14 @@ def test_config_validation():
         HomExperimentConfig(n_pulses=1000, blink_on_prob=0.5, blink_dwell_ns=5.0)
     with pytest.raises(ValueError):
         HomExperimentConfig(n_pulses=1000, window_peaks=0)
+
+
+@pytest.mark.parametrize("name", ["rep_period_ns", "jitter_sigma_ps", "blink_dwell_ns",
+                                  "bin_width_ps"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite(name, bad):
+    with pytest.raises(ValueError, match=name):
+        HomExperimentConfig(n_pulses=1000, **{name: bad})
 
 
 def test_histogram_validation():

@@ -12,12 +12,9 @@ from remotehom.wavepacket import Charge, EmitterParams
 from remotehom.overlap_analytics import (
     FilterParams,
     FilterRegimeError,
-    OverlapMethod,
-    OverlapResult,
     SourcePair,
     apply_filter,
     calibrate_sideband_fraction,
-    faddeeva,
     filtered_wandering,
     indistinguishability_from_hom,
     make_source_pair,
@@ -129,36 +126,7 @@ def test_dephasing_equality_only_when_pure_and_resonant():
     assert mwo_with_dephasing(p2) < 0.97
 
 
-# --- Faddeeva / Voigt -------------------------------------------------------
-
-def test_faddeeva_at_origin():
-    assert faddeeva(0.0) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_faddeeva_pure_imaginary():
-    # w(iy) = exp(y^2) erfc(y), real
-    from scipy.special import erfc
-    for y in [0.1, 0.5, 1.0, 3.0, 10.0]:
-        w = faddeeva(1j * y)
-        assert w.imag == pytest.approx(0.0, abs=1e-14)
-        assert w.real == pytest.approx(math.exp(y * y) * erfc(y), rel=1e-9)
-
-
-def test_faddeeva_against_scipy_wofz():
-    from scipy.special import wofz
-    rng = np.random.default_rng(34)
-    worst = 0.0
-    for _ in range(500):
-        z = complex(rng.uniform(-60, 60), rng.uniform(0, 60))
-        ours, ref = faddeeva(z), wofz(z)
-        worst = max(worst, abs(ours - ref) / abs(ref))
-    assert worst < 1e-7
-
-
-def test_faddeeva_rejects_lower_half_plane():
-    with pytest.raises(ValueError):
-        faddeeva(1.0 - 0.5j)
-
+# --- Voigt ------------------------------------------------------------------
 
 def test_voigt_gaussian_limit():
     assert voigt(0.0, Rate(0.0), Rate(1.0)) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-6)
@@ -464,11 +432,3 @@ def test_source_pair_validates_s():
     with pytest.raises(ValueError):
         pair_with(s=1.2)
 
-
-def test_overlap_result_invariant():
-    r = OverlapResult(m=0.7, upper_bound=0.95, method=OverlapMethod.VOIGT_AVERAGED)
-    assert r.m <= r.upper_bound
-    with pytest.raises(ValueError):
-        OverlapResult(m=0.97, upper_bound=0.95, method=OverlapMethod.VOIGT_AVERAGED)
-    with pytest.raises(ValueError):
-        OverlapResult(m=-0.1, upper_bound=0.95, method=OverlapMethod.NO_DEPHASING)

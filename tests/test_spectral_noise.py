@@ -11,6 +11,7 @@ from remotehom.wavepacket import EmitterParams
 from remotehom.spectral_noise import (
     DelayVisibilitySeries,
     WanderingProcess,
+    _ou_path_uniform,
     individual_indistinguishability,
     intrinsic_visibility,
     sample_frequency_path,
@@ -78,6 +79,21 @@ def test_non_uniform_times_match_uniform_statistics():
     t = np.sort(rng.uniform(0, 90_000.0, size=40_000))
     path = sample_frequency_path(p, t)
     assert path.var() == pytest.approx(9.0, rel=0.05)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.78, 0.99, 0.99999, 1.0])
+def test_uniform_path_scan_matches_recursion(lam):
+    # the scan sums the recursion's terms in another order: agree to 1e-12 sigma
+    noise = np.random.default_rng(7).standard_normal(5000)
+    sigma, x0 = 2.0, 1.3
+    ref = np.empty(noise.size)
+    x = x0
+    for k, eps in enumerate(noise):
+        x = lam * x + sigma * math.sqrt(1.0 - lam * lam) * eps
+        ref[k] = x
+    got = _ou_path_uniform(sigma, lam, x0, noise.copy())
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * sigma)
+    np.testing.assert_array_equal(_ou_path_uniform(sigma, lam, x0, noise[:1].copy()), ref[:1])
 
 
 def test_times_must_increase():

@@ -19,6 +19,7 @@ from remotehom.units_core import (
     lifetime_to_rate,
     make_rng,
     rate_to_lifetime,
+    read_csv_columns,
     uniform_grid,
     wavelength_to_angular_frequency,
 )
@@ -169,3 +170,29 @@ def test_uniform_grid_validation():
         uniform_grid(-1.0)
     with pytest.raises(ValueError):
         uniform_grid(1.0, 1)
+
+
+def test_read_csv_columns_skips_comments_and_extra_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# produced by a test\n a , b ,note\n1.5,2,x\n# mid\n3,4e1,y\n")
+    a, b = read_csv_columns(path, ("a", "b"))
+    np.testing.assert_array_equal(a, [1.5, 3.0])
+    np.testing.assert_array_equal(b, [2.0, 40.0])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty"),
+    ("# only a comment\n", "empty"),
+    ("a,c\n1,2\n", "header"),
+    ("a,b\n", "no data rows"),
+    ("a,b\n1,2\n3\n", "fewer than 2 cells"),
+    ("a,b\n1,nan\n", "finite"),
+    ("a,b\n1,2\n-inf,2\n", "finite"),
+    ("a,b\n1,1e999\n", "finite"),
+    ("a,b\n1,two\n", "could not convert"),
+])
+def test_read_csv_columns_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_csv_columns(path, ("a", "b"))

@@ -229,6 +229,9 @@ def test_emitter_params_validation():
         EmitterParams(t1_ps=162.0, sideband_fraction=-0.1)
     with pytest.raises(ValueError):
         EmitterParams(t1_ps=162.0, tau_c_ns=0.0)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta_rad"):
+            EmitterParams(t1_ps=162.0, theta_rad=theta)
 
 
 def test_emission_profile_dispatch():
