@@ -29,6 +29,7 @@ from .units_core import (
     Frequency,
     Rate,
     Wavelength,
+    json_text,
     lifetime_to_rate,
     wavelength_to_angular_frequency,
 )
@@ -167,41 +168,60 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _take(d: dict, context: str, required: Sequence[str] = (),
-          optional: Optional[dict] = None) -> dict:
-    """Validate a config section: every required key present, none unknown."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{context}: expected a JSON object, got {d!r}")
-    optional = optional or {}
-    out = {}
-    for key in required:
-        if key not in d:
-            raise ValueError(f"{context}: missing required key '{key}'")
-        out[key] = d[key]
-    for key, default in optional.items():
-        out[key] = d.get(key, default)
-    unknown = set(d) - set(required) - set(optional)
+_EXPECTED = {float: "a finite number", int: "a finite integer", str: "a string",
+             dict: "a JSON object", list: "a JSON array"}
+
+
+def _decode(value, kind: type, where: str):
+    """`value` checked as a `kind` (see `_EXPECTED`); numbers are never
+    booleans, and an integral float such as 1e6 becomes an int for int keys."""
+    if kind in (int, float):
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max and (kind is float or value == int(value)))
+        value = int(value) if ok and kind is int else value
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ValueError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
+    return value
+
+
+def _take(d: dict, context: str, spec: dict) -> dict:
+    """Decode a config section: every key of `spec`, none other.
+
+    `spec` maps each key to its type when the key is required, else to its
+    default, whose type the value must have; a None default marks an
+    optional number. Raises ValueError naming the key on any violation.
+    """
+    _decode(d, dict, context)
+    unknown = set(d) - set(spec)
     if unknown:
         raise ValueError(f"{context}: unknown keys {sorted(unknown)} "
                          "(check unit suffixes)")
+    out = {}
+    for key, rule in spec.items():
+        if key in d:
+            kind = rule if isinstance(rule, type) else float if rule is None else type(rule)
+            out[key] = _decode(d[key], kind, f"{context}.{key}")
+        elif isinstance(rule, type):
+            raise ValueError(f"{context}: missing required key '{key}'")
+        else:
+            out[key] = rule
     return out
 
 
-_EMITTER_OPTIONAL = {
-    "gamma_star_ns_inv": 0.0,
-    "delta_omega_ns_inv": 0.0,
-    "tau_c_ns": 1400.0,
-    "wavelength_nm": 0.0,
-    "fss_uev": 0.0,
-    "theta_rad": 0.0,
-    "charge": "CX",
-    "brightness": 1.0,
-    "sideband_fraction": 0.05,
-}
+_EMITTER = {"t1_ps": float, "gamma_star_ns_inv": 0.0, "delta_omega_ns_inv": 0.0,
+            "tau_c_ns": 1400.0, "wavelength_nm": 0.0, "fss_uev": 0.0, "theta_rad": 0.0,
+            "charge": "CX", "brightness": 1.0, "sideband_fraction": 0.05}
+
+# the keys are HomExperimentConfig's field names
+_EXPERIMENT = {"n_pulses": int, "rep_period_ns": 12.2, "jitter_sigma_ps": 12.0, "g2": 0.0,
+               "blink_on_prob": 0.9, "blink_dwell_ns": 100.0, "bin_width_ps": 50.0,
+               "window_peaks": 3}
 
 
 def emitter_from_dict(d: dict, context: str = "emitter") -> EmitterParams:
-    vals = _take(d, context, required=("t1_ps",), optional=_EMITTER_OPTIONAL)
+    vals = _take(d, context, _EMITTER)
     omega0 = (wavelength_to_angular_frequency(Wavelength(vals["wavelength_nm"]))
               if vals["wavelength_nm"] else Frequency(0.0))
     try:
@@ -209,23 +229,17 @@ def emitter_from_dict(d: dict, context: str = "emitter") -> EmitterParams:
     except ValueError:
         raise ValueError(f"{context}: charge must be 'X' or 'CX', got {vals['charge']!r}")
     return EmitterParams(
-        t1_ps=float(vals["t1_ps"]),
-        gamma_star=Rate(float(vals["gamma_star_ns_inv"])),
-        delta_omega=Rate(float(vals["delta_omega_ns_inv"])),
-        tau_c_ns=float(vals["tau_c_ns"]),
+        t1_ps=vals["t1_ps"],
+        gamma_star=Rate(vals["gamma_star_ns_inv"]),
+        delta_omega=Rate(vals["delta_omega_ns_inv"]),
+        tau_c_ns=vals["tau_c_ns"],
         omega0=omega0,
-        fss=EnergySplitting(float(vals["fss_uev"])),
-        theta_rad=float(vals["theta_rad"]),
+        fss=EnergySplitting(vals["fss_uev"]),
+        theta_rad=vals["theta_rad"],
         charge=charge,
-        brightness=float(vals["brightness"]),
-        sideband_fraction=float(vals["sideband_fraction"]),
+        brightness=vals["brightness"],
+        sideband_fraction=vals["sideband_fraction"],
     )
-
-
-def _filter_from_dict(d: dict) -> FilterParams:
-    vals = _take(d, "filter", required=("center_nm", "fwhm_pm"))
-    return FilterParams(center=Wavelength(float(vals["center_nm"])),
-                        fwhm_pm=float(vals["fwhm_pm"]))
 
 
 def load_run_config(path: str | Path, *, seed_override: Optional[int] = None,
@@ -240,57 +254,39 @@ def load_run_config(path: str | Path, *, seed_override: Optional[int] = None,
     """
     with Path(path).open() as fh:
         raw = json.load(fh)
-    top = _take(raw, "config", required=("pair", "experiment", "seed"),
-                optional={"filter": None, "outputs": "."})
-    pair_d = _take(top["pair"], "pair", required=("a", "b"),
-                   optional={"mean_detuning_ns_inv": 0.0, "s_classical": None})
+    top = _take(raw, "config", {"pair": dict, "experiment": dict, "seed": int,
+                                "filter": {}, "outputs": "."})
+    pair_d = _take(top["pair"], "pair", {"a": dict, "b": dict,
+                                         "mean_detuning_ns_inv": 0.0, "s_classical": None})
+    a = emitter_from_dict(pair_d["a"], "pair.a")
+    b = emitter_from_dict(pair_d["b"], "pair.b")
 
-    resolved = json.loads(json.dumps(raw))  # deep copy, JSON-typed
+    resolved = dict(raw)  # what the hash covers: the file plus the overrides
     if seed_override is not None:
-        resolved["seed"] = int(seed_override)
+        resolved["seed"] = top["seed"] = seed_override
     if pulses_override is not None:
-        resolved["experiment"]["n_pulses"] = int(pulses_override)
+        resolved["experiment"] = dict(top["experiment"], n_pulses=pulses_override)
     if out_override is not None:
-        resolved["outputs"] = out_override
+        resolved["outputs"] = top["outputs"] = out_override
     if filter_fwhm_override is not None:
-        if resolved.get("filter"):
-            resolved["filter"]["fwhm_pm"] = float(filter_fwhm_override)
-        else:
-            wl = _take(pair_d["a"], "pair.a", ("t1_ps",), _EMITTER_OPTIONAL)["wavelength_nm"]
-            if not wl:
-                raise ValueError("--filter-fwhm-pm without a filter section "
-                                 "requires pair.a.wavelength_nm for the center")
-            resolved["filter"] = {"center_nm": wl,
-                                  "fwhm_pm": float(filter_fwhm_override)}
+        wl = pair_d["a"].get("wavelength_nm")  # checked by emitter_from_dict
+        if not (top["filter"] or wl):
+            raise ValueError("--filter-fwhm-pm without a filter section "
+                             "requires pair.a.wavelength_nm for the center")
+        resolved["filter"] = dict(top["filter"] or {"center_nm": wl},
+                                  fwhm_pm=filter_fwhm_override)
 
-    a = emitter_from_dict(resolved["pair"]["a"], "pair.a")
-    b = emitter_from_dict(resolved["pair"]["b"], "pair.b")
-    filt = _filter_from_dict(resolved["filter"]) if resolved.get("filter") else None
-    exp_d = _take(resolved["experiment"], "experiment", required=("n_pulses",),
-                  optional={"rep_period_ns": 12.2, "jitter_sigma_ps": 12.0,
-                            "g2": 0.0, "blink_on_prob": 0.9,
-                            "blink_dwell_ns": 100.0, "bin_width_ps": 50.0,
-                            "window_peaks": 3})
-    experiment = HomExperimentConfig(
-        n_pulses=int(exp_d["n_pulses"]),
-        rep_period_ns=float(exp_d["rep_period_ns"]),
-        jitter_sigma_ps=float(exp_d["jitter_sigma_ps"]),
-        g2=float(exp_d["g2"]),
-        blink_on_prob=float(exp_d["blink_on_prob"]),
-        blink_dwell_ns=float(exp_d["blink_dwell_ns"]),
-        bin_width_ps=float(exp_d["bin_width_ps"]),
-        window_peaks=int(exp_d["window_peaks"]),
-    )
-    mean_detuning = Frequency(float(pair_d["mean_detuning_ns_inv"]))
-    if filt is not None:
+    experiment = HomExperimentConfig(**_take(resolved["experiment"], "experiment", _EXPERIMENT))
+    filt = None
+    if resolved.get("filter"):
+        f = _take(resolved["filter"], "filter", {"center_nm": float, "fwhm_pm": float})
+        filt = FilterParams(center=Wavelength(f["center_nm"]), fwhm_pm=f["fwhm_pm"])
         a, _ = apply_filter(a, filt)
         b, _ = apply_filter(b, filt)
-    pair = make_source_pair(a, b, mean_detuning, filt=filt,
+    pair = make_source_pair(a, b, Frequency(pair_d["mean_detuning_ns_inv"]), filt=filt,
                             s_classical=pair_d["s_classical"])
-    cfg = RunConfig(pair=pair, experiment=experiment, filter=filt,
-                    seed=int(resolved["seed"]),
-                    outputs=Path(resolved.get("outputs", ".")),
-                    workers=workers)
+    cfg = RunConfig(pair=pair, experiment=experiment, filter=filt, seed=top["seed"],
+                    outputs=top["outputs"], workers=workers)
     return cfg, config_hash(resolved)
 
 
@@ -300,22 +296,24 @@ def load_run_config(path: str | Path, *, seed_override: Optional[int] = None,
 def load_catalog(path: str | Path) -> tuple[SourceCatalog, str]:
     with Path(path).open() as fh:
         raw = json.load(fh)
-    top = _take(raw, "catalog", required=("sources",))
+    sources = _take(raw, "catalog", {"sources": list})["sources"]
     entries = []
-    for src in top["sources"]:
-        vals = _take(src, f"source {src.get('label', '?')}",
-                     required=("label", "emitter", "cavity", "tuning_range_nm"),
-                     optional={"peak_brightness": 1.0})
-        cav = _take(vals["cavity"], f"{vals['label']}.cavity",
-                    required=("x_c_nm", "q"), optional={"detuning_pm": 0.0})
+    for i, src in enumerate(sources):
+        ctx = f"sources[{i}]"
+        vals = _take(src, ctx, {"label": str, "emitter": dict, "cavity": dict,
+                                "tuning_range_nm": list, "peak_brightness": 1.0})
+        cav = _take(vals["cavity"], f"{ctx}.cavity",
+                    {"x_c_nm": float, "q": float, "detuning_pm": 0.0})
+        if len(vals["tuning_range_nm"]) != 2:
+            raise ValueError(f"{ctx}.tuning_range_nm: expected [min, max], "
+                             f"got {vals['tuning_range_nm']!r}")
         entries.append(CatalogEntry(
-            label=str(vals["label"]),
-            emitter=emitter_from_dict(vals["emitter"], f"{vals['label']}.emitter"),
-            cavity=CavityParams(Wavelength(float(cav["x_c_nm"])), float(cav["q"]),
-                                float(cav["detuning_pm"])),
-            tuning_range_nm=(float(vals["tuning_range_nm"][0]),
-                             float(vals["tuning_range_nm"][1])),
-            peak_brightness=float(vals["peak_brightness"]),
+            label=vals["label"],
+            emitter=emitter_from_dict(vals["emitter"], f"{ctx}.emitter"),
+            cavity=CavityParams(Wavelength(cav["x_c_nm"]), cav["q"], cav["detuning_pm"]),
+            tuning_range_nm=tuple(_decode(x, float, f"{ctx}.tuning_range_nm")
+                                  for x in vals["tuning_range_nm"]),
+            peak_brightness=vals["peak_brightness"],
         ))
     return SourceCatalog(tuple(entries)), config_hash(raw)
 
@@ -405,9 +403,7 @@ def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
 
     bound = remote_upper_bound(pair.s_classical, 1.0, 1.0)
     report = dict(overlap_report(pair, cfg_hash), upper_bound=bound)
-    with (out / "overlap.json").open("w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (out / "overlap.json").write_text(json_text(report))
 
     h_par = simulate_histogram(pair, config.experiment, Polarization.PARALLEL,
                                config.seed, workers=config.workers)
@@ -427,7 +423,7 @@ def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
 # Subcommands
 
 def _emit(payload: dict, out_dir: Optional[str], filename: str) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json_text(payload)
     sys.stdout.write(text)
     if out_dir:
         d = Path(out_dir)
@@ -457,7 +453,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                 filter_fwhm_override=args.filter_fwhm_pm,
                                 out_override=args.out, workers=args.workers)
     summary = run_pipeline(config, h)
-    sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json_text(summary))
     return 0
 
 

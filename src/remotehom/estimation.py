@@ -12,16 +12,15 @@ count values.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .units_core import HBAR_UEV_NS, Rate, read_csv_columns
+from .units_core import HBAR_UEV_NS, Rate, json_text, read_csv_columns
 from .wavepacket import read_lifetime_csv
 from .spectral_noise import DelayVisibilitySeries
 
@@ -71,7 +70,12 @@ class FitResult:
                 "converged": self.converged, "n_iter": self.n_iter}
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        Path(path).write_text(json_text(self.to_dict()))
+
+    def with_derived(self, name: str, value: float, sigma: float) -> "FitResult":
+        """This result with one derived parameter and its uncertainty added."""
+        return replace(self, params=dict(self.params, **{name: value}),
+                       sigmas=dict(self.sigmas, **{name: sigma}))
 
 
 @dataclass(frozen=True)
@@ -165,15 +169,8 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
     def residual(pv: np.ndarray) -> np.ndarray:
         return (y - np.asarray(model.fn(pv, x), dtype=float)) * w
 
-    r = residual(p)
-    ssr = float(r @ r)
-    # near-zero initial damping: the first step is effectively Gauss-Newton,
-    # so a quadratic residual surface converges immediately; rejections
-    # escalate the damping fast enough for hostile starts
-    lam = 1e-8
-    n_iter = 0
-    converged = False
-    jm = None
+    def jac(pv: np.ndarray) -> np.ndarray:
+        return np.asarray(model.jac(pv, x), dtype=float) * w[:, None]
 
     def grad_ok(jm_: np.ndarray, r_: np.ndarray, p_: np.ndarray) -> bool:
         g = jm_.T @ r_
@@ -191,8 +188,16 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
         scaled = np.abs(g) / np.where(denom > 0, denom, 1.0)
         return float(np.max(scaled)) <= gtol
 
+    r = residual(p)
+    ssr = float(r @ r)
+    # near-zero initial damping: the first step is effectively Gauss-Newton,
+    # so a quadratic residual surface converges immediately; rejections
+    # escalate the damping fast enough for hostile starts
+    lam = 1e-8
+    n_iter = 0
+    converged = False
     for n_iter in range(1, max_iter + 1):
-        jm = np.asarray(model.jac(p, x), dtype=float) * w[:, None]
+        jm = jac(p)
         if not np.all(np.isfinite(jm)):
             raise RankDeficiencyError("Jacobian contains non-finite entries")
         if grad_ok(jm, r, p):
@@ -220,13 +225,9 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
             if lam > 1e13:
                 break
         if not accepted:
-            jm_final = np.asarray(model.jac(p, x), dtype=float) * w[:, None]
-            converged = grad_ok(jm_final, r, p)
-            jm = jm_final
             break
-    else:
-        n_iter = max_iter
-        jm = np.asarray(model.jac(p, x), dtype=float) * w[:, None]
+    if not converged:  # stalled damping or max_iter: judge the final iterate
+        jm = jac(p)
         converged = grad_ok(jm, r, p)
 
     a = jm.T @ jm
@@ -416,8 +417,7 @@ def fit_lifetime(trace: LifetimeTrace, model: LifetimeModel) -> FitResult:
         fss_0 = 2.0 * math.pi * HBAR_UEV_PS / (t_min - t0_0)
     else:
         fss_0 = 2.0 * math.pi * HBAR_UEV_PS / max(span / 4.0, 1.0)
-    shape = np.sin(fss_0 * np.clip(t - t0_0, 0, None) / (2 * HBAR_UEV_PS)) ** 2 \
-        * np.exp(-np.clip(t - t0_0, 0, None) / t1_0)
+    shape = m.fn([1.0, t1_0, fss_0, t0_0, 0.0], t)
     amp_0 = (peak - bg0) / max(float(shape.max()), 1e-9)
     init = [amp_0, t1_0, fss_0, t0_0, bg0]
     bounds = [(0.0, None), (1e-6, None), (1e-6, None), (None, None), (0.0, None)]
@@ -458,10 +458,7 @@ def fit_reflectivity(wavelength_nm: np.ndarray, reflectivity: np.ndarray) -> Fit
     jq[0] = 1.0 / fwhm
     jq[1] = -c / fwhm**2
     var_q = float(jq @ result.covariance @ jq)
-    params = dict(result.params, q=q)
-    sigmas = dict(result.sigmas, q=math.sqrt(max(var_q, 0.0)))
-    return FitResult(params, sigmas, result.covariance, result.residual_norm,
-                     result.converged, result.n_iter)
+    return result.with_derived("q", q, math.sqrt(max(var_q, 0.0)))
 
 
 def fit_delay_visibility(filtered: DelayVisibilitySeries, unfiltered: DelayVisibilitySeries,
@@ -491,8 +488,8 @@ def fit_delay_visibility(filtered: DelayVisibilitySeries, unfiltered: DelayVisib
             sig[mask] = new_sig
     if np.all(sig == 0):
         sigma = None
-    elif np.any(sig <= 0):
-        raise ValueError("uncertainties must be all positive or all zero")
+    elif np.any(sig <= 0) or not np.all(np.isfinite(sig)):
+        raise ValueError("uncertainties must be finite and all positive or all zero")
     else:
         sigma = sig
 
@@ -513,9 +510,4 @@ def fit_delay_visibility(filtered: DelayVisibilitySeries, unfiltered: DelayVisib
     result = least_squares(delay_visibility_model(gamma), (delay, is_filt), vis,
                            init, sigma=sigma, bounds=bounds)
     gs = result.params["gamma_star"]
-    v0 = g / (g + gs)
-    sig_v0 = g / (g + gs) ** 2 * result.sigmas["gamma_star"]
-    params = dict(result.params, v0=v0)
-    sigmas = dict(result.sigmas, v0=sig_v0)
-    return FitResult(params, sigmas, result.covariance, result.residual_norm,
-                     result.converged, result.n_iter)
+    return result.with_derived("v0", g / (g + gs), g / (g + gs) ** 2 * result.sigmas["gamma_star"])

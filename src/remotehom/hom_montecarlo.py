@@ -34,7 +34,6 @@ against correlation times of microseconds or less).
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .units_core import make_rng
+from .units_core import json_text, make_rng, write_csv_columns
 from .wavepacket import emission_profile
 from .overlap_analytics import SourcePair, mwo_voigt_averaged
 from .spectral_noise import _ou_path_uniform
@@ -206,7 +205,8 @@ def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig) -> tuple[np.nda
     sig = math.sqrt(2.0) * cfg.jitter_sigma_ps / 1000.0
     half = int(math.ceil(8.0 * sig / dt))
     x = dt * np.arange(-half, half + 1)
-    kernel = np.exp(-0.5 * (x / sig) ** 2) if sig > 0 else np.ones(1)
+    with np.errstate(over="ignore"):  # jitter far below dt: exp(-inf) = 0 off the center
+        kernel = np.exp(-0.5 * (x / sig) ** 2) if sig > 0 else np.ones(1)
     lag0 = n - 1 + half  # lags -lag0 .. lag0, in units of dt
     n_fft = 1 << (2 * lag0).bit_length()
     spec = np.fft.rfft(m_b, n_fft) * np.conj(np.fft.rfft(m_a, n_fft)) \
@@ -242,21 +242,22 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
         sig = params.delta_omega.value
         if sig == 0.0:
             return np.zeros(n_shard)
-        rng = make_rng(seed, *key, which_seed)
-        x0 = sig * rng.standard_normal()
-        if n_shard == 1:
-            return np.array([x0])
-        lam = math.exp(-T / params.tau_c_ns)
-        rest = _ou_path_uniform(sig, lam, x0, rng.standard_normal(n_shard - 1))
-        return np.concatenate([[x0], rest])
+        return _ou_path_uniform(sig, math.exp(-T / params.tau_c_ns),
+                                make_rng(seed, *key, which_seed), n_shard)
+
+    # cross-source pairs at offset k, index k + W: same-pulse pairs build the
+    # central peak, pairs offset by whole periods the side peaks
+    both = present_a & present_b
+    offsets = range(1, min(W, n_shard - 1) + 1)
+    n_pairs = np.zeros(2 * W + 1, dtype=np.int64)
+    n_pairs[W] = np.count_nonzero(both)
+    for off in offsets:
+        n_pairs[W + off] = np.count_nonzero(present_a[:-off] & present_b[off:])
+        n_pairs[W - off] = np.count_nonzero(present_a[off:] & present_b[:-off])
 
     rng_accept = make_rng(seed, *key, _P_ACCEPT)
-    rng_g2 = make_rng(seed, *key, _P_G2)
     n_peak = np.zeros(2 * W + 1, dtype=np.int64)  # coincidences at offset k, index k + W
-
-    # central peak: same-pulse cross-source pairs, interference-sensitive
-    both = present_a & present_b
-    if pol is Polarization.PARALLEL:
+    if pol is Polarization.PARALLEL:  # the central peak is interference-sensitive
         # the overlap m varies pulse to pulse with the correlated wandering,
         # so acceptance stays a per-pulse Bernoulli here
         p_sb_a, p_sb_b = pair.effective_sidebands
@@ -269,27 +270,15 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
         m = np.where(sb_a | sb_b, 0.0, m)
         n_peak[W] = np.count_nonzero(both & (rng_accept.random(n_shard) < 0.5 * (1.0 - m)))
     else:
-        n_peak[W] = rng_accept.binomial(np.count_nonzero(both), 0.5)
-
-    # side peaks: cross-source pairs offset by whole periods, no interference
-    for off in range(1, min(W, n_shard - 1) + 1):
-        n_peak[W + off] = rng_accept.binomial(
-            np.count_nonzero(present_a[:-off] & present_b[off:]), 0.5)
-        n_peak[W - off] = rng_accept.binomial(
-            np.count_nonzero(present_a[off:] & present_b[:-off]), 0.5)
+        n_peak[W] = rng_accept.binomial(n_pairs[W], 0.5)
+    # side peaks: no interference, drawn in the order +1, -1, +2, -2, ...
+    side = [W + sign * off for off in offsets for sign in (1, -1)]
+    n_peak[side] = rng_accept.binomial(n_pairs[side], 0.5)
 
     # residual multiphoton: per pulse and window, a fully distinguishable
     # extra coincidence candidate with probability g2, surviving 1/2
     if cfg.g2 > 0.0:
-        for off in range(-min(W, n_shard - 1), min(W, n_shard - 1) + 1):
-            n_slots = n_shard - abs(off)
-            if off == 0:
-                slots = both
-            elif off > 0:
-                slots = present_a[:n_slots] & present_b[off:]
-            else:
-                slots = present_a[-off:] & present_b[:n_slots]
-            n_peak[W + off] += rng_g2.binomial(np.count_nonzero(slots), 0.5 * cfg.g2)
+        n_peak += make_rng(seed, *key, _P_G2).binomial(n_pairs, 0.5 * cfg.g2)
 
     rng_times = make_rng(seed, *key, _P_TIMES)
     counts = sum(rng_times.multinomial(n_k, p_k) for n_k, p_k in zip(n_peak, probs))
@@ -362,12 +351,8 @@ def analytic_prediction(pair: SourcePair) -> float:
 def write_histogram_csv(h: CoincidenceHistogram, path: str | Path,
                         config_hash: Optional[str] = None) -> None:
     """Write `bin_center_ns, counts` rows, tagged with the producing config."""
-    with Path(path).open("w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write("bin_center_ns,counts\n")
-        for c, n in zip(h.bin_centers, h.counts):
-            fh.write(f"{float(c)!r},{int(n)}\n")
+    write_csv_columns(path, ("bin_center_ns", "counts"), (h.bin_centers, h.counts),
+                      comment=f"config_hash={config_hash}" if config_hash else None)
 
 
 def write_visibility_json(est: VisibilityEstimate, path: str | Path,
@@ -381,6 +366,4 @@ def write_visibility_json(est: VisibilityEstimate, path: str | Path,
         "config_hash": config_hash,
         "seed": int(seed),
     }
-    with Path(path).open("w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json_text(payload))

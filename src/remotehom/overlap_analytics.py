@@ -207,6 +207,8 @@ def filtered_wandering(sigma: Rate, filter_hwhm: Rate) -> tuple[float, Rate]:
     (reweighted) detuning distribution, both in closed form: with
     a = hw / (sigma sqrt 2), t_bar = sqrt(pi) a erfcx(a), and since
     d^2 T(d) = hw^2 (1 - T(d)), the width is hw sqrt((1 - t_bar) / t_bar).
+    For a > 1e3, where 1 - t_bar would cancel, the series in u = 1 / (2 a^2)
+    gives t_bar = 1 - u + 3 u^2 and the width sigma (1 - u), to O(u^2).
     """
     sig, hw = sigma.value, filter_hwhm.value
     if hw <= 0:
@@ -214,6 +216,9 @@ def filtered_wandering(sigma: Rate, filter_hwhm: Rate) -> tuple[float, Rate]:
     if sig == 0.0:
         return 1.0, Rate(0.0)
     a = hw / (sig * math.sqrt(2.0))
+    if a > 1e3:
+        u = 0.5 / (a * a)
+        return 1.0 - u + 3.0 * u * u, Rate(sig * (1.0 - u))
     t_bar = float(math.sqrt(math.pi) * a * erfcx(a))
     return t_bar, Rate(hw * math.sqrt(max(0.0, 1.0 - t_bar) / t_bar))
 

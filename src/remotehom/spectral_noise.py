@@ -10,7 +10,6 @@ so any step size is unbiased.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .units_core import Rate, make_rng, read_csv_columns
+from .units_core import Rate, make_rng, read_csv_columns, write_csv_columns
 from .wavepacket import EmitterParams
 
 __all__ = [
@@ -44,20 +43,26 @@ class WanderingProcess:
             raise ValueError(f"tau_c_ns must be > 0, got {self.tau_c_ns}")
 
 
-def _ou_path_uniform(sigma: float, lam: float, x0: float, noise: np.ndarray) -> np.ndarray:
-    """x_1 .. x_n of x_{k+1} = lam x_k + sigma sqrt(1-lam^2) eps_k, as a numpy scan.
+def _ou_path_uniform(sigma: float, lam: float, rng: np.random.Generator,
+                     n: int) -> np.ndarray:
+    """x_0 .. x_{n-1} of x_{k+1} = lam x_k + sigma sqrt(1-lam^2) eps_k, as a numpy scan.
 
-    With lam x0 folded into the first term, the passes s = 1, 2, 4, ... add
-    lam^s times the partial sums s steps back. They stop once lam^s
-    underflows to 0, after which every pass would add exact zeros.
+    x_0 is drawn from the stationary N(0, sigma^2), then the n - 1 drive
+    terms eps_k, all from `rng`. With lam x_0 folded into the first drive
+    term, the passes s = 1, 2, 4, ... add lam^s times the partial sums s
+    steps back. They stop once lam^s underflows to 0, after which every
+    pass would add exact zeros.
     """
-    out = sigma * math.sqrt(1.0 - lam * lam) * noise
-    out[0] += lam * x0
+    path = np.empty(n)
+    path[0] = sigma * rng.standard_normal()
+    out = path[1:]
+    out[:] = sigma * math.sqrt(1.0 - lam * lam) * rng.standard_normal(n - 1)
+    out[:1] += lam * path[0]
     s, factor = 1, lam
     while s < out.size and factor > 0.0:
         out[s:] += factor * out[:-s]
         s, factor = 2 * s, factor * factor
-    return out
+    return path
 
 
 def sample_frequency_path(p: WanderingProcess, times: Sequence[float] | np.ndarray,
@@ -78,17 +83,12 @@ def sample_frequency_path(p: WanderingProcess, times: Sequence[float] | np.ndarr
     if sigma == 0.0:
         return np.zeros_like(t)
     rng = make_rng(p.seed, stream)
-    x0 = sigma * rng.standard_normal()
-    if t.size == 1:
-        return np.array([x0])
     dts = np.diff(t)
-    noise = rng.standard_normal(t.size - 1)
-    if np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        lam = math.exp(-dts[0] / p.tau_c_ns)
-        rest = _ou_path_uniform(sigma, lam, x0, noise)
-        return np.concatenate([[x0], rest])
+    if dts.size and np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
+        return _ou_path_uniform(sigma, math.exp(-dts[0] / p.tau_c_ns), rng, t.size)
     out = np.empty(t.size)
-    out[0] = x0
+    out[0] = sigma * rng.standard_normal()
+    noise = rng.standard_normal(t.size - 1)
     for k, dt in enumerate(dts):
         lam = math.exp(-dt / p.tau_c_ns)
         out[k + 1] = lam * out[k] + sigma * math.sqrt(1.0 - lam * lam) * noise[k]
@@ -159,13 +159,8 @@ class DelayVisibilitySeries:
         return int(self.delay_ns.size)
 
     def to_csv(self, path: str | Path, header_comment: str | None = None) -> None:
-        with Path(path).open("w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["delay_ns", "visibility", "sigma_v"])
-            for row in zip(self.delay_ns, self.visibility, self.sigma_v):
-                writer.writerow([repr(float(x)) for x in row])
+        write_csv_columns(path, ("delay_ns", "visibility", "sigma_v"),
+                          (self.delay_ns, self.visibility, self.sigma_v), comment=header_comment)
 
     @classmethod
     def from_csv(cls, path: str | Path, source_label: str = "",

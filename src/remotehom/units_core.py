@@ -9,6 +9,7 @@ kept in nm and energies in ueV at the API boundary.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,8 @@ __all__ = [
     "make_rng",
     "uniform_grid",
     "read_csv_columns",
+    "write_csv_columns",
+    "json_text",
 ]
 
 #: Reduced Planck constant in ueV * ns.
@@ -181,3 +184,21 @@ def read_csv_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: every value must be finite")
     return tuple(data.T)
+
+
+def write_csv_columns(path: str | Path, names: Sequence[str], columns: Sequence[np.ndarray],
+                      comment: str | None = None) -> None:
+    """Write `columns` under the header `names`, after an optional `# comment` line.
+
+    Each value is the repr of its Python scalar, so floats read back bit for
+    bit with :func:`read_csv_columns` and integer columns stay integers.
+    """
+    fmt = ",".join(["%r"] * len(names))
+    lines = ([f"# {comment}"] if comment else []) + [",".join(names)]
+    lines += [fmt % values for values in zip(*(np.asarray(c).tolist() for c in columns))]
+    Path(path).write_text("\n".join(lines) + "\n", newline="")
+
+
+def json_text(payload: dict) -> str:
+    """The canonical text of a JSON artifact: sorted keys, indent 2, final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

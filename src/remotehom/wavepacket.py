@@ -168,20 +168,30 @@ def _check_grid(grid: np.ndarray, t1_ns: float) -> None:
     if span < DEFAULT_SPAN_LIFETIMES * t1_ns * (1.0 - 1e-9) or grid.size < 2000:
         warnings.warn(
             "grid shorter than 10 lifetimes or under 2000 samples; "
-            "profile truncation error may exceed 5e-5", stacklevel=3)
+            "profile truncation error may exceed 5e-5", stacklevel=4)
 
 
-def mono_exponential_profile(params: EmitterParams,
-                             grid: Optional[np.ndarray] = None) -> WavepacketProfile:
-    """Profile of a mono-exponential decay: f(t) proportional to exp(-g t / 2)."""
+def _decay_profile(params: EmitterParams, grid: Optional[np.ndarray],
+                   beating: bool) -> WavepacketProfile:
+    """Intensity exp(-t / T1), times sin^2(fss * t / (2 hbar)) when `beating`,
+    zero before t = 0, normalized on `grid` (default: 10 lifetimes)."""
     t1_ns = params.t1_ps / 1000.0
     if grid is None:
         grid = default_grid(params.t1_ps)
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid, t1_ns)
-    intensity = np.exp(-np.clip(grid, 0.0, None) / t1_ns)
+    t = np.clip(grid, 0.0, None)
+    intensity = np.exp(-t / t1_ns)
+    if beating:
+        intensity *= np.sin(params.fss.value / (2.0 * HBAR_UEV_NS) * t) ** 2
     intensity[grid < 0] = 0.0
     return WavepacketProfile.from_intensity(grid, intensity)
+
+
+def mono_exponential_profile(params: EmitterParams,
+                             grid: Optional[np.ndarray] = None) -> WavepacketProfile:
+    """Profile of a mono-exponential decay: f(t) proportional to exp(-g t / 2)."""
+    return _decay_profile(params, grid, beating=False)
 
 
 def fss_beating_profile(params: EmitterParams,
@@ -199,26 +209,13 @@ def fss_beating_profile(params: EmitterParams,
     """
     if params.charge is not Charge.X:
         raise ValueError("beating profiles require a neutral exciton (charge X)")
-    if params.fss.value == 0.0:
-        return mono_exponential_profile(params, grid)
-    t1_ns = params.t1_ps / 1000.0
-    if grid is None:
-        grid = default_grid(params.t1_ps)
-    grid = np.asarray(grid, dtype=float)
-    _check_grid(grid, t1_ns)
-    half_rate = params.fss.value / (2.0 * HBAR_UEV_NS)  # rad/ns
-    t = np.clip(grid, 0.0, None)
-    intensity = np.sin(half_rate * t) ** 2 * np.exp(-t / t1_ns)
-    intensity[grid < 0] = 0.0
-    return WavepacketProfile.from_intensity(grid, intensity)
+    return _decay_profile(params, grid, beating=params.fss.value > 0)
 
 
 def emission_profile(params: EmitterParams,
                      grid: Optional[np.ndarray] = None) -> WavepacketProfile:
     """Profile implied by the charge state: beating for X, mono-exponential else."""
-    if params.charge is Charge.X and params.fss.value > 0:
-        return fss_beating_profile(params, grid)
-    return mono_exponential_profile(params, grid)
+    return _decay_profile(params, grid, beating=params.charge is Charge.X and params.fss.value > 0)
 
 
 def _resample(p: WavepacketProfile, q: WavepacketProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

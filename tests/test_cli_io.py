@@ -163,6 +163,16 @@ def test_load_run_config_computes_s_when_omitted(tmp_path):
     assert cfg.pair.s_classical == pytest.approx(0.9791, abs=1e-3)
 
 
+def test_load_run_config_takes_integral_floats_as_ints(tmp_path):
+    cfg_dict = json.loads(write_config(tmp_path).read_text())
+    cfg_dict["experiment"].update(n_pulses=1e6, window_peaks=2.0)
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(cfg_dict))
+    cfg, _ = load_run_config(path)
+    assert type(cfg.experiment.n_pulses) is int and cfg.experiment.n_pulses == 1_000_000
+    assert type(cfg.experiment.window_peaks) is int and cfg.experiment.window_peaks == 2
+
+
 def test_load_run_config_rejects_unknown_section_keys(tmp_path):
     cfg_dict = json.loads(write_config(tmp_path).read_text())
     cfg_dict["experiment"]["pulses"] = 1000
@@ -362,6 +372,10 @@ def test_cli_fit_delay_with_outlier_flag(tmp_path, capsys):
         assert main(["fit-delay", str(tmp_path / "filt.csv"), str(tmp_path / "unfilt.csv"),
                      "--t1-ps", bad]) == 2
         assert "lifetime must be > 0 ps" in capsys.readouterr().err
+    for bad in ("nan", "inf"):
+        assert main(["fit-delay", str(tmp_path / "filt.csv"), str(tmp_path / "unfilt.csv"),
+                     "--t1-ps", "162", "--outlier", f"unfiltered:12.2:{bad}"]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 def test_cli_predict_delay(tmp_path, capsys):
@@ -414,6 +428,17 @@ def test_cli_narrow_wandering_behind_filter_exits_0(tmp_path, capsys):
     assert 0.9 < payload["m_averaged"] <= payload["s_classical"]
 
 
+def test_cli_subnormal_wandering_behind_filter_override_exits_0(tmp_path, capsys):
+    cfg = json.loads(write_config(tmp_path).read_text())
+    for src in ("a", "b"):
+        cfg["pair"][src]["delta_omega_ns_inv"] = 1e-310
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["overlap", "--config", str(path), "--filter-fwhm-pm", "20"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(v) for k, v in payload.items() if k != "config_hash")
+
+
 def test_cli_arithmetic_error_exits_3(tmp_path, capsys, monkeypatch):
     import remotehom.cli_io as cli
 
@@ -449,6 +474,48 @@ def test_cli_wrongly_typed_config_value_exits_2(tmp_path, capsys, mutate):
     assert main(["overlap", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+_SOURCE = {"label": "I_A", "emitter": {"t1_ps": 162.0},
+           "cavity": {"x_c_nm": 924.734, "q": 2900.0}, "tuning_range_nm": [924.6, 925.0]}
+
+
+_BAD_VALUES = [
+    ("overlap", ("pair", "a", "t1_ps"), True),
+    ("overlap", ("pair", "a", "t1_ps"), "162"),
+    ("overlap", ("experiment", "n_pulses"), 20000.7),
+    ("overlap", ("experiment", "window_peaks"), True),
+    ("overlap", ("experiment", "window_peaks"), 2.5),
+    ("overlap", ("seed",), 7.9),
+    ("overlap", ("seed",), True),
+    ("overlap", ("seed",), "7"),
+    ("overlap", ("experiment", "n_pulses"), math.inf),
+    ("overlap", ("experiment", "window_peaks"), math.inf),
+    ("overlap", ("seed",), math.inf),
+    ("overlap", ("pair", "s_classical"), True),
+    ("match-pairs", ("sources",), [5]),
+    ("match-pairs", ("sources",), 5),
+    ("match-pairs", ("sources", 0, "tuning_range_nm"), []),
+    ("match-pairs", ("sources", 0, "tuning_range_nm"), [924.6, 924.8, 925.0]),
+]
+
+
+@pytest.mark.parametrize("command, keys, value", _BAD_VALUES,
+                         ids=[f"{keys[-1]}={value!r}" for _, keys, value in _BAD_VALUES])
+def test_cli_wrongly_typed_config_or_catalog_value_exits_2(tmp_path, capsys, command, keys,
+                                                             value):
+    doc = (json.loads(write_config(tmp_path).read_text()) if command == "overlap"
+           else {"sources": [dict(_SOURCE)]})
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))  # inf is written as the JSON token Infinity
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(keys[-1]) in err
     assert "Traceback" not in err
 
 

@@ -1,4 +1,4 @@
-"""Property tests of the CLI exit-code contract: on any config or CSV input,
+"""Property tests of the CLI exit-code contract: on any config, catalog or CSV input,
 `main` returns 0, 2 or 3 and never raises."""
 
 import contextlib
@@ -64,12 +64,13 @@ def _paths(d: dict, prefix: tuple = ()) -> list[tuple]:
     return out
 
 
-@st.composite
-def configs(draw) -> dict:
-    """A sane config with up to two keys deleted, added or corrupted."""
-    cfg = draw(SANE_CONFIG)
+def _corrupt(draw, cfg: dict) -> dict:
+    """`cfg` with up to two keys deleted, added or corrupted."""
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-        path = draw(st.sampled_from(_paths(cfg)))
+        paths = _paths(cfg)
+        if not paths:  # everything deleted
+            break
+        path = draw(st.sampled_from(paths))
         parent = cfg
         for key in path[:-1]:
             parent = parent[key]
@@ -81,6 +82,40 @@ def configs(draw) -> dict:
         else:
             parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
     return cfg
+
+
+@st.composite
+def configs(draw) -> dict:
+    """A sane config with up to two keys deleted, added or corrupted."""
+    return _corrupt(draw, draw(SANE_CONFIG))
+
+
+SANE_SOURCE = st.fixed_dictionaries({
+    "emitter": _emitter(),
+    "cavity": st.fixed_dictionaries({"x_c_nm": st.floats(924.5, 925.2), "q": st.floats(1e3, 4e3)},
+                                    optional={"detuning_pm": st.floats(0.0, 200.0)}),
+    "tuning_range_nm": st.tuples(st.floats(924.5, 925.2), st.floats(0.01, 0.4)).map(
+        lambda lo_width: [lo_width[0], lo_width[0] + lo_width[1]]),
+}, optional={"peak_brightness": st.floats(0.05, 0.3)})
+BAD_RANGES = [[], [924.7], [924.6, 924.8, 925.0], [924.6, math.nan], [True, 925.0], ["924.6", 925.0]]
+
+
+@st.composite
+def catalogs(draw) -> dict:
+    """A sane catalog of one to four sources on samples I-III, in which one
+    source and the catalog itself may have up to two keys deleted, added or
+    corrupted, and one source or its tuning range may be replaced by a bad value."""
+    sources = draw(st.lists(SANE_SOURCE, min_size=1, max_size=4))
+    for i, src in enumerate(sources):
+        src["label"] = f"{draw(st.sampled_from(['I', 'II', 'III']))}_{i}"
+    i = draw(st.integers(0, len(sources) - 1))
+    _corrupt(draw, sources[i])
+    bad = draw(st.sampled_from([None, None, "source", "range"]))
+    if bad == "source":
+        sources[i] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+    elif bad == "range":
+        sources[i]["tuning_range_nm"] = copy.deepcopy(draw(st.sampled_from(BAD_RANGES)))
+    return _corrupt(draw, {"sources": sources})
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -138,6 +173,17 @@ def test_simulate_exit_code_contract(cfg, fwhm):
         if code == 0:
             assert_strict_json(out)
             assert_strict_json((Path(tmp) / "visibility.json").read_text())
+
+
+@PROPERTY
+@given(catalog=catalogs())
+def test_match_pairs_exit_code_contract(catalog):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "catalog.json"
+        path.write_text(json.dumps(catalog))
+        code, out = run_cli(["match-pairs", "--config", str(path), "--out", tmp])
+        if code == 0:
+            assert_strict_json(out)
 
 
 # --- CSV inputs of the fit commands -------------------------------------------

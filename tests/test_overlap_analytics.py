@@ -402,6 +402,27 @@ def test_filtered_wandering_narrow_wandering_behind_wide_filter():
         assert new.value == pytest.approx(sig, rel=1e-3)
 
 
+@pytest.mark.parametrize("ratio", np.logspace(-12, 1, 27))
+def test_filtered_wandering_matches_quadrature_for_any_sigma(ratio):
+    # 1 - t_bar as a quad over the standard normal z of u / (1 + u), u = (sigma z / hw)^2,
+    # which has no cancellation however small sigma is
+    hw = 10.0
+    sig = ratio * hw
+    one_minus = quad(lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+                     * (sig * z / hw) ** 2 / (1.0 + (sig * z / hw) ** 2),
+                     -math.inf, math.inf, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+    t_bar, new = filtered_wandering(Rate(sig), Rate(hw))
+    assert t_bar == pytest.approx(1.0 - one_minus, rel=1e-9)
+    assert new.value == pytest.approx(hw * math.sqrt(one_minus / (1.0 - one_minus)), rel=1e-9)
+
+
+def test_filtered_wandering_subnormal_sigma():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t_bar, new = filtered_wandering(Rate(1e-310), Rate(10.0))
+    assert (t_bar, new.value) == (1.0, 1e-310)
+
+
 # --- pair construction and result types -------------------------------------
 
 def test_make_source_pair_computes_s_from_profiles():

@@ -83,17 +83,19 @@ def test_non_uniform_times_match_uniform_statistics():
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.78, 0.99, 0.99999, 1.0])
 def test_uniform_path_scan_matches_recursion(lam):
-    # the scan sums the recursion's terms in another order: agree to 1e-12 sigma
-    noise = np.random.default_rng(7).standard_normal(5000)
-    sigma, x0 = 2.0, 1.3
-    ref = np.empty(noise.size)
-    x = x0
-    for k, eps in enumerate(noise):
+    # the scan sums the recursion's terms in another order: agree to 1e-12 sigma;
+    # the path draws its stationary start, then the drive, from the one stream
+    z = np.random.default_rng(7).standard_normal(5001)
+    sigma = 2.0
+    ref = np.empty(z.size)
+    x = ref[0] = sigma * z[0]
+    for k, eps in enumerate(z[1:], start=1):
         x = lam * x + sigma * math.sqrt(1.0 - lam * lam) * eps
         ref[k] = x
-    got = _ou_path_uniform(sigma, lam, x0, noise.copy())
+    got = _ou_path_uniform(sigma, lam, np.random.default_rng(7), z.size)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * sigma)
-    np.testing.assert_array_equal(_ou_path_uniform(sigma, lam, x0, noise[:1].copy()), ref[:1])
+    np.testing.assert_array_equal(_ou_path_uniform(sigma, lam, np.random.default_rng(7), 1),
+                                  ref[:1])
 
 
 def test_times_must_increase():

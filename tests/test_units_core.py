@@ -22,6 +22,7 @@ from remotehom.units_core import (
     read_csv_columns,
     uniform_grid,
     wavelength_to_angular_frequency,
+    write_csv_columns,
 )
 
 
@@ -196,3 +197,18 @@ def test_read_csv_columns_rejects_malformed_files(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         read_csv_columns(path, ("a", "b"))
+
+
+def test_write_csv_columns_round_trips_exactly(tmp_path):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40),
+                        [5e-324, -0.0, 0.1, 1.0 / 3.0]])
+    n = rng.integers(-2**52, 2**52, x.size)
+    path = tmp_path / "columns.csv"
+    write_csv_columns(path, ("x", "n"), (x, n), comment="two columns")
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["# two columns", "x,n"]
+    assert all(line.split(",")[1].lstrip("-").isdigit() for line in lines[2:])
+    x_back, n_back = read_csv_columns(path, ("x", "n"))
+    np.testing.assert_array_equal(x_back, x)
+    np.testing.assert_array_equal(n_back, n)
