@@ -235,8 +235,16 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
                         cfg.blink_on_prob, T, cfg.blink_dwell_ns)
     on_b = _blink_chain(make_rng(seed, *key, _P_BLINK_B), n_shard,
                         cfg.blink_on_prob, T, cfg.blink_dwell_ns)
-    present_a = on_a & (make_rng(seed, *key, _P_EMIT_A).random(n_shard) < pair.a.brightness)
-    present_b = on_b & (make_rng(seed, *key, _P_EMIT_B).random(n_shard) < pair.b.brightness)
+
+    def bernoulli(purpose: int, p: float) -> np.ndarray | bool:
+        # random() lies in [0, 1), so p = 0 and p = 1 settle every pulse without
+        # a draw; each purpose has its own stream, so no other draw moves
+        if p <= 0.0 or p >= 1.0:
+            return p >= 1.0
+        return make_rng(seed, *key, purpose).random(n_shard) < p
+
+    present_a = on_a & bernoulli(_P_EMIT_A, pair.a.brightness)
+    present_b = on_b & bernoulli(_P_EMIT_B, pair.b.brightness)
 
     def ou(which_seed: int, params) -> np.ndarray:
         sig = params.delta_omega.value
@@ -260,14 +268,14 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
     if pol is Polarization.PARALLEL:  # the central peak is interference-sensitive
         # the overlap m varies pulse to pulse with the correlated wandering,
         # so acceptance stays a per-pulse Bernoulli here
-        p_sb_a, p_sb_b = pair.effective_sidebands
-        sb_a = make_rng(seed, *key, _P_SIDEBAND_A).random(n_shard) < p_sb_a
-        sb_b = make_rng(seed, *key, _P_SIDEBAND_B).random(n_shard) < p_sb_b
         gsum = pair.a.gamma.value + pair.b.gamma.value
         Gsum = pair.a.total_linewidth.value + pair.b.total_linewidth.value
         delta = pair.mean_detuning.value + ou(_P_FREQ_A, pair.a) - ou(_P_FREQ_B, pair.b)
         m = pair.s_classical * Gsum * gsum / (Gsum * Gsum + 4.0 * delta * delta)
-        m = np.where(sb_a | sb_b, 0.0, m)
+        p_sb_a, p_sb_b = pair.effective_sidebands
+        sideband = bernoulli(_P_SIDEBAND_A, p_sb_a) | bernoulli(_P_SIDEBAND_B, p_sb_b)
+        if np.any(sideband):
+            m = np.where(sideband, 0.0, m)
         n_peak[W] = np.count_nonzero(both & (rng_accept.random(n_shard) < 0.5 * (1.0 - m)))
     else:
         n_peak[W] = rng_accept.binomial(n_pairs[W], 0.5)
