@@ -246,12 +246,11 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
     present_a = on_a & bernoulli(_P_EMIT_A, pair.a.brightness)
     present_b = on_b & bernoulli(_P_EMIT_B, pair.b.brightness)
 
-    def ou(which_seed: int, params) -> np.ndarray:
-        sig = params.delta_omega.value
-        if sig == 0.0:
-            return np.zeros(n_shard)
-        return _ou_path_uniform(sig, math.exp(-T / params.tau_c_ns),
-                                make_rng(seed, *key, which_seed), n_shard)
+    def ou(purpose: int, sigma: float, tau_c_ns: float) -> np.ndarray | float:
+        if sigma == 0.0:
+            return 0.0
+        return _ou_path_uniform(sigma, math.exp(-T / tau_c_ns),
+                                make_rng(seed, *key, purpose), n_shard)
 
     # cross-source pairs at offset k, index k + W: same-pulse pairs build the
     # central peak, pairs offset by whole periods the side peaks
@@ -270,7 +269,15 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
         # so acceptance stays a per-pulse Bernoulli here
         gsum = pair.a.gamma.value + pair.b.gamma.value
         Gsum = pair.a.total_linewidth.value + pair.b.total_linewidth.value
-        delta = pair.mean_detuning.value + ou(_P_FREQ_A, pair.a) - ou(_P_FREQ_B, pair.b)
+        a, b = pair.a, pair.b
+        if a.tau_c_ns == b.tau_c_ns:
+            # two independent AR(1) paths with one lambda differ by one AR(1)
+            # path of std hypot(dw_a, dw_b): draw only that one
+            wander = ou(_P_FREQ_A, pair.combined_wandering.value, a.tau_c_ns)
+        else:
+            wander = (ou(_P_FREQ_A, a.delta_omega.value, a.tau_c_ns)
+                      - ou(_P_FREQ_B, b.delta_omega.value, b.tau_c_ns))
+        delta = pair.mean_detuning.value + wander
         m = pair.s_classical * Gsum * gsum / (Gsum * Gsum + 4.0 * delta * delta)
         p_sb_a, p_sb_b = pair.effective_sidebands
         sideband = bernoulli(_P_SIDEBAND_A, p_sb_a) | bernoulli(_P_SIDEBAND_B, p_sb_b)
