@@ -55,6 +55,7 @@ from .hom_montecarlo import (
     analytic_prediction,
     estimate_visibility,
     simulate_histogram,
+    simulate_histograms,
 )
 from .estimation import (
     FitResult,

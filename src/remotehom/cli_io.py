@@ -51,7 +51,7 @@ from .hom_montecarlo import (
     Polarization,
     analytic_prediction,
     estimate_visibility,
-    simulate_histogram,
+    simulate_histograms,
     write_histogram_csv,
     write_visibility_json,
 )
@@ -405,10 +405,10 @@ def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     report = dict(overlap_report(pair, cfg_hash), upper_bound=bound)
     (out / "overlap.json").write_text(json_text(report))
 
-    h_par = simulate_histogram(pair, config.experiment, Polarization.PARALLEL,
-                               config.seed, workers=config.workers)
-    h_perp = simulate_histogram(pair, config.experiment, Polarization.PERPENDICULAR,
-                                config.seed, workers=config.workers)
+    # parallel first: its shards are the long ones, so they head the queue
+    h_par, h_perp = simulate_histograms(pair, config.experiment,
+                                        (Polarization.PARALLEL, Polarization.PERPENDICULAR),
+                                        config.seed, workers=config.workers)
     write_histogram_csv(h_par, out / "histogram_par.csv", config_hash=cfg_hash)
     write_histogram_csv(h_perp, out / "histogram_perp.csv", config_hash=cfg_hash)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "CoincidenceHistogram",
     "VisibilityEstimate",
     "simulate_histogram",
+    "simulate_histograms",
     "estimate_visibility",
     "analytic_prediction",
     "write_histogram_csv",
@@ -300,31 +301,38 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
     return counts[:-1]
 
 
-def simulate_histogram(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,
-                       seed: int, workers: int = 1) -> CoincidenceHistogram:
-    """Synthesize one coincidence histogram for the given polarization.
+def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
+                        pols: Sequence[Polarization], seed: int,
+                        workers: int = 1) -> list[CoincidenceHistogram]:
+    """Synthesize one coincidence histogram per polarization in `pols`.
 
-    Deterministic per (pair, cfg, pol, seed); `workers` only controls how
-    many shards run concurrently and never changes the result.
+    The shards of every polarization share one pool of `workers` threads,
+    queued in the order of `pols`. Deterministic per (pair, cfg, pol, seed);
+    `workers` only controls how many shards run concurrently and never
+    changes the result.
     """
     edges, probs = _delay_bin_probs(pair, cfg)
     centers = 0.5 * (edges[:-1] + edges[1:])
     n_shards = (cfg.n_pulses + SHARD_SIZE - 1) // SHARD_SIZE
+    jobs = [(k, shard) for k in range(len(pols)) for shard in range(n_shards)]
 
-    def run(shard: int) -> np.ndarray:
-        lo = shard * SHARD_SIZE
-        n_shard = min(SHARD_SIZE, cfg.n_pulses - lo)
-        return _simulate_shard(pair, cfg, pol, seed, shard, n_shard, probs)
+    def run(job: tuple[int, int]) -> np.ndarray:
+        k, shard = job
+        n_shard = min(SHARD_SIZE, cfg.n_pulses - shard * SHARD_SIZE)
+        return _simulate_shard(pair, cfg, pols[k], seed, shard, n_shard, probs)
 
-    total = np.zeros(centers.size, dtype=np.int64)
-    if workers > 1 and n_shards > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for counts in pool.map(run, range(n_shards)):
-                total += counts
-    else:
-        for shard in range(n_shards):
-            total += run(shard)
-    return CoincidenceHistogram(centers, total, pol)
+    totals = np.zeros((len(pols), centers.size), dtype=np.int64)
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:  # threads start on submit
+        results = pool.map(run, jobs) if workers > 1 and len(jobs) > 1 else map(run, jobs)
+        for (k, _), counts in zip(jobs, results):
+            totals[k] += counts
+    return [CoincidenceHistogram(centers, total, pol) for total, pol in zip(totals, pols)]
+
+
+def simulate_histogram(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,
+                       seed: int, workers: int = 1) -> CoincidenceHistogram:
+    """Synthesize one coincidence histogram for the given polarization."""
+    return simulate_histograms(pair, cfg, (pol,), seed, workers)[0]
 
 
 def estimate_visibility(h_par: CoincidenceHistogram, h_perp: CoincidenceHistogram,
