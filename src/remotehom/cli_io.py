@@ -31,7 +31,6 @@ from .units_core import (
     Wavelength,
     json_text,
     lifetime_to_rate,
-    wavelength_to_angular_frequency,
 )
 from .wavepacket import Charge, EmitterParams
 from .overlap_analytics import (
@@ -222,8 +221,6 @@ _EXPERIMENT = {"n_pulses": int, "rep_period_ns": 12.2, "jitter_sigma_ps": 12.0, 
 
 def emitter_from_dict(d: dict, context: str = "emitter") -> EmitterParams:
     vals = _take(d, context, _EMITTER)
-    omega0 = (wavelength_to_angular_frequency(Wavelength(vals["wavelength_nm"]))
-              if vals["wavelength_nm"] else Frequency(0.0))
     try:
         charge = Charge(vals["charge"])
     except ValueError:
@@ -233,7 +230,6 @@ def emitter_from_dict(d: dict, context: str = "emitter") -> EmitterParams:
         gamma_star=Rate(vals["gamma_star_ns_inv"]),
         delta_omega=Rate(vals["delta_omega_ns_inv"]),
         tau_c_ns=vals["tau_c_ns"],
-        omega0=omega0,
         fss=EnergySplitting(vals["fss_uev"]),
         theta_rad=vals["theta_rad"],
         charge=charge,

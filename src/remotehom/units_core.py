@@ -75,9 +75,6 @@ class EnergySplitting:
         if not math.isfinite(self.value) or self.value < 0:
             raise ValueError(f"energy splitting must be >= 0 ueV, got {self.value}")
 
-    def to_angular_rate(self) -> Rate:
-        return energy_to_angular_rate(self)
-
 
 @dataclass(frozen=True)
 class Wavelength:
@@ -88,9 +85,6 @@ class Wavelength:
     def __post_init__(self) -> None:
         if not math.isfinite(self.value) or self.value <= 0:
             raise ValueError(f"wavelength must be > 0 nm, got {self.value}")
-
-    def to_angular_frequency(self) -> Frequency:
-        return wavelength_to_angular_frequency(self)
 
 
 def energy_to_angular_rate(e: EnergySplitting) -> Rate:

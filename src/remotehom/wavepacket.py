@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .units_core import (HBAR_UEV_NS, EnergySplitting, Frequency, Rate, lifetime_to_rate,
+from .units_core import (HBAR_UEV_NS, EnergySplitting, Rate, lifetime_to_rate,
                          read_csv_columns, uniform_grid)
 
 __all__ = [
@@ -62,7 +62,6 @@ class EmitterParams:
     gamma_star       : pure-dephasing rate (ns^-1)
     delta_omega      : std. dev. of the slow frequency wandering (rad/ns)
     tau_c_ns         : wandering correlation time (ns), > 0
-    omega0           : center angular frequency offset (rad/ns)
     fss              : fine-structure splitting (ueV)
     theta_rad        : dipole angle w.r.t. the analysis axis (rad)
     charge           : X (beating decay) or CX (mono-exponential decay)
@@ -74,7 +73,6 @@ class EmitterParams:
     gamma_star: Rate = Rate(0.0)
     delta_omega: Rate = Rate(0.0)
     tau_c_ns: float = 1400.0
-    omega0: Frequency = Frequency(0.0)
     fss: EnergySplitting = EnergySplitting(0.0)
     theta_rad: float = 0.0
     charge: Charge = Charge.CX
