@@ -150,6 +150,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int):
             raise ValueError("seed must be an explicit integer")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "outputs", Path(self.outputs))
 
 

@@ -1,5 +1,6 @@
 """Config ingestion, catalog matching, pipeline artifacts, CLI contract."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -316,6 +317,37 @@ def test_cli_simulate_byte_identical_across_worker_counts(tmp_path, capsys):
     assert vis_a == vis_b
 
 
+# the minimal run.json of the README, verbatim
+README_RUN = {
+    "pair": {
+        "a": {"t1_ps": 162.0, "gamma_star_ns_inv": 0.17, "delta_omega_ns_inv": 4.7,
+              "tau_c_ns": 1400.0, "wavelength_nm": 924.847, "sideband_fraction": 0.05},
+        "b": {"t1_ps": 128.0, "gamma_star_ns_inv": 0.03, "delta_omega_ns_inv": 2.12,
+              "tau_c_ns": 1400.0, "wavelength_nm": 924.847, "sideband_fraction": 0.05},
+        "s_classical": 0.986,
+    },
+    "experiment": {"n_pulses": 1000000},
+    "seed": 7,
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_simulate_readme_perpendicular_histogram_bytes_are_pinned(tmp_path, capsys,
+                                                                      workers):
+    # Skipping draws whose outcome is fixed and sharing one thread pool between
+    # the polarizations must not move a byte of the perpendicular histogram;
+    # the hash depends on numpy's Generator algorithms (PCG64, binomial,
+    # multinomial) staying as they are.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(README_RUN))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--pulses", "20000",
+                 "--workers", str(workers)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "histogram_perp.csv").read_bytes()).hexdigest()
+    assert digest == "b80a246c4b8074bc72d293c27c8835c85da1d09c3ad56f0fe65087662d94afbc"
+
+
 def test_cli_match_pairs_demo(tmp_path, capsys):
     assert main(["match-pairs"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -498,6 +530,8 @@ _BAD_VALUES = [
     ("match-pairs", ("sources",), 5),
     ("match-pairs", ("sources", 0, "tuning_range_nm"), []),
     ("match-pairs", ("sources", 0, "tuning_range_nm"), [924.6, 924.8, 925.0]),
+    ("simulate", ("workers",), 0),
+    ("simulate", ("workers",), -2),
 ]
 
 
@@ -505,15 +539,19 @@ _BAD_VALUES = [
                          ids=[f"{keys[-1]}={value!r}" for _, keys, value in _BAD_VALUES])
 def test_cli_wrongly_typed_config_or_catalog_value_exits_2(tmp_path, capsys, command, keys,
                                                              value):
-    doc = (json.loads(write_config(tmp_path).read_text()) if command == "overlap"
+    doc = (json.loads(write_config(tmp_path).read_text()) if command != "match-pairs"
            else {"sources": [dict(_SOURCE)]})
-    parent = doc
-    for key in keys[:-1]:
-        parent = parent[key]
-    parent[keys[-1]] = value
     path = tmp_path / "doc.json"
+    argv = [command, "--config", str(path)]
+    if command == "simulate":  # the key names a command-line option
+        argv += [f"--{keys[0]}", str(value), "--out", str(tmp_path / "o")]
+    else:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
     path.write_text(json.dumps(doc))  # inf is written as the JSON token Infinity
-    assert main([command, "--config", str(path)]) == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(keys[-1]) in err
     assert "Traceback" not in err

@@ -9,6 +9,7 @@ import pytest
 from remotehom.units_core import Frequency, Rate
 from remotehom.wavepacket import EmitterParams, emission_profile
 from remotehom.overlap_analytics import SourcePair, mwo_voigt_averaged
+from remotehom.spectral_noise import _ou_path_uniform
 from remotehom.hom_montecarlo import (
     CoincidenceHistogram,
     HomExperimentConfig,
@@ -17,6 +18,7 @@ from remotehom.hom_montecarlo import (
     analytic_prediction,
     estimate_visibility,
     simulate_histogram,
+    simulate_histograms,
     write_histogram_csv,
     write_visibility_json,
 )
@@ -119,6 +121,15 @@ def test_sideband_fraction_degrades_visibility():
     assert abs(est.v_tpi - 0.9 * 0.8) <= 3.0 * est.sigma
 
 
+def test_brightness_thins_the_coincidences():
+    pair = SourcePair(a=quiet_source(brightness=0.6), b=quiet_source(), s_classical=1.0)
+    cfg = quiet_config(200_000)
+    central, _ = central_and_side_areas(simulate_histogram(pair, cfg, PERP, seed=120))
+    # a pair exists in a fraction 0.6 of the pulses and half of them coincide
+    expected = 0.5 * 0.6 * cfg.n_pulses
+    assert abs(central - expected) <= 5.0 * math.sqrt(expected)
+
+
 def test_mc_matches_analytic_prediction_with_wandering():
     # full-noise self-consistency at unit classical overlap; the OU
     # correlation time (50 ns) is short against the train so the
@@ -131,15 +142,81 @@ def test_mc_matches_analytic_prediction_with_wandering():
     est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=108, workers=4),
                               simulate_histogram(pair, cfg, PERP, seed=108, workers=4))
     expected = analytic_prediction(pair)
-    rng = np.random.default_rng(0)
-    deltas = rng.normal(2.0, pair.combined_wandering.value, size=200_000)
-    gsum = a.gamma.value + b.gamma.value
-    Gsum = a.total_linewidth.value + b.total_linewidth.value
+    assert abs(est.v_tpi - expected) <= 3.0 * ou_inflated_sigma(pair, cfg, est.sigma)
+
+
+def ou_inflated_sigma(pair: SourcePair, cfg: HomExperimentConfig, est_sigma: float) -> float:
+    """Counting error inflated by var(m) * 2 tau_c / T_total, with the longer tau_c."""
+    deltas = np.random.default_rng(0).normal(pair.mean_detuning.value,
+                                             pair.combined_wandering.value, size=200_000)
+    gsum = pair.a.gamma.value + pair.b.gamma.value
+    Gsum = pair.a.total_linewidth.value + pair.b.total_linewidth.value
     m_draws = Gsum * gsum / (Gsum**2 + 4 * deltas**2)
     t_total = cfg.n_pulses * cfg.rep_period_ns
-    sigma_ou = math.sqrt(m_draws.var() * 2.0 * 50.0 / t_total)
-    sigma_eff = math.hypot(est.sigma, sigma_ou)
-    assert abs(est.v_tpi - expected) <= 3.0 * sigma_eff
+    tau_c = max(pair.a.tau_c_ns, pair.b.tau_c_ns)
+    return math.hypot(est_sigma, math.sqrt(m_draws.var() * 2.0 * tau_c / t_total))
+
+
+def spy_ou_paths(monkeypatch) -> list:
+    """Record (sigma, lambda, path) of every OU path the shards draw."""
+    import remotehom.hom_montecarlo as hm
+
+    calls = []
+
+    def spy(sigma, lam, rng, n):
+        calls.append((sigma, lam, _ou_path_uniform(sigma, lam, rng, n)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(hm, "_ou_path_uniform", spy)
+    return calls
+
+
+def test_shared_tau_c_draws_one_detuning_path_of_summed_variance(monkeypatch):
+    calls = spy_ou_paths(monkeypatch)
+    a = quiet_source(delta_omega=Rate(3.0), tau_c_ns=50.0)
+    b = quiet_source(delta_omega=Rate(2.0), tau_c_ns=50.0)
+    cfg = quiet_config(1 << 18)
+    simulate_histogram(SourcePair(a=a, b=b, s_classical=1.0), cfg, PAR, seed=117)
+    assert len(calls) == 4  # one path per shard of 65536 pulses
+    paths = np.stack([path for _, _, path in calls])
+    var, lam, n = 3.0**2 + 2.0**2, math.exp(-cfg.rep_period_ns / 50.0), paths.size
+    # zero-mean Gaussian AR(1): the standard error of mean(x^2) is
+    # var * sqrt(2 (1 + lam^2) / ((1 - lam^2) n)), of the lag-1 correlation
+    # sqrt((1 - lam^2) / n)
+    se_var = var * math.sqrt(2.0 * (1.0 + lam**2) / ((1.0 - lam**2) * n))
+    assert abs(np.mean(paths**2) - var) <= 5.0 * se_var
+    rho = np.sum(paths[:, 1:] * paths[:, :-1]) / np.sum(paths[:, :-1] ** 2)
+    assert abs(rho - lam) <= 5.0 * math.sqrt((1.0 - lam**2) / n)
+
+
+def test_unequal_tau_c_draws_two_paths_and_matches_analytic_prediction(monkeypatch):
+    calls = spy_ou_paths(monkeypatch)
+    a = quiet_source(gamma_star=Rate(0.17), delta_omega=Rate(3.0), tau_c_ns=50.0)
+    b = quiet_source(gamma_star=Rate(0.03), delta_omega=Rate(2.0), tau_c_ns=20.0)
+    pair = SourcePair(a=a, b=b, mean_detuning=Frequency(2.0), s_classical=1.0)
+    cfg = quiet_config(500_000)
+    h_par = simulate_histogram(pair, cfg, PAR, seed=118, workers=2)
+    T = cfg.rep_period_ns
+    assert len(calls) == 2 * 8  # both paths in each of the 8 shards
+    assert {(s, lam) for s, lam, _ in calls} == {(3.0, math.exp(-T / 50.0)),
+                                                 (2.0, math.exp(-T / 20.0))}
+    est = estimate_visibility(h_par, simulate_histogram(pair, cfg, PERP, seed=118, workers=2))
+    sigma = ou_inflated_sigma(pair, cfg, est.sigma)
+    assert abs(est.v_tpi - analytic_prediction(pair)) <= 4.0 * sigma
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_pool_for_both_polarizations_matches_separate_runs(workers):
+    a = EmitterParams(162.0, delta_omega=Rate(3.0), tau_c_ns=50.0)
+    b = EmitterParams(128.0, delta_omega=Rate(2.0), tau_c_ns=50.0, brightness=0.8)
+    pair = SourcePair(a=a, b=b, mean_detuning=Frequency(1.0), s_classical=0.97)
+    cfg = quiet_config(3 * 65536 + 1000, blink_on_prob=0.9, g2=0.01)
+    hists = simulate_histograms(pair, cfg, (PAR, PERP), seed=119, workers=workers)
+    assert [h.polarization for h in hists] == [PAR, PERP]
+    for h in hists:
+        ref = simulate_histogram(pair, cfg, h.polarization, seed=119)
+        np.testing.assert_array_equal(h.bin_centers, ref.bin_centers)
+        np.testing.assert_array_equal(h.counts, ref.counts)
 
 
 def test_blinking_invariance_of_estimator():
