@@ -21,9 +21,14 @@ the peak's offset). A shard counts the coincidences of each peak: a
 per-pulse Bernoulli for the parallel central peak, where the
 wandering-correlated m changes from pulse to pulse, and binomial counts
 everywhere else. Each peak's histogram is then one multinomial draw of
-its count over its bin probabilities.
+its count over its bin probabilities. A shard draws only what can change
+a result: a brightness of 1 or a sideband fraction of 0 settles every
+pulse without a draw, and sources sharing tau_c get one OU path for the
+detuning, since the difference of two independent OU paths with one
+tau_c is an OU path of std hypot(dw_a, dw_b). Unequal tau_c draw two.
 
-Determinism: the pulse train is cut into fixed-size shards; every random
+Determinism: the pulse train is cut into fixed-size shards, and the
+shards of all polarizations of a run share one thread pool; every random
 stream is keyed by (seed, polarization, shard index, purpose), so merged
 histograms are bit-identical for any worker count or execution order.
 Wandering and blinking restart from their stationary distributions at
@@ -227,8 +232,7 @@ def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig) -> tuple[np.nda
 
 def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,
                     seed: int, shard: int, n_shard: int, probs: np.ndarray) -> np.ndarray:
-    pol_code = 0 if pol is Polarization.PARALLEL else 1
-    key = (pol_code, shard)
+    key = (0 if pol is Polarization.PARALLEL else 1, shard)
     T = cfg.rep_period_ns
     W = cfg.window_peaks
 
@@ -268,17 +272,17 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
     if pol is Polarization.PARALLEL:  # the central peak is interference-sensitive
         # the overlap m varies pulse to pulse with the correlated wandering,
         # so acceptance stays a per-pulse Bernoulli here
-        gsum = pair.a.gamma.value + pair.b.gamma.value
-        Gsum = pair.a.total_linewidth.value + pair.b.total_linewidth.value
         a, b = pair.a, pair.b
+        gsum = a.gamma.value + b.gamma.value
+        Gsum = a.total_linewidth.value + b.total_linewidth.value
+        delta = pair.mean_detuning.value
         if a.tau_c_ns == b.tau_c_ns:
             # two independent AR(1) paths with one lambda differ by one AR(1)
             # path of std hypot(dw_a, dw_b): draw only that one
-            wander = ou(_P_FREQ_A, pair.combined_wandering.value, a.tau_c_ns)
+            delta = delta + ou(_P_FREQ_A, pair.combined_wandering.value, a.tau_c_ns)
         else:
-            wander = (ou(_P_FREQ_A, a.delta_omega.value, a.tau_c_ns)
-                      - ou(_P_FREQ_B, b.delta_omega.value, b.tau_c_ns))
-        delta = pair.mean_detuning.value + wander
+            delta = (delta + ou(_P_FREQ_A, a.delta_omega.value, a.tau_c_ns)
+                     - ou(_P_FREQ_B, b.delta_omega.value, b.tau_c_ns))
         m = pair.s_classical * Gsum * gsum / (Gsum * Gsum + 4.0 * delta * delta)
         p_sb_a, p_sb_b = pair.effective_sidebands
         sideband = bernoulli(_P_SIDEBAND_A, p_sb_a) | bernoulli(_P_SIDEBAND_B, p_sb_b)
@@ -304,13 +308,9 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
 def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
                         pols: Sequence[Polarization], seed: int,
                         workers: int = 1) -> list[CoincidenceHistogram]:
-    """Synthesize one coincidence histogram per polarization in `pols`.
-
-    The shards of every polarization share one pool of `workers` threads,
-    queued in the order of `pols`. Deterministic per (pair, cfg, pol, seed);
-    `workers` only controls how many shards run concurrently and never
-    changes the result.
-    """
+    """One coincidence histogram per polarization in `pols`; the shards of all
+    of them share one pool of `workers` threads, queued in the order of `pols`.
+    Deterministic per (pair, cfg, pol, seed): `workers` never changes a result."""
     edges, probs = _delay_bin_probs(pair, cfg)
     centers = 0.5 * (edges[:-1] + edges[1:])
     n_shards = (cfg.n_pulses + SHARD_SIZE - 1) // SHARD_SIZE
