@@ -63,7 +63,7 @@ class EmitterParams:
     delta_omega      : std. dev. of the slow frequency wandering (rad/ns)
     tau_c_ns         : wandering correlation time (ns), > 0
     fss              : fine-structure splitting (ueV)
-    theta_rad        : dipole angle w.r.t. the analysis axis (rad)
+    theta_rad        : dipole angle w.r.t. the analysis axis (rad); validated, unused
     charge           : X (beating decay) or CX (mono-exponential decay)
     brightness       : emission probability per excitation pulse, in [0, 1]
     sideband_fraction: fraction of emission in the incoherent sideband, in [0, 1]
