@@ -164,8 +164,9 @@ def spy_ou_paths(monkeypatch) -> list:
     calls = []
 
     def spy(sigma, lam, rng, n):
-        calls.append((sigma, lam, _ou_path_uniform(sigma, lam, rng, n)))
-        return calls[-1][2]
+        path = _ou_path_uniform(sigma, lam, rng, n)
+        calls.append((sigma, lam, path))  # shards may call from worker threads
+        return path
 
     monkeypatch.setattr(hm, "_ou_path_uniform", spy)
     return calls
