@@ -55,7 +55,6 @@ from .hom_montecarlo import (
     analytic_prediction,
     estimate_visibility,
     simulate_histogram,
-    simulate_histograms,
 )
 from .estimation import (
     FitResult,

@@ -48,9 +48,9 @@ from .spectral_noise import DelayVisibilitySeries, individual_indistinguishabili
 from .hom_montecarlo import (
     HomExperimentConfig,
     Polarization,
+    _simulate_histograms,
     analytic_prediction,
     estimate_visibility,
-    simulate_histograms,
     write_histogram_csv,
     write_visibility_json,
 )
@@ -223,6 +223,8 @@ _EXPERIMENT = {"n_pulses": int, "rep_period_ns": 12.2, "jitter_sigma_ps": 12.0, 
 
 def emitter_from_dict(d: dict, context: str = "emitter") -> EmitterParams:
     vals = _take(d, context, _EMITTER)
+    if vals["wavelength_nm"] < 0:  # 0 means not given; _take checked it is finite
+        raise ValueError(f"{context}.wavelength_nm must be > 0, got {vals['wavelength_nm']}")
     try:
         charge = Charge(vals["charge"])
     except ValueError:
@@ -404,9 +406,9 @@ def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     (out / "overlap.json").write_text(json_text(report))
 
     # parallel first: its shards are the long ones, so they head the queue
-    h_par, h_perp = simulate_histograms(pair, config.experiment,
-                                        (Polarization.PARALLEL, Polarization.PERPENDICULAR),
-                                        config.seed, workers=config.workers)
+    h_par, h_perp = _simulate_histograms(pair, config.experiment,
+                                         (Polarization.PARALLEL, Polarization.PERPENDICULAR),
+                                         config.seed, workers=config.workers)
     write_histogram_csv(h_par, out / "histogram_par.csv", config_hash=cfg_hash)
     write_histogram_csv(h_perp, out / "histogram_perp.csv", config_hash=cfg_hash)
 

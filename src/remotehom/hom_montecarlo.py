@@ -60,7 +60,6 @@ __all__ = [
     "CoincidenceHistogram",
     "VisibilityEstimate",
     "simulate_histogram",
-    "simulate_histograms",
     "estimate_visibility",
     "analytic_prediction",
     "write_histogram_csv",
@@ -285,9 +284,9 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
                      - ou(_P_FREQ_B, b.delta_omega.value, b.tau_c_ns))
         m = pair.s_classical * Gsum * gsum / (Gsum * Gsum + 4.0 * delta * delta)
         p_sb_a, p_sb_b = pair.effective_sidebands
-        sideband = bernoulli(_P_SIDEBAND_A, p_sb_a) | bernoulli(_P_SIDEBAND_B, p_sb_b)
-        if np.any(sideband):
-            m = np.where(sideband, 0.0, m)
+        if p_sb_a > 0.0 or p_sb_b > 0.0:
+            m = np.where(bernoulli(_P_SIDEBAND_A, p_sb_a) | bernoulli(_P_SIDEBAND_B, p_sb_b),
+                         0.0, m)
         n_peak[W] = np.count_nonzero(both & (rng_accept.random(n_shard) < 0.5 * (1.0 - m)))
     else:
         n_peak[W] = rng_accept.binomial(n_pairs[W], 0.5)
@@ -305,9 +304,9 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
     return counts[:-1]
 
 
-def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
-                        pols: Sequence[Polarization], seed: int,
-                        workers: int = 1) -> list[CoincidenceHistogram]:
+def _simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
+                         pols: Sequence[Polarization], seed: int,
+                         workers: int = 1) -> list[CoincidenceHistogram]:
     """One coincidence histogram per polarization in `pols`; the shards of all
     of them share one pool of `workers` threads, queued in the order of `pols`.
     Deterministic per (pair, cfg, pol, seed): `workers` never changes a result."""
@@ -323,7 +322,8 @@ def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
 
     totals = np.zeros((len(pols), centers.size), dtype=np.int64)
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:  # threads start on submit
-        results = pool.map(run, jobs) if workers > 1 and len(jobs) > 1 else map(run, jobs)
+        # one shard per polarization: two short shards in threads only contend for the GIL
+        results = pool.map(run, jobs) if workers > 1 and n_shards > 1 else map(run, jobs)
         for (k, _), counts in zip(jobs, results):
             totals[k] += counts
     return [CoincidenceHistogram(centers, total, pol) for total, pol in zip(totals, pols)]
@@ -332,7 +332,7 @@ def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
 def simulate_histogram(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,
                        seed: int, workers: int = 1) -> CoincidenceHistogram:
     """Synthesize one coincidence histogram for the given polarization."""
-    return simulate_histograms(pair, cfg, (pol,), seed, workers)[0]
+    return _simulate_histograms(pair, cfg, (pol,), seed, workers)[0]
 
 
 def estimate_visibility(h_par: CoincidenceHistogram, h_perp: CoincidenceHistogram,

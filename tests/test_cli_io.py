@@ -331,13 +331,18 @@ README_RUN = {
 }
 
 
+# NEP 19 lets numpy's Generator streams (binomial, multinomial) change between
+# releases, so the digest below holds only for the numpy it was taken with
+_DIGEST_NUMPY = "2.4.6"
+
+
+@pytest.mark.skipif(np.__version__ != _DIGEST_NUMPY,
+                    reason=f"digest taken with numpy {_DIGEST_NUMPY}")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cli_simulate_readme_perpendicular_histogram_bytes_are_pinned(tmp_path, capsys,
                                                                       workers):
     # Skipping draws whose outcome is fixed and sharing one thread pool between
-    # the polarizations must not move a byte of the perpendicular histogram;
-    # the hash depends on numpy's Generator algorithms (PCG64, binomial,
-    # multinomial) staying as they are.
+    # the polarizations must not move a byte of the perpendicular histogram.
     path = tmp_path / "run.json"
     path.write_text(json.dumps(README_RUN))
     out = tmp_path / "out"
@@ -526,10 +531,12 @@ _BAD_VALUES = [
     ("overlap", ("experiment", "window_peaks"), math.inf),
     ("overlap", ("seed",), math.inf),
     ("overlap", ("pair", "s_classical"), True),
+    ("overlap", ("pair", "b", "wavelength_nm"), -924.8),
     ("match-pairs", ("sources",), [5]),
     ("match-pairs", ("sources",), 5),
     ("match-pairs", ("sources", 0, "tuning_range_nm"), []),
     ("match-pairs", ("sources", 0, "tuning_range_nm"), [924.6, 924.8, 925.0]),
+    ("match-pairs", ("sources", 0, "emitter", "wavelength_nm"), -1.0),
     ("simulate", ("workers",), 0),
     ("simulate", ("workers",), -2),
 ]

@@ -15,10 +15,10 @@ from remotehom.hom_montecarlo import (
     HomExperimentConfig,
     Polarization,
     VisibilityEstimate,
+    _simulate_histograms,
     analytic_prediction,
     estimate_visibility,
     simulate_histogram,
-    simulate_histograms,
     write_histogram_csv,
     write_visibility_json,
 )
@@ -212,7 +212,7 @@ def test_one_pool_for_both_polarizations_matches_separate_runs(workers):
     b = EmitterParams(128.0, delta_omega=Rate(2.0), tau_c_ns=50.0, brightness=0.8)
     pair = SourcePair(a=a, b=b, mean_detuning=Frequency(1.0), s_classical=0.97)
     cfg = quiet_config(3 * 65536 + 1000, blink_on_prob=0.9, g2=0.01)
-    hists = simulate_histograms(pair, cfg, (PAR, PERP), seed=119, workers=workers)
+    hists = _simulate_histograms(pair, cfg, (PAR, PERP), seed=119, workers=workers)
     assert [h.polarization for h in hists] == [PAR, PERP]
     for h in hists:
         ref = simulate_histogram(pair, cfg, h.polarization, seed=119)
