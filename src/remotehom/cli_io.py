@@ -131,18 +131,11 @@ class SourceCatalog:
         if len(set(labels)) != len(labels):
             raise ValueError("catalog labels must be unique")
 
-    def __getitem__(self, label: str) -> CatalogEntry:
-        for entry in self.sources:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class RunConfig:
     pair: SourcePair
     experiment: HomExperimentConfig
-    filter: Optional[FilterParams]
     seed: int
     outputs: Path
     workers: int = 1
@@ -285,7 +278,7 @@ def load_run_config(path: str | Path, *, seed_override: Optional[int] = None,
         b, _ = apply_filter(b, filt)
     pair = make_source_pair(a, b, Frequency(pair_d["mean_detuning_ns_inv"]), filt=filt,
                             s_classical=pair_d["s_classical"])
-    cfg = RunConfig(pair=pair, experiment=experiment, filter=filt, seed=top["seed"],
+    cfg = RunConfig(pair=pair, experiment=experiment, seed=top["seed"],
                     outputs=top["outputs"], workers=workers)
     return cfg, config_hash(resolved)
 
@@ -514,7 +507,7 @@ def _cmd_predict_delay(args: argparse.Namespace) -> int:
     vis = np.array([individual_indistinguishability(source, d) for d in delays])
     series = DelayVisibilitySeries(delays, vis, np.zeros_like(vis),
                                    source_label=args.source,
-                                   filtered=config.filter is not None)
+                                   filtered=config.pair.filter is not None)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "predicted_delay.csv"

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .units_core import HBAR_UEV_NS, Rate, json_text, read_csv_columns
+from .units_core import HBAR_UEV_NS, Rate, read_csv_columns
 from .wavepacket import read_lifetime_csv
 from .spectral_noise import DelayVisibilitySeries
 
@@ -68,9 +68,6 @@ class FitResult:
         return {"params": self.params, "sigmas": self.sigmas,
                 "residual_norm": self.residual_norm,
                 "converged": self.converged, "n_iter": self.n_iter}
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json_text(self.to_dict()))
 
     def with_derived(self, name: str, value: float, sigma: float) -> "FitResult":
         """This result with one derived parameter and its uncertainty added."""

@@ -43,7 +43,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -184,18 +183,16 @@ def _blink_chain(rng: np.random.Generator, n: int, p_on: float,
     return np.concatenate(pieces)[:n]
 
 
-@lru_cache(maxsize=1)
 def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Histogram bin edges and the bin probabilities of t_b - t_a + k*T for
-    each peak offset k in [-W, W], both read-only.
+    each peak offset k in [-W, W].
 
     Row k + W holds one probability per bin plus a last overflow cell for
     the mass outside the window. Arrival times are piecewise uniform within
     the profile grid cells (the inverse of the piecewise-linear CDF), so the
     difference density is the cross-correlation of the two profiles' cell
     masses on one grid at the finer spacing, smoothed by the two detectors'
-    Gaussian jitter (combined width sigma * sqrt(2)). Cached on the last
-    (pair, cfg), so both polarizations of a run share one computation.
+    Gaussian jitter (combined width sigma * sqrt(2)).
     """
     half_span = (cfg.window_peaks + 0.5) * cfg.rep_period_ns
     n_bins = max(1, int(round(2.0 * half_span / (cfg.bin_width_ps / 1000.0))))
@@ -223,10 +220,7 @@ def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig) -> tuple[np.nda
     for k in range(-cfg.window_peaks, cfg.window_peaks + 1):
         p = np.clip(np.diff(np.interp(edges - k * cfg.rep_period_ns, cdf_x, cdf)), 0.0, None)
         probs.append(np.append(p, max(0.0, 1.0 - p.sum())))
-    probs = np.array(probs)
-    edges.setflags(write=False)
-    probs.setflags(write=False)
-    return edges, probs
+    return edges, np.array(probs)
 
 
 def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,

@@ -24,10 +24,7 @@ __all__ = [
     "Rate",
     "EnergySplitting",
     "Wavelength",
-    "energy_to_angular_rate",
     "lifetime_to_rate",
-    "wavelength_to_angular_frequency",
-    "angular_frequency_to_wavelength",
     "fwhm_pm_to_angular_rate",
     "make_rng",
     "uniform_grid",
@@ -87,16 +84,6 @@ class Wavelength:
             raise ValueError(f"wavelength must be > 0 nm, got {self.value}")
 
 
-def energy_to_angular_rate(e: EnergySplitting) -> Rate:
-    """Convert an energy splitting (ueV) to an angular rate (rad/ns) via hbar."""
-    return Rate(e.value / HBAR_UEV_NS)
-
-
-def angular_rate_to_energy(r: Rate) -> EnergySplitting:
-    """Inverse of :func:`energy_to_angular_rate`."""
-    return EnergySplitting(r.value * HBAR_UEV_NS)
-
-
 def lifetime_to_rate(t1_ps: float) -> Rate:
     """Emission rate (ns^-1) for a lifetime given in ps.
 
@@ -105,25 +92,6 @@ def lifetime_to_rate(t1_ps: float) -> Rate:
     if not t1_ps > 0:
         raise ValueError(f"lifetime must be > 0 ps, got {t1_ps}")
     return Rate(1000.0 / t1_ps)
-
-
-def rate_to_lifetime(r: Rate) -> float:
-    """Lifetime in ps for an emission rate; inverse of :func:`lifetime_to_rate`."""
-    if r.value <= 0:
-        raise ValueError("rate must be > 0 to define a lifetime")
-    return 1000.0 / r.value
-
-
-def wavelength_to_angular_frequency(wl: Wavelength) -> Frequency:
-    """Angular frequency (rad/ns) of light with the given vacuum wavelength."""
-    return Frequency(2.0 * math.pi * C_NM_PER_NS / wl.value)
-
-
-def angular_frequency_to_wavelength(f: Frequency) -> Wavelength:
-    """Inverse of :func:`wavelength_to_angular_frequency`."""
-    if f.value <= 0:
-        raise ValueError("frequency must be > 0 to define a wavelength")
-    return Wavelength(2.0 * math.pi * C_NM_PER_NS / f.value)
 
 
 def fwhm_pm_to_angular_rate(fwhm_pm: float, center: Wavelength) -> Rate:

@@ -55,27 +55,26 @@ def test_cavity_params_fwhm():
         CavityParams(Wavelength(924.7), 0.0, 0.0)
 
 
+def demo_source(label: str) -> CatalogEntry:
+    return next(s for s in demo_catalog().sources if s.label == label)
+
+
 def test_catalog_entry_sample_prefix():
-    entry = demo_catalog()["II_A"]
+    entry = demo_source("II_A")
     assert entry.sample == "II"
-    assert demo_catalog()["I_B"].sample == "I"
+    assert demo_source("I_B").sample == "I"
 
 
 def test_catalog_rejects_duplicate_labels():
-    e = demo_catalog()["I_A"]
+    e = demo_source("I_A")
     with pytest.raises(ValueError):
         SourceCatalog((e, e))
 
 
 def test_catalog_rejects_inverted_range():
-    e = demo_catalog()["I_A"]
+    e = demo_source("I_A")
     with pytest.raises(ValueError):
         CatalogEntry(e.label, e.emitter, e.cavity, (925.0, 924.6), e.peak_brightness)
-
-
-def test_catalog_lookup_unknown_label():
-    with pytest.raises(KeyError):
-        demo_catalog()["IX_Q"]
 
 
 # --- config hashing and parsing ---------------------------------------------
@@ -118,7 +117,7 @@ def test_load_run_config_basics(tmp_path):
     assert cfg.seed == 7
     assert cfg.experiment.n_pulses == 20000
     assert cfg.pair.s_classical == 0.986
-    assert cfg.filter is None
+    assert cfg.pair.filter is None
     assert len(h) == 64
 
 
@@ -141,8 +140,8 @@ def test_load_run_config_filter_applies_to_both_sources(tmp_path):
     path = write_config(tmp_path)
     plain, _ = load_run_config(path)
     filtered, _ = load_run_config(path, filter_fwhm_override=8.0)
-    assert filtered.filter is not None
-    assert filtered.filter.fwhm_pm == 8.0
+    assert filtered.pair.filter is not None
+    assert filtered.pair.filter.fwhm_pm == 8.0
     for before, after in zip((plain.pair.a, plain.pair.b),
                              (filtered.pair.a, filtered.pair.b)):
         assert after.delta_omega.value < before.delta_omega.value
@@ -186,7 +185,7 @@ def test_load_run_config_rejects_unknown_section_keys(tmp_path):
 # --- pair matching ----------------------------------------------------------
 
 def entry(label, lo, hi):
-    base = demo_catalog()["I_A"]
+    base = demo_source("I_A")
     return CatalogEntry(label, base.emitter, base.cavity, (lo, hi), 0.1)
 
 
@@ -227,7 +226,7 @@ def test_match_pairs_order_invariant():
 
 def test_demo_catalog_tuning_floor():
     # II_A cannot tune below its brightest point at 924.847 nm
-    assert demo_catalog()["II_A"].tuning_range_nm[0] == 924.847
+    assert demo_source("II_A").tuning_range_nm[0] == 924.847
 
 
 def test_load_catalog_round_trip(tmp_path):
@@ -242,9 +241,10 @@ def test_load_catalog_round_trip(tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(payload))
     catalog, h = load_catalog(path)
-    assert len(catalog.sources) == 2
-    assert catalog["I_A"].cavity.q == 2900.0
-    assert catalog["II_A"].peak_brightness == 1.0
+    entries = {s.label: s for s in catalog.sources}
+    assert len(catalog.sources) == len(entries) == 2
+    assert entries["I_A"].cavity.q == 2900.0
+    assert entries["II_A"].peak_brightness == 1.0
     assert len(h) == 64
 
 
@@ -371,6 +371,7 @@ def test_cli_fit_lifetime(tmp_path, capsys):
             fh.write(f"{float(ti)!r},{int(ci)}\n")
     assert main(["fit-lifetime", str(data), "--model", "mono_exp"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"params", "sigmas", "residual_norm", "converged", "n_iter"}
     assert payload["converged"]
     assert payload["params"]["t1_ps"] == pytest.approx(162.0, rel=0.05)
 
@@ -593,19 +594,29 @@ def test_cli_fit_reflectivity_non_finite_cell_exits_2(tmp_path, capsys, bad):
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_import_leaves_out_scipy_signal_and_integrate():
+_LOADED = "import sys, {}; print(sorted(m for m in sys.modules if m.startswith({!r})))"
+
+
+@pytest.mark.parametrize("args, stdout", [
+    # the CLI module leaves out scipy.signal and scipy.integrate
+    (["-c", _LOADED.format("remotehom.cli_io", ("scipy.signal", "scipy.integrate"))], "[]"),
+    # the package root loads no numpy, no scipy and none of its own modules
+    (["-c", _LOADED.format("remotehom", ("numpy", "scipy", "remotehom."))], "[]"),
+    # runpy finds remotehom.cli_io not yet imported, so it has nothing to warn about
+    (["-W", "error::RuntimeWarning", "-m", "remotehom.cli_io", "match-pairs"], None),
+], ids=["cli-module", "package-root", "run-as-module"])
+def test_fresh_process_imports(args, stdout):
     import subprocess
     import sys
 
     import remotehom
 
     src = str(Path(remotehom.__file__).resolve().parents[1])
-    code = ("import sys, remotehom.cli_io; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if stdout is not None:
+        assert proc.stdout.strip() == stdout
 
 
 def test_cli_unknown_subcommand_exits_nonzero(capsys):

@@ -1,6 +1,5 @@
 """Least-squares engine and the lifetime / reflectivity / delay fits."""
 
-import json
 import math
 
 import numpy as np
@@ -409,16 +408,3 @@ def test_delay_fit_rejects_mixed_zero_sigmas():
                                    np.full(3, 0.01), filtered=False)
     with pytest.raises(ValueError):
         fit_delay_visibility(filt, unfilt, GAMMA_IA)
-
-
-# --- result serialization ---------------------------------------------------
-
-def test_fit_result_to_json(tmp_path):
-    x = np.linspace(0, 10, 50)
-    res = least_squares(affine_model(), x, 2.0 * x + 1.0, [1.0, 0.0])
-    path = tmp_path / "fit.json"
-    res.to_json(path)
-    payload = json.loads(path.read_text())
-    assert set(payload) == {"params", "sigmas", "residual_norm", "converged", "n_iter"}
-    assert payload["converged"] is True
-    assert payload["params"]["a"] == pytest.approx(2.0)

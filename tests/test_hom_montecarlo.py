@@ -15,6 +15,7 @@ from remotehom.hom_montecarlo import (
     HomExperimentConfig,
     Polarization,
     VisibilityEstimate,
+    _delay_bin_probs,
     _simulate_histograms,
     analytic_prediction,
     estimate_visibility,
@@ -262,26 +263,20 @@ def test_simulation_deterministic_and_worker_invariant():
     assert not np.array_equal(h1.counts, h3.counts)
 
 
-def test_delay_shape_computed_once_per_run_and_read_only():
-    from remotehom.hom_montecarlo import _delay_bin_probs
+def test_delay_shape_computed_once_per_run(monkeypatch):
+    import remotehom.hom_montecarlo as hm
 
+    calls = []
+
+    def spy(pair, cfg):
+        calls.append((pair, cfg))
+        return _delay_bin_probs(pair, cfg)
+
+    monkeypatch.setattr(hm, "_delay_bin_probs", spy)
     pair = quiet_pair(162.0, 128.0)
     cfg = quiet_config(70_000, g2=0.01)
-    _delay_bin_probs.cache_clear()
-    h_par = simulate_histogram(pair, cfg, PAR, seed=115)
-    h_perp = simulate_histogram(pair, cfg, PERP, seed=115)
-    info = _delay_bin_probs.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    edges, probs = _delay_bin_probs(pair, cfg)
-    assert not edges.flags.writeable and not probs.flags.writeable
-    assert h_par.bin_centers.flags.writeable
-    # a fresh computation draws the same histograms as the cached one
-    _delay_bin_probs.cache_clear()
-    np.testing.assert_array_equal(simulate_histogram(pair, cfg, PERP, seed=115).counts,
-                                  h_perp.counts)
-    _delay_bin_probs.cache_clear()
-    np.testing.assert_array_equal(simulate_histogram(pair, cfg, PAR, seed=115).counts,
-                                  h_par.counts)
+    _simulate_histograms(pair, cfg, (PAR, PERP), seed=115, workers=2)
+    assert calls == [(pair, cfg)]
 
 
 def test_polarizations_draw_independent_streams():
