@@ -360,7 +360,7 @@ def test_cli_match_pairs_demo(tmp_path, capsys):
     assert payload["pairs"][0]["width_pm"] >= payload["pairs"][-1]["width_pm"]
 
 
-def test_cli_fit_lifetime(tmp_path, capsys):
+def lifetime_csv(tmp_path: Path) -> Path:
     t = np.linspace(0, 1600, 320)
     counts = np.random.default_rng(1).poisson(
         1e4 * np.exp(-t / 162.0) + 20.0)
@@ -369,14 +369,10 @@ def test_cli_fit_lifetime(tmp_path, capsys):
         fh.write("time_ps,counts\n")
         for ti, ci in zip(t, counts):
             fh.write(f"{float(ti)!r},{int(ci)}\n")
-    assert main(["fit-lifetime", str(data), "--model", "mono_exp"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == {"params", "sigmas", "residual_norm", "converged", "n_iter"}
-    assert payload["converged"]
-    assert payload["params"]["t1_ps"] == pytest.approx(162.0, rel=0.05)
+    return data
 
 
-def test_cli_fit_reflectivity(tmp_path, capsys):
+def reflectivity_csv(tmp_path: Path) -> Path:
     center, q = 924.734, 2900.0
     fwhm = center / q
     wl = np.linspace(center - 6 * fwhm, center + 6 * fwhm, 300)
@@ -386,12 +382,10 @@ def test_cli_fit_reflectivity(tmp_path, capsys):
         fh.write("wavelength_nm,reflectivity\n")
         for w, r in zip(wl, refl):
             fh.write(f"{float(w)!r},{float(r)!r}\n")
-    assert main(["fit-reflectivity", str(data)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["params"]["q"] == pytest.approx(2900.0, rel=0.01)
+    return data
 
 
-def test_cli_fit_delay_with_outlier_flag(tmp_path, capsys):
+def delay_csvs(tmp_path: Path) -> tuple[Path, Path]:
     g, gs, tau = 1000 / 162, 0.17, 1400.0
     v0 = g / (g + gs)
     delays = [12.2, 60.0, 200.0, 525.0, 1500.0]
@@ -401,6 +395,27 @@ def test_cli_fit_delay_with_outlier_flag(tmp_path, capsys):
             for d in delays:
                 v = v0 / (1 + 2 * (dw / (g + gs)) ** 2 * (1 - math.exp(-d / tau)))
                 fh.write(f"{d},{v!r},0.005\n")
+    return tmp_path / "filt.csv", tmp_path / "unfilt.csv"
+
+
+def test_cli_fit_lifetime(tmp_path, capsys):
+    data = lifetime_csv(tmp_path)
+    assert main(["fit-lifetime", str(data), "--model", "mono_exp"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"params", "sigmas", "residual_norm", "converged", "n_iter"}
+    assert payload["converged"]
+    assert payload["params"]["t1_ps"] == pytest.approx(162.0, rel=0.05)
+
+
+def test_cli_fit_reflectivity(tmp_path, capsys):
+    data = reflectivity_csv(tmp_path)
+    assert main(["fit-reflectivity", str(data)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"]["q"] == pytest.approx(2900.0, rel=0.01)
+
+
+def test_cli_fit_delay_with_outlier_flag(tmp_path, capsys):
+    delay_csvs(tmp_path)
     code = main(["fit-delay", str(tmp_path / "filt.csv"), str(tmp_path / "unfilt.csv"),
                  "--t1-ps", "162", "--outlier", "unfiltered:12.2:0.1"])
     assert code == 0
@@ -414,6 +429,37 @@ def test_cli_fit_delay_with_outlier_flag(tmp_path, capsys):
         assert main(["fit-delay", str(tmp_path / "filt.csv"), str(tmp_path / "unfilt.csv"),
                      "--t1-ps", "162", "--outlier", f"unfiltered:12.2:{bad}"]) == 2
         assert "finite" in capsys.readouterr().err
+
+
+_FIT_KEYS = {"params", "sigmas", "residual_norm", "converged", "n_iter"}
+
+
+@pytest.mark.parametrize("command, filename", [
+    ("overlap", "overlap.json"),
+    ("match-pairs", "pairs.json"),
+    ("fit-lifetime", "fit_lifetime.json"),
+    ("fit-reflectivity", "fit_reflectivity.json"),
+    ("fit-delay", "fit_delay.json"),
+])
+def test_cli_out_file_holds_the_stdout_payload(tmp_path, capsys, command, filename):
+    # every JSON-printing subcommand writes its payload once: stdout and the
+    # file under --out carry the same bytes
+    inputs = {
+        "overlap": lambda: ["--config", str(write_config(tmp_path))],
+        "match-pairs": lambda: [],
+        "fit-lifetime": lambda: [str(lifetime_csv(tmp_path)), "--model", "mono_exp"],
+        "fit-reflectivity": lambda: [str(reflectivity_csv(tmp_path))],
+        "fit-delay": lambda: [*map(str, delay_csvs(tmp_path)), "--t1-ps", "162"],
+    }
+    out = tmp_path / "out"
+    assert main([command, *inputs[command](), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == [filename]
+    assert (out / filename).read_text() == stdout
+    payload = json.loads(stdout)
+    if command.startswith("fit-"):
+        assert set(payload) == _FIT_KEYS
+        assert payload["converged"] is True
 
 
 def test_cli_predict_delay(tmp_path, capsys):
