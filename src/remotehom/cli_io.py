@@ -416,12 +416,13 @@ def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
 # Subcommands
 
 def _emit(payload: dict, out_dir: Optional[str], filename: str) -> None:
+    # the file first, so that a failed write (exit 2) prints nothing
     text = json_text(payload)
-    sys.stdout.write(text)
     if out_dir:
         d = Path(out_dir)
         d.mkdir(parents=True, exist_ok=True)
         (d / filename).write_text(text)
+    sys.stdout.write(text)
 
 
 def _emit_fit(result: FitResult, out_dir: Optional[str], filename: str) -> int:
@@ -504,7 +505,7 @@ def _cmd_predict_delay(args: argparse.Namespace) -> int:
     source = config.pair.a if args.source == "a" else config.pair.b
     tau = source.tau_c_ns
     delays = np.linspace(0.0, 3.0 * tau, 201)
-    vis = np.array([individual_indistinguishability(source, d) for d in delays])
+    vis = individual_indistinguishability(source, delays)
     series = DelayVisibilitySeries(delays, vis, np.zeros_like(vis),
                                    source_label=args.source,
                                    filtered=config.pair.filter is not None)

@@ -25,8 +25,6 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from scipy.special import erfcx, voigt_profile
-
 from .units_core import Frequency, Rate, Wavelength, fwhm_pm_to_angular_rate
 from .wavepacket import EmitterParams, classical_overlap, default_grid, emission_profile
 
@@ -150,6 +148,10 @@ def voigt(x: float, lorentz_hwhm: Rate, gauss_sigma: Rate) -> float:
     of std `gauss_sigma` (scipy's `voigt_profile`), which reduces to either
     limit when one width is zero. Raises ValueError when both widths are zero.
     """
+    # imported on first use: scipy.special is about half of a fresh CLI start,
+    # and the fits, match-pairs and an unfiltered predict-delay never call it
+    from scipy.special import voigt_profile
+
     gl, sig = lorentz_hwhm.value, gauss_sigma.value
     if gl == 0.0 and sig == 0.0:
         raise ValueError("Voigt profile needs at least one non-zero width")
@@ -219,6 +221,8 @@ def filtered_wandering(sigma: Rate, filter_hwhm: Rate) -> tuple[float, Rate]:
     if a > 1e3:
         u = 0.5 / (a * a)
         return 1.0 - u + 3.0 * u * u, Rate(sig * (1.0 - u))
+    from scipy.special import erfcx  # imported on first use, as in voigt()
+
     t_bar = float(math.sqrt(math.pi) * a * erfcx(a))
     return t_bar, Rate(hw * math.sqrt(max(0.0, 1.0 - t_bar) / t_bar))
 

@@ -434,25 +434,32 @@ def test_cli_fit_delay_with_outlier_flag(tmp_path, capsys):
 _FIT_KEYS = {"params", "sigmas", "residual_norm", "converged", "n_iter"}
 
 
-@pytest.mark.parametrize("command, filename", [
+# the subcommands that print a JSON payload, and the file each writes under --out
+_JSON_COMMANDS = pytest.mark.parametrize("command, filename", [
     ("overlap", "overlap.json"),
     ("match-pairs", "pairs.json"),
     ("fit-lifetime", "fit_lifetime.json"),
     ("fit-reflectivity", "fit_reflectivity.json"),
     ("fit-delay", "fit_delay.json"),
 ])
-def test_cli_out_file_holds_the_stdout_payload(tmp_path, capsys, command, filename):
-    # every JSON-printing subcommand writes its payload once: stdout and the
-    # file under --out carry the same bytes
-    inputs = {
+
+
+def json_command_inputs(tmp_path: Path, command: str) -> list[str]:
+    return {
         "overlap": lambda: ["--config", str(write_config(tmp_path))],
         "match-pairs": lambda: [],
         "fit-lifetime": lambda: [str(lifetime_csv(tmp_path)), "--model", "mono_exp"],
         "fit-reflectivity": lambda: [str(reflectivity_csv(tmp_path))],
         "fit-delay": lambda: [*map(str, delay_csvs(tmp_path)), "--t1-ps", "162"],
-    }
+    }[command]()
+
+
+@_JSON_COMMANDS
+def test_cli_out_file_holds_the_stdout_payload(tmp_path, capsys, command, filename):
+    # every JSON-printing subcommand writes its payload once: stdout and the
+    # file under --out carry the same bytes
     out = tmp_path / "out"
-    assert main([command, *inputs[command](), "--out", str(out)]) == 0
+    assert main([command, *json_command_inputs(tmp_path, command), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert sorted(p.name for p in out.iterdir()) == [filename]
     assert (out / filename).read_text() == stdout
@@ -460,6 +467,37 @@ def test_cli_out_file_holds_the_stdout_payload(tmp_path, capsys, command, filena
     if command.startswith("fit-"):
         assert set(payload) == _FIT_KEYS
         assert payload["converged"] is True
+
+
+@_JSON_COMMANDS
+def test_cli_out_that_is_a_file_exits_2_and_prints_no_payload(tmp_path, capsys, command,
+                                                              filename):
+    # the payload file is written before stdout, so a failed write leaves
+    # stdout empty, as simulate and predict-delay do
+    out = tmp_path / "out"
+    out.write_text("kept")
+    assert main([command, *json_command_inputs(tmp_path, command), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert out.read_text() == "kept"
+
+
+def test_cli_unconverged_fit_prints_and_writes_its_payload_and_exits_3(tmp_path, capsys,
+                                                                       monkeypatch):
+    import dataclasses
+
+    import remotehom.cli_io as cli
+
+    fit = cli.fit_lifetime
+    monkeypatch.setattr(cli, "fit_lifetime",
+                        lambda *a: dataclasses.replace(fit(*a), converged=False))
+    out = tmp_path / "out"
+    assert main(["fit-lifetime", str(lifetime_csv(tmp_path)), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["converged"] is False
+    assert (out / "fit_lifetime.json").read_text() == captured.out
+    assert captured.err == "fit did not converge\n"
 
 
 def test_cli_predict_delay(tmp_path, capsys):
@@ -641,6 +679,18 @@ def test_cli_fit_reflectivity_non_finite_cell_exits_2(tmp_path, capsys, bad):
 
 
 _LOADED = "import sys, {}; print(sorted(m for m in sys.modules if m.startswith({!r})))"
+# runs main(argv) and then prints which of the watched packages it loaded
+_MAIN_LOADED = ("import sys; from remotehom.cli_io import main; assert main({!r}) == 0; "
+                "print([p for p in {!r} if p in sys.modules])")
+
+
+def main_loads(argv_of, watch=("scipy",)):
+    """Fresh-process arguments for `main(argv_of(tmp_path))` and its loaded `watch` list."""
+    return lambda tmp_path: ["-c", _MAIN_LOADED.format(argv_of(tmp_path), watch)]
+
+
+def json_command(command):
+    return lambda tmp_path: [command, *json_command_inputs(tmp_path, command)]
 
 
 @pytest.mark.parametrize("args, stdout", [
@@ -650,19 +700,33 @@ _LOADED = "import sys, {}; print(sorted(m for m in sys.modules if m.startswith({
     (["-c", _LOADED.format("remotehom", ("numpy", "scipy", "remotehom."))], "[]"),
     # runpy finds remotehom.cli_io not yet imported, so it has nothing to warn about
     (["-W", "error::RuntimeWarning", "-m", "remotehom.cli_io", "match-pairs"], None),
-], ids=["cli-module", "package-root", "run-as-module"])
-def test_fresh_process_imports(args, stdout):
+    # scipy.special is imported on first use, by the Voigt profile and the filter model
+    # only, so the fits, the catalog matcher and an unfiltered delay curve load no scipy
+    (main_loads(json_command("fit-lifetime")), "[]"),
+    (main_loads(json_command("fit-reflectivity")), "[]"),
+    (main_loads(json_command("fit-delay")), "[]"),
+    (main_loads(json_command("match-pairs")), "[]"),
+    (main_loads(lambda tmp_path: ["predict-delay", "--config", str(write_config(tmp_path)),
+                                  "--out", str(tmp_path / "curve")]), "[]"),
+    (main_loads(json_command("overlap"),
+                ("scipy.special", "scipy.signal", "scipy.integrate", "scipy.optimize")),
+     "['scipy.special']"),
+], ids=["cli-module", "package-root", "run-as-module", "fit-lifetime", "fit-reflectivity",
+        "fit-delay", "match-pairs", "predict-delay-unfiltered", "overlap"])
+def test_fresh_process_imports(tmp_path, args, stdout):
     import subprocess
     import sys
 
     import remotehom
 
     src = str(Path(remotehom.__file__).resolve().parents[1])
+    args = args(tmp_path) if callable(args) else args
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
                           env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
     assert (proc.returncode, proc.stderr) == (0, "")
     if stdout is not None:
-        assert proc.stdout.strip() == stdout
+        # the last line: main's own output comes first
+        assert proc.stdout.splitlines()[-1] == stdout
 
 
 def test_cli_unknown_subcommand_exits_nonzero(capsys):
