@@ -95,31 +95,19 @@ def sample_frequency_path(p: WanderingProcess, times: Sequence[float] | np.ndarr
     return out
 
 
-def _exp_each(x: np.ndarray) -> np.ndarray:
-    """`math.exp` of every element; `np.exp` can differ from it in the last bit."""
-    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def visibility_vs_delay(v0: float, delta_omega_r: float, tau_c_ns: float,
-                        delay_ns: float | np.ndarray) -> float | np.ndarray:
+                        delay_ns: float) -> float:
     """Visibility between photons of one source separated by a delay.
 
     V(d) = v0 / [ 1 + 2 dw_r^2 (1 - exp(-d / tau_c)) ], where dw_r is the
     wandering width in units of the total homogeneous linewidth. Monotone
-    non-increasing in both the delay and dw_r. A number `delay_ns` gives a
-    float; an array of delays gives the array of visibilities, equal to the
-    number-by-number values to the last bit.
+    non-increasing in both the delay and dw_r.
     """
     if not 0.0 <= v0 <= 1.0:
         raise ValueError(f"v0 must be in [0, 1], got {v0}")
-    scalar = isinstance(delay_ns, (float, int))
-    if not scalar:
-        delay_ns = np.asarray(delay_ns, dtype=float)
-    if (delta_omega_r < 0 or tau_c_ns <= 0
-            or (delay_ns < 0 if scalar else (delay_ns < 0).any())):
+    if delta_omega_r < 0 or tau_c_ns <= 0 or delay_ns < 0:
         raise ValueError("need delta_omega_r >= 0, tau_c > 0, delay >= 0")
-    x = -delay_ns / tau_c_ns
-    growth = 1.0 - (math.exp(x) if scalar else _exp_each(x))
+    growth = 1.0 - math.exp(-delay_ns / tau_c_ns)
     return v0 / (1.0 + 2.0 * delta_omega_r ** 2 * growth)
 
 
@@ -130,13 +118,11 @@ def intrinsic_visibility(gamma: Rate, gamma_star: Rate) -> float:
     return gamma.value / (gamma.value + gamma_star.value)
 
 
-def individual_indistinguishability(params: EmitterParams,
-                                    delay_ns: float | np.ndarray) -> float | np.ndarray:
+def individual_indistinguishability(params: EmitterParams, delay_ns: float) -> float:
     """Single-source two-photon indistinguishability at a photon separation.
 
     Combines the intrinsic value g/(g+g*) with the delay law, using
-    dw_r = delta_omega / (g + g*) and the source's own tau_c. Takes a
-    number or an array of delays, as :func:`visibility_vs_delay` does.
+    dw_r = delta_omega / (g + g*) and the source's own tau_c.
     """
     v0 = intrinsic_visibility(params.gamma, params.gamma_star)
     dw_r = params.delta_omega.value / params.total_linewidth.value

@@ -679,8 +679,10 @@ def test_cli_fit_reflectivity_non_finite_cell_exits_2(tmp_path, capsys, bad):
 
 
 _LOADED = "import sys, {}; print(sorted(m for m in sys.modules if m.startswith({!r})))"
-# runs main(argv) and then prints which of the watched packages it loaded
-_MAIN_LOADED = ("import sys; from remotehom.cli_io import main; assert main({!r}) == 0; "
+# runs main(argv) with its own output set aside, then prints which of the
+# watched packages it loaded
+_MAIN_LOADED = ("import contextlib, io, sys; from remotehom.cli_io import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()): assert main({!r}) == 0\n"
                 "print([p for p in {!r} if p in sys.modules])")
 
 
@@ -725,8 +727,7 @@ def test_fresh_process_imports(tmp_path, args, stdout):
                           env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
     assert (proc.returncode, proc.stderr) == (0, "")
     if stdout is not None:
-        # the last line: main's own output comes first
-        assert proc.stdout.splitlines()[-1] == stdout
+        assert proc.stdout.strip() == stdout
 
 
 def test_cli_unknown_subcommand_exits_nonzero(capsys):

@@ -168,27 +168,6 @@ def test_individual_indistinguishability_wiring():
     assert individual_indistinguishability(src, 525.0) == pytest.approx(direct, rel=1e-12)
 
 
-def test_delay_law_takes_an_array_equal_to_the_scalar_calls():
-    # predict-delay's curve is one array call; its CSV must keep the bytes
-    # of the point-by-point values, so equality is exact
-    src = EmitterParams(162.0, gamma_star=Rate(0.17), delta_omega=Rate(4.6),
-                        tau_c_ns=1420.0)
-    rng = np.random.default_rng(3)
-    delays = np.concatenate([np.linspace(0.0, 3 * 1420.0, 201), rng.uniform(0, 1e4, 506)])
-    scalars = [individual_indistinguishability(src, d) for d in delays]
-    assert all(type(v) is float for v in scalars)
-    assert np.array_equal(individual_indistinguishability(src, delays), scalars)
-    grid = delays.reshape(7, 101)
-    assert np.array_equal(visibility_vs_delay(0.93, 0.7, 333.0, grid),
-                          [[visibility_vs_delay(0.93, 0.7, 333.0, d) for d in row]
-                           for row in grid])
-    for at in (0, 350, -1):
-        bad = delays.copy()
-        bad[at] = -1e-9
-        with pytest.raises(ValueError, match="delay >= 0"):
-            visibility_vs_delay(0.93, 0.7, 333.0, bad)
-
-
 # --- Monte-Carlo bridge: OU paths feeding the overlap formula ----------------
 
 def _mc_pair_visibility(sigma: float, tau_c: float, delta_tau: float,
