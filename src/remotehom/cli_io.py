@@ -8,8 +8,9 @@ instead of silently falling back to a default. Every output file carries
 the sha256 hash of the resolved configuration that produced it, and all
 commands are deterministic given (config, seed).
 
-Exit codes: 0 success, 2 invalid configuration or usage, 3 numerical
-failure (fit non-convergence, filter regime violation, degenerate data).
+Exit codes: 0 success, 2 invalid configuration or usage (including a run
+too large to allocate), 3 numerical failure (fit non-convergence, filter
+regime violation, degenerate data).
 """
 
 from __future__ import annotations
@@ -95,10 +96,6 @@ class CavityParams:
     def __post_init__(self) -> None:
         if not self.q > 0:
             raise ValueError(f"quality factor must be > 0, got {self.q}")
-
-    @property
-    def fwhm_pm(self) -> float:
-        return self.x_c.value / self.q * 1e3
 
 
 @dataclass(frozen=True)
@@ -591,7 +588,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

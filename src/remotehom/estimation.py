@@ -4,10 +4,10 @@ dips, and delay-visibility series.
 The engine is a damped Gauss-Newton (Levenberg-Marquardt) iteration with
 analytic Jacobians for every model in this module, box bounds by
 projection, and covariance from the Jacobian at the optimum. Convergence
-means the scaled gradient dropped below `gtol` (1e-10): either the
-infinity norm of J^T r outright, or its cosine against the column and
-residual norms, which is the scale-free criterion that survives large
-count values.
+means the scaled gradient dropped below `GTOL` (1e-10) within `MAX_ITER`
+(500) iterations: either the infinity norm of J^T r outright, or its
+cosine against the column and residual norms, which is the scale-free
+criterion that survives large count values.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ def _clip_to_bounds(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 
 def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
                   sigma: Optional[np.ndarray] = None,
-                  bounds: Optional[Sequence[tuple[Optional[float], Optional[float]]]] = None,
-                  gtol: float = GTOL, max_iter: int = MAX_ITER) -> FitResult:
+                  bounds: Optional[Sequence[tuple[Optional[float], Optional[float]]]] = None
+                  ) -> FitResult:
     """Minimize the (optionally inverse-variance weighted) sum of squares.
 
     Non-convergence is reported through `converged=False`, not raised; a
@@ -178,12 +178,12 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
         g = np.where(at_lo, np.maximum(g, 0.0), g)
         g = np.where(at_hi, np.minimum(g, 0.0), g)
         g_inf = float(np.max(np.abs(g))) if g.size else 0.0
-        if g_inf <= gtol:
+        if g_inf <= GTOL:
             return True
         col = np.linalg.norm(jm_, axis=0)
         denom = col * np.linalg.norm(r_)
         scaled = np.abs(g) / np.where(denom > 0, denom, 1.0)
-        return float(np.max(scaled)) <= gtol
+        return float(np.max(scaled)) <= GTOL
 
     r = residual(p)
     ssr = float(r @ r)
@@ -193,7 +193,7 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
     lam = 1e-8
     n_iter = 0
     converged = False
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         jm = jac(p)
         if not np.all(np.isfinite(jm)):
             raise RankDeficiencyError("Jacobian contains non-finite entries")
@@ -223,7 +223,7 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
                 break
         if not accepted:
             break
-    if not converged:  # stalled damping or max_iter: judge the final iterate
+    if not converged:  # stalled damping or MAX_ITER: judge the final iterate
         jm = jac(p)
         converged = grad_ok(jm, r, p)
 

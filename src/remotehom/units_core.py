@@ -118,7 +118,7 @@ def make_rng(seed: int, *stream_key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, stream_key)]))
 
 
-def uniform_grid(t_max_ns: float, n_samples: int = 4096) -> np.ndarray:
+def uniform_grid(t_max_ns: float, n_samples: int) -> np.ndarray:
     """Uniform time grid [0, t_max] in ns with `n_samples` points."""
     if t_max_ns <= 0 or n_samples < 2:
         raise ValueError("grid needs t_max > 0 and at least 2 samples")

@@ -30,8 +30,6 @@ __all__ = [
     "WavepacketProfile",
     "GridSpanError",
     "default_grid",
-    "mono_exponential_profile",
-    "fss_beating_profile",
     "emission_profile",
     "classical_overlap",
     "closed_form_temporal_overlap",
@@ -149,12 +147,11 @@ class WavepacketProfile:
         return cdf / cdf[-1]
 
 
-def default_grid(*t1_ps: float, span_lifetimes: float = DEFAULT_SPAN_LIFETIMES,
-                 n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """Uniform grid spanning `span_lifetimes` times the longest lifetime."""
+def default_grid(*t1_ps: float) -> np.ndarray:
+    """Uniform grid of DEFAULT_SAMPLES points spanning 10 times the longest lifetime."""
     if not t1_ps:
         raise ValueError("at least one lifetime required")
-    return uniform_grid(span_lifetimes * max(t1_ps) / 1000.0, n_samples)
+    return uniform_grid(DEFAULT_SPAN_LIFETIMES * max(t1_ps) / 1000.0, DEFAULT_SAMPLES)
 
 
 def _check_grid(grid: np.ndarray, t1_ns: float) -> None:
@@ -166,13 +163,22 @@ def _check_grid(grid: np.ndarray, t1_ns: float) -> None:
     if span < DEFAULT_SPAN_LIFETIMES * t1_ns * (1.0 - 1e-9) or grid.size < 2000:
         warnings.warn(
             "grid shorter than 10 lifetimes or under 2000 samples; "
-            "profile truncation error may exceed 5e-5", stacklevel=4)
+            "profile truncation error may exceed 5e-5", stacklevel=3)
 
 
-def _decay_profile(params: EmitterParams, grid: Optional[np.ndarray],
-                   beating: bool) -> WavepacketProfile:
-    """Intensity exp(-t / T1), times sin^2(fss * t / (2 hbar)) when `beating`,
-    zero before t = 0, normalized on `grid` (default: 10 lifetimes)."""
+def emission_profile(params: EmitterParams,
+                     grid: Optional[np.ndarray] = None) -> WavepacketProfile:
+    """Profile implied by the charge state, normalized on `grid` (default: 10 lifetimes).
+
+    The intensity is exp(-t / T1), zero before t = 0. A neutral exciton (X)
+    with fss > 0 beats: the decay is multiplied by sin^2(fss * t / (2 hbar)).
+    A trion (CX) ignores its fss, and an X with fss = 0 decays like a CX.
+    The overall sin^2(2 theta) projection factor cancels under
+    normalization, so theta never enters. This is the ideal trace with no
+    detector response, so overlaps of measured traces come out higher:
+    0.979 ideal vs 0.986 measured for the (162 ps, 6.3 ueV) x
+    (128 ps, 6.7 ueV) pair.
+    """
     t1_ns = params.t1_ps / 1000.0
     if grid is None:
         grid = default_grid(params.t1_ps)
@@ -180,40 +186,10 @@ def _decay_profile(params: EmitterParams, grid: Optional[np.ndarray],
     _check_grid(grid, t1_ns)
     t = np.clip(grid, 0.0, None)
     intensity = np.exp(-t / t1_ns)
-    if beating:
+    if params.charge is Charge.X and params.fss.value > 0:
         intensity *= np.sin(params.fss.value / (2.0 * HBAR_UEV_NS) * t) ** 2
     intensity[grid < 0] = 0.0
     return WavepacketProfile.from_intensity(grid, intensity)
-
-
-def mono_exponential_profile(params: EmitterParams,
-                             grid: Optional[np.ndarray] = None) -> WavepacketProfile:
-    """Profile of a mono-exponential decay: f(t) proportional to exp(-g t / 2)."""
-    return _decay_profile(params, grid, beating=False)
-
-
-def fss_beating_profile(params: EmitterParams,
-                        grid: Optional[np.ndarray] = None) -> WavepacketProfile:
-    """Profile of a neutral-exciton decay with fine-structure beating.
-
-    Intensity is sin^2(fss * t / (2 hbar)) * exp(-t / T1), normalized.
-    The overall sin^2(2 theta) projection factor cancels under
-    normalization and is therefore omitted; theta only matters for
-    absolute intensities. With fss = 0 the profile degenerates to the
-    mono-exponential one (allowed). This is the ideal trace with no
-    detector response, so overlaps of measured traces come out higher:
-    0.979 ideal vs 0.986 measured for the (162 ps, 6.3 ueV) x
-    (128 ps, 6.7 ueV) pair.
-    """
-    if params.charge is not Charge.X:
-        raise ValueError("beating profiles require a neutral exciton (charge X)")
-    return _decay_profile(params, grid, beating=params.fss.value > 0)
-
-
-def emission_profile(params: EmitterParams,
-                     grid: Optional[np.ndarray] = None) -> WavepacketProfile:
-    """Profile implied by the charge state: beating for X, mono-exponential else."""
-    return _decay_profile(params, grid, beating=params.charge is Charge.X and params.fss.value > 0)
 
 
 def _resample(p: WavepacketProfile, q: WavepacketProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

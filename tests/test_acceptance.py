@@ -13,15 +13,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from remotehom.units_core import EnergySplitting, Frequency, Rate
+from remotehom.units_core import EnergySplitting, Frequency, Rate, uniform_grid
 from remotehom.wavepacket import (
     Charge,
     EmitterParams,
     classical_overlap,
     closed_form_temporal_overlap,
     default_grid,
-    fss_beating_profile,
-    mono_exponential_profile,
+    emission_profile,
 )
 from remotehom.overlap_analytics import (
     SourcePair,
@@ -75,9 +74,9 @@ def test_criterion_01_mono_overlap_closed_form_vs_quadrature():
     worst = 0.0
     for _ in range(100):
         t1a, t1b = rng.uniform(50.0, 600.0, size=2)
-        grid = default_grid(t1a, t1b, span_lifetimes=20.0, n_samples=65536)
-        s_quad = classical_overlap(mono_exponential_profile(EmitterParams(t1a), grid),
-                                   mono_exponential_profile(EmitterParams(t1b), grid))
+        grid = uniform_grid(20.0 * max(t1a, t1b) / 1000.0, 65536)
+        s_quad = classical_overlap(emission_profile(EmitterParams(t1a), grid),
+                                   emission_profile(EmitterParams(t1b), grid))
         s_closed = closed_form_temporal_overlap(*rate_pair(t1a, t1b))
         worst = max(worst, abs(s_quad - s_closed))
     assert worst <= 1e-6
@@ -118,7 +117,7 @@ def test_criterion_02_beating_profile_overlap():
     a = EmitterParams(162.0, fss=EnergySplitting(6.3), charge=Charge.X)
     b = EmitterParams(128.0, fss=EnergySplitting(6.7), charge=Charge.X)
     grid = default_grid(162.0, 128.0)
-    s = classical_overlap(fss_beating_profile(a, grid), fss_beating_profile(b, grid))
+    s = classical_overlap(emission_profile(a, grid), emission_profile(b, grid))
     assert time.perf_counter() - t0 < 1.0
     ref = _beating_overlap_quadrature((162.0, 6.3), (128.0, 6.7), float(grid[-1]))
     assert s == pytest.approx(ref, abs=1e-6)

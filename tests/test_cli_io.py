@@ -47,10 +47,7 @@ def write_config(tmp_path: Path, **overrides) -> Path:
 
 # --- value types ------------------------------------------------------------
 
-def test_cavity_params_fwhm():
-    cav = CavityParams(Wavelength(924.734), 2900.0, 113.0)
-    assert cav.fwhm_pm == pytest.approx(924.734 / 2900.0 * 1e3, rel=1e-12)
-    assert cav.fwhm_pm == pytest.approx(318.9, abs=0.1)
+def test_cavity_params_rejects_non_positive_q():
     with pytest.raises(ValueError):
         CavityParams(Wavelength(924.7), 0.0, 0.0)
 
@@ -526,6 +523,30 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
          "experiment": {"n_pulses": 1000}, "seed": 1}))
     assert main(["overlap", "--config", str(path)]) == 2
     assert "unit suffixes" in capsys.readouterr().err
+
+
+def test_cli_unallocatable_histogram_exits_2_without_traceback(tmp_path):
+    # a valid config whose delay histogram needs ~347 PiB, more than any
+    # address space, so the allocation fails at once
+    import subprocess
+    import sys
+
+    import remotehom
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"pair": {"a": {"t1_ps": 162.0}, "b": {"t1_ps": 128.0}},
+                                "experiment": {"n_pulses": 20000,
+                                               "window_peaks": 100000000000000},
+                                "seed": 7}))
+    src = str(Path(remotehom.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "remotehom.cli_io", "simulate", "--config",
+                           str(path), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_cli_sub_linewidth_filter_exits_3(tmp_path, capsys):

@@ -134,7 +134,7 @@ def test_uniform_grid_spacing_and_bounds():
 
 def test_uniform_grid_validation():
     with pytest.raises(ValueError):
-        uniform_grid(-1.0)
+        uniform_grid(-1.0, 4096)
     with pytest.raises(ValueError):
         uniform_grid(1.0, 1)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from remotehom.units_core import EnergySplitting, Rate, uniform_grid
+from remotehom.units_core import HBAR_UEV_NS, EnergySplitting, Rate, uniform_grid
 from remotehom.wavepacket import (
     Charge,
     EmitterParams,
@@ -15,8 +15,6 @@ from remotehom.wavepacket import (
     closed_form_temporal_overlap,
     default_grid,
     emission_profile,
-    fss_beating_profile,
-    mono_exponential_profile,
     read_lifetime_csv,
 )
 
@@ -27,12 +25,12 @@ def beating_params(t1_ps: float, fss_uev: float, theta: float = 0.0) -> EmitterP
 
 
 def test_mono_profile_normalized():
-    p = mono_exponential_profile(EmitterParams(200.0), uniform_grid(10.0, 4096))
+    p = emission_profile(EmitterParams(200.0), uniform_grid(10.0, 4096))
     assert np.trapezoid(p.f**2, p.t_grid) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_mono_profile_decay_constant():
-    p = mono_exponential_profile(EmitterParams(200.0), uniform_grid(10.0, 100001))
+    p = emission_profile(EmitterParams(200.0), uniform_grid(10.0, 100001))
     i0 = np.interp(0.0, p.t_grid, p.f**2)
     i1 = np.interp(0.2, p.t_grid, p.f**2)
     assert i1 / i0 == pytest.approx(math.exp(-1.0), rel=1e-6)
@@ -40,8 +38,8 @@ def test_mono_profile_decay_constant():
 
 def test_mono_overlap_240_vs_212():
     g = default_grid(240.0, 212.0)
-    p = mono_exponential_profile(EmitterParams(240.0), g)
-    q = mono_exponential_profile(EmitterParams(212.0), g)
+    p = emission_profile(EmitterParams(240.0), g)
+    q = emission_profile(EmitterParams(212.0), g)
     s = classical_overlap(p, q)
     assert s == pytest.approx(0.9962, abs=5e-4)
     assert s == pytest.approx(0.995, abs=3e-3)
@@ -67,17 +65,17 @@ def test_quadrature_matches_closed_form_random_pairs():
     rng = np.random.default_rng(21)
     for _ in range(100):
         t1a, t1b = rng.uniform(50.0, 600.0, size=2)
-        g = default_grid(t1a, t1b, span_lifetimes=20, n_samples=65536)
+        g = uniform_grid(20.0 * max(t1a, t1b) / 1000.0, 65536)
         s_grid = classical_overlap(
-            mono_exponential_profile(EmitterParams(t1a), g),
-            mono_exponential_profile(EmitterParams(t1b), g),
+            emission_profile(EmitterParams(t1a), g),
+            emission_profile(EmitterParams(t1b), g),
         )
         s_cf = closed_form_temporal_overlap(Rate(1000 / t1a), Rate(1000 / t1b))
         assert abs(s_grid - s_cf) <= 1e-6
 
 
 def test_beating_first_zero_position():
-    p = fss_beating_profile(beating_params(162.0, 6.3), uniform_grid(1.62, 65536))
+    p = emission_profile(beating_params(162.0, 6.3), uniform_grid(1.62, 65536))
     inten = p.f**2
     # first interior minimum after the first beat maximum; the window
     # covers one full beat period (~656 ps of the 1.62 ns grid)
@@ -96,7 +94,7 @@ def test_beating_small_fss_limit_shape():
     # normalization while the t^2 envelope survives. Only fss = 0
     # exactly selects the mono-exponential branch.
     g = uniform_grid(1.62, 8192)
-    p_beat = fss_beating_profile(beating_params(162.0, 1e-6), g)
+    p_beat = emission_profile(beating_params(162.0, 1e-6), g)
     t1 = 0.162
     limit_intensity = g**2 * np.exp(-g / t1) / (2.0 * t1**3)
     limit_f = np.sqrt(limit_intensity / np.trapezoid(limit_intensity, g))
@@ -105,14 +103,9 @@ def test_beating_small_fss_limit_shape():
 
 def test_beating_zero_fss_allowed():
     g = uniform_grid(1.62, 4096)
-    p = fss_beating_profile(beating_params(162.0, 0.0), g)
-    q = mono_exponential_profile(EmitterParams(162.0), g)
+    p = emission_profile(beating_params(162.0, 0.0), g)
+    q = emission_profile(EmitterParams(162.0), g)
     np.testing.assert_array_equal(p.f, q.f)
-
-
-def test_beating_requires_neutral_exciton():
-    with pytest.raises(ValueError):
-        fss_beating_profile(EmitterParams(162.0, fss=EnergySplitting(6.3), charge=Charge.CX))
 
 
 def test_beating_pair_overlap_value():
@@ -122,8 +115,8 @@ def test_beating_pair_overlap_value():
     # ~5e-5 truncation bias, covered by the tolerance.
     g = default_grid(162.0, 128.0)
     s = classical_overlap(
-        fss_beating_profile(beating_params(162.0, 6.3), g),
-        fss_beating_profile(beating_params(128.0, 6.7), g),
+        emission_profile(beating_params(162.0, 6.3), g),
+        emission_profile(beating_params(128.0, 6.7), g),
     )
     assert s == pytest.approx(0.9791009, abs=1e-4)
 
@@ -133,8 +126,8 @@ def test_beating_overlap_below_mono_overlap():
     # overlaps less than the plain mono-exponential pair
     g = default_grid(162.0, 128.0)
     s_beat = classical_overlap(
-        fss_beating_profile(beating_params(162.0, 6.3), g),
-        fss_beating_profile(beating_params(128.0, 6.7), g),
+        emission_profile(beating_params(162.0, 6.3), g),
+        emission_profile(beating_params(128.0, 6.7), g),
     )
     s_mono = closed_form_temporal_overlap(Rate(1000 / 162), Rate(1000 / 128))
     assert s_beat < s_mono
@@ -142,13 +135,13 @@ def test_beating_overlap_below_mono_overlap():
 
 def test_overlap_symmetric():
     g = default_grid(162.0, 128.0)
-    p = fss_beating_profile(beating_params(162.0, 6.3), g)
-    q = mono_exponential_profile(EmitterParams(128.0), g)
+    p = emission_profile(beating_params(162.0, 6.3), g)
+    q = emission_profile(EmitterParams(128.0), g)
     assert classical_overlap(p, q) == classical_overlap(q, p)
 
 
 def test_overlap_identical_profiles_is_one():
-    p = mono_exponential_profile(EmitterParams(162.0))
+    p = emission_profile(EmitterParams(162.0))
     assert classical_overlap(p, p) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -158,21 +151,21 @@ def test_overlap_in_unit_interval_random():
         t1a, t1b = rng.uniform(50.0, 600.0, size=2)
         fss = rng.uniform(0.0, 10.0)
         g = default_grid(t1a, t1b)
-        p = fss_beating_profile(beating_params(t1a, fss), g)
-        q = mono_exponential_profile(EmitterParams(t1b), g)
+        p = emission_profile(beating_params(t1a, fss), g)
+        q = emission_profile(EmitterParams(t1b), g)
         assert 0.0 <= classical_overlap(p, q) <= 1.0
 
 
 def test_theta_never_enters_normalized_profile():
     g = uniform_grid(1.62, 4096)
-    p0 = fss_beating_profile(beating_params(162.0, 6.3, theta=0.1), g)
-    p1 = fss_beating_profile(beating_params(162.0, 6.3, theta=1.3), g)
+    p0 = emission_profile(beating_params(162.0, 6.3, theta=0.1), g)
+    p1 = emission_profile(beating_params(162.0, 6.3, theta=1.3), g)
     np.testing.assert_array_equal(p0.f, p1.f)
 
 
 def test_overlap_across_mismatched_grids():
-    p = mono_exponential_profile(EmitterParams(240.0), uniform_grid(2.4, 4096))
-    q = mono_exponential_profile(EmitterParams(212.0), uniform_grid(2.4, 6000))
+    p = emission_profile(EmitterParams(240.0), uniform_grid(2.4, 4096))
+    q = emission_profile(EmitterParams(212.0), uniform_grid(2.4, 6000))
     s = classical_overlap(p, q)
     s_cf = closed_form_temporal_overlap(Rate(1000 / 240), Rate(1000 / 212))
     assert s == pytest.approx(s_cf, abs=2e-4)
@@ -180,13 +173,14 @@ def test_overlap_across_mismatched_grids():
 
 def test_short_grid_raises():
     with pytest.raises(GridSpanError):
-        mono_exponential_profile(EmitterParams(500.0), uniform_grid(1.0, 2048))
+        emission_profile(EmitterParams(500.0), uniform_grid(1.0, 2048))
 
 
 def test_marginal_grid_warns():
     # above the 5-lifetime hard floor but below the 10-lifetime default
-    with pytest.warns(UserWarning):
-        mono_exponential_profile(EmitterParams(200.0), uniform_grid(1.5, 4096))
+    with pytest.warns(UserWarning) as record:
+        emission_profile(EmitterParams(200.0), uniform_grid(1.5, 4096))
+    assert record[0].filename == __file__  # the warning names the caller's line
 
 
 def test_profile_rejects_negative_amplitude():
@@ -210,7 +204,7 @@ def test_profile_rejects_bad_normalization():
 
 
 def test_intensity_cdf_monotone_and_complete():
-    p = mono_exponential_profile(EmitterParams(162.0))
+    p = emission_profile(EmitterParams(162.0))
     cdf = p.intensity_cdf()
     assert cdf[0] == 0.0
     assert cdf[-1] == 1.0
@@ -236,12 +230,17 @@ def test_emitter_params_validation():
 
 def test_emission_profile_dispatch():
     g = default_grid(162.0)
-    by_charge = emission_profile(beating_params(162.0, 6.3), g)
-    direct = fss_beating_profile(beating_params(162.0, 6.3), g)
-    np.testing.assert_array_equal(by_charge.f, direct.f)
     trion = emission_profile(EmitterParams(162.0, charge=Charge.CX), g)
-    mono = mono_exponential_profile(EmitterParams(162.0), g)
-    np.testing.assert_array_equal(trion.f, mono.f)
+    # X with fss > 0 beats: sin^2(fss t / 2 hbar) exp(-t / T1), normalized
+    beat = emission_profile(beating_params(162.0, 6.3), g)
+    inten = np.sin(6.3 / (2.0 * HBAR_UEV_NS) * g) ** 2 * np.exp(-g / 0.162)
+    expected = WavepacketProfile.from_intensity(g, inten)
+    np.testing.assert_array_equal(beat.f, expected.f)
+    # X with fss = 0 decays like a CX
+    np.testing.assert_array_equal(emission_profile(beating_params(162.0, 0.0), g).f, trion.f)
+    # a trion's fss is ignored
+    trion_fss = EmitterParams(162.0, fss=EnergySplitting(6.3), charge=Charge.CX)
+    np.testing.assert_array_equal(emission_profile(trion_fss, g).f, trion.f)
 
 
 def test_read_lifetime_csv(tmp_path):
