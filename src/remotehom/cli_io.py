@@ -16,6 +16,7 @@ regime violation, degenerate data).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -514,7 +515,13 @@ def _cmd_predict_delay(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `remotehom` argument parser, built on the first call and shared after.
+
+    Parsing leaves it unchanged, so `main` reuses it on every call in a
+    process.
+    """
     parser = argparse.ArgumentParser(
         prog="remotehom",
         description="Two-photon interference of remote single-photon sources: "
@@ -577,9 +584,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one `remotehom` command and return its exit code (0, 2 or 3).
+
+    May be called any number of times in one process.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -2,8 +2,10 @@
 dips, and delay-visibility series.
 
 The engine is a damped Gauss-Newton (Levenberg-Marquardt) iteration with
-analytic Jacobians for every model in this module, box bounds by
-projection, and covariance from the Jacobian at the optimum. Convergence
+analytic Jacobians for every model in this module, box bounds (a
+parameter on a bound that the gradient pushes against is held there and
+the step solved over the others, which is then clipped to the box), and
+covariance from the Jacobian at the optimum. Convergence
 means the scaled gradient dropped below `GTOL` (1e-10) within `MAX_ITER`
 (500) iterations: either the infinity norm of J^T r outright, or its
 cosine against the column and residual norms, which is the scale-free
@@ -200,12 +202,19 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
         if grad_ok(jm, r, p):
             converged = True
             break
-        a = jm.T @ jm
         g = jm.T @ r
+        # a parameter on its bound whose gradient points out of the box is
+        # held there, and the step is solved over the free parameters only:
+        # a full step clipped afterwards would move the free ones as if the
+        # held one could still move, and stall along the bound
+        free = ~(((p <= lo) & (g < 0)) | ((p >= hi) & (g > 0)))
+        jf = jm[:, free]
+        a = jf.T @ jf  # one operand: numpy's symmetric product, as for jm.T @ jm
+        step = np.zeros(n_par)
         accepted = False
         for _ in range(60):
             try:
-                step = np.linalg.solve(a + lam * np.diag(np.diag(a)), g)
+                step[free] = np.linalg.solve(a + lam * np.diag(np.diag(a)), g[free])
             except np.linalg.LinAlgError as exc:
                 raise RankDeficiencyError("singular Jacobian in normal equations") from exc
             trial = _clip_to_bounds(p + step, lo, hi)

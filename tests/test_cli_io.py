@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,42 @@ def test_cli_fit_delay_with_outlier_flag(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+# a generated delay pair whose V(40 ns) > V(12.2 ns) in the filtered series
+# puts the best gamma_star on its bound at 0
+_BOUND_DELAY_SERIES = {
+    "filtered": """12.2,0.9890762239440491,0.009855732260430482
+40.0,0.9949247558234527,0.009707936498885426
+120.0,0.939545408546258,0.009323394127441804
+300.0,0.8662350887121839,0.008633242535344336
+525.0,0.8075753244782937,0.008008131761666317
+1200.0,0.7035188582868876,0.006960750561137445
+3000.0,0.6160802350203625,0.006142096717028561
+""",
+    "unfiltered": """12.2,0.9828999874291677,0.009828135552914945
+40.0,0.9747436483346733,0.009621696444608314
+120.0,0.9077733073902569,0.009096190700496522
+300.0,0.8092451851654315,0.008193107527955143
+525.0,0.728768456318448,0.007416627995388143
+1200.0,0.6166451224512137,0.0061962932365895555
+3000.0,0.5338033643161814,0.005306497115519715
+""",
+}
+
+
+def test_cli_fit_delay_with_gamma_star_on_its_bound_converges(tmp_path, capsys):
+    # the fit holds gamma_star at 0 and converges along the bound, where a
+    # full step clipped afterwards ran 500 iterations and exited 3
+    paths = []
+    for name, rows in _BOUND_DELAY_SERIES.items():
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_text("delay_ns,visibility,sigma_v\n" + rows)
+    assert main(["fit-delay", *map(str, paths), "--t1-ps", "141.25780437760147"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is True
+    assert payload["params"]["gamma_star"] == 0.0
+    assert payload["n_iter"] <= 20
+
+
 _FIT_KEYS = {"params", "sigmas", "residual_norm", "converged", "n_iter"}
 
 
@@ -734,8 +771,10 @@ def json_command(command):
     (main_loads(json_command("overlap"),
                 ("scipy.special", "scipy.signal", "scipy.integrate", "scipy.optimize")),
      "['scipy.special']"),
+    # the parser is built on the first call to main, not at import
+    (["-c", "import remotehom.cli_io as c; print(c.build_parser.cache_info().currsize)"], "0"),
 ], ids=["cli-module", "package-root", "run-as-module", "fit-lifetime", "fit-reflectivity",
-        "fit-delay", "match-pairs", "predict-delay-unfiltered", "overlap"])
+        "fit-delay", "match-pairs", "predict-delay-unfiltered", "overlap", "no-parser-at-import"])
 def test_fresh_process_imports(tmp_path, args, stdout):
     import subprocess
     import sys
@@ -749,6 +788,65 @@ def test_fresh_process_imports(tmp_path, args, stdout):
     assert (proc.returncode, proc.stderr) == (0, "")
     if stdout is not None:
         assert proc.stdout.strip() == stdout
+
+
+def every_command(tmp_path: Path, out: Path) -> list[list[str]]:
+    """All seven subcommands, writing under `out`, then four argparse exits."""
+    cfg = str(write_config(tmp_path))
+    return [
+        ["overlap", "--config", cfg],
+        ["simulate", "--config", cfg, "--out", str(out)],
+        ["fit-lifetime", str(lifetime_csv(tmp_path)), "--out", str(out)],
+        ["fit-reflectivity", str(reflectivity_csv(tmp_path)), "--out", str(out)],
+        ["fit-delay", *map(str, delay_csvs(tmp_path)), "--t1-ps", "162",
+         "--outlier", "unfiltered:12.2:0.1", "--out", str(out)],
+        ["match-pairs", "--out", str(out)],
+        ["predict-delay", "--config", cfg, "--source", "b", "--out", str(out)],
+        ["frobnicate"],
+        ["overlap"],
+        ["simulate", "--config", cfg, "--workers", "x"],
+        ["--help"],
+    ]
+
+
+def take_artifacts(out: Path) -> dict[str, bytes]:
+    """The files under `out` by relative path, removing them."""
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    shutil.rmtree(out, ignore_errors=True)
+    return files
+
+
+def test_main_builds_one_parser_and_repeats_every_result(tmp_path, capsys):
+    import subprocess
+    import sys
+
+    import remotehom
+    import remotehom.cli_io as cli
+
+    out = tmp_path / "out"
+    argvs = every_command(tmp_path, out)
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, take_artifacts(out)
+
+    cli.build_parser.cache_clear()
+    first = [run(argv) for argv in argvs]
+    second = [run(argv) for argv in argvs]
+    assert cli.build_parser.cache_info().misses == 1
+    assert [r[0] for r in first] == [0] * 7 + [2, 2, 2, 0]
+    assert all(r[3] for r in first[1:7])  # every command but overlap wrote under --out
+    assert second == first
+
+    # overlap and fit-lifetime give the same in a fresh process
+    src = str(Path(remotehom.__file__).resolve().parents[1])
+    for k in (0, 2):
+        proc = subprocess.run([sys.executable, "-m", "remotehom.cli_io", *argvs[k]],
+                              capture_output=True, text=True, timeout=120,
+                              env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+        assert (proc.returncode, proc.stdout, proc.stderr, take_artifacts(out)) == first[k]
 
 
 def test_cli_unknown_subcommand_exits_nonzero(capsys):

@@ -91,6 +91,19 @@ def test_bounds_are_respected():
     assert res.params["a"] == 0.0
 
 
+def test_fit_along_an_active_bound_converges_in_a_few_iterations():
+    # the unbounded optimum is b = -1; with b held on its bound the slope
+    # must be the one-parameter optimum x.y / x.x, which a full step
+    # clipped afterwards approaches only slowly (500 iterations, unconverged)
+    x = np.linspace(1.0, 2.0, 20)
+    y = 2.0 * x - 1.0
+    res = least_squares(affine_model(), x, y, [1.0, 1.0], bounds=[(None, None), (0.0, None)])
+    assert res.converged
+    assert res.n_iter <= 10
+    assert res.params["b"] == 0.0
+    assert res.params["a"] == pytest.approx(float(x @ y / (x @ x)), rel=1e-12)
+
+
 def test_fit_invariant_under_data_reordering():
     rng = np.random.default_rng(41)
     x = np.linspace(0, 5, 60)
