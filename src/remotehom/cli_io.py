@@ -50,9 +50,9 @@ from .spectral_noise import DelayVisibilitySeries, individual_indistinguishabili
 from .hom_montecarlo import (
     HomExperimentConfig,
     Polarization,
-    _simulate_histograms,
     analytic_prediction,
     estimate_visibility,
+    simulate_histograms,
     write_histogram_csv,
     write_visibility_json,
 )
@@ -139,8 +139,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an explicit integer")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "outputs", Path(self.outputs))
@@ -397,9 +397,9 @@ def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     (out / "overlap.json").write_text(json_text(report))
 
     # parallel first: its shards are the long ones, so they head the queue
-    h_par, h_perp = _simulate_histograms(pair, config.experiment,
-                                         (Polarization.PARALLEL, Polarization.PERPENDICULAR),
-                                         config.seed, workers=config.workers)
+    h_par, h_perp = simulate_histograms(pair, config.experiment,
+                                        (Polarization.PARALLEL, Polarization.PERPENDICULAR),
+                                        config.seed, workers=config.workers)
     write_histogram_csv(h_par, out / "histogram_par.csv", config_hash=cfg_hash)
     write_histogram_csv(h_perp, out / "histogram_perp.csv", config_hash=cfg_hash)
 

@@ -33,7 +33,6 @@ __all__ = [
     "RankDeficiencyError",
     "FitModel",
     "least_squares",
-    "finite_difference_jacobian",
     "mono_exp_model",
     "fss_beating_model",
     "lorentzian_dip_model",
@@ -120,23 +119,6 @@ class FitModel:
 # ---------------------------------------------------------------------------
 # Engine
 
-def finite_difference_jacobian(fn: Callable, p: np.ndarray, x, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of fn(p, x) with a relative step."""
-    p = np.asarray(p, dtype=float)
-    cols = []
-    for j in range(p.size):
-        h = rel_step * max(abs(p[j]), 1e-8)
-        up, dn = p.copy(), p.copy()
-        up[j] += h
-        dn[j] -= h
-        cols.append((np.asarray(fn(up, x)) - np.asarray(fn(dn, x))) / (2.0 * h))
-    return np.stack(cols, axis=1)
-
-
-def _clip_to_bounds(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(p, lo), hi)
-
-
 def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
                   sigma: Optional[np.ndarray] = None,
                   bounds: Optional[Sequence[tuple[Optional[float], Optional[float]]]] = None
@@ -171,14 +153,14 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
     def jac(pv: np.ndarray) -> np.ndarray:
         return np.asarray(model.jac(pv, x), dtype=float) * w[:, None]
 
+    def held(p_: np.ndarray, g: np.ndarray) -> np.ndarray:
+        # a parameter on its bound whose gradient points out of the box: g
+        # points along -grad(ssr)/2, so at a lower bound only g > 0 is usable
+        return ((p_ <= lo) & (g < 0)) | ((p_ >= hi) & (g > 0))
+
     def grad_ok(jm_: np.ndarray, r_: np.ndarray, p_: np.ndarray) -> bool:
         g = jm_.T @ r_
-        # project out components pushing into an active bound: g points
-        # along -grad(ssr)/2, so at a lower bound only g > 0 is usable
-        at_lo = p_ <= lo
-        at_hi = p_ >= hi
-        g = np.where(at_lo, np.maximum(g, 0.0), g)
-        g = np.where(at_hi, np.minimum(g, 0.0), g)
+        g = np.where(held(p_, g), 0.0, g)  # the held components cannot move
         g_inf = float(np.max(np.abs(g))) if g.size else 0.0
         if g_inf <= GTOL:
             return True
@@ -203,11 +185,10 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
             converged = True
             break
         g = jm.T @ r
-        # a parameter on its bound whose gradient points out of the box is
-        # held there, and the step is solved over the free parameters only:
-        # a full step clipped afterwards would move the free ones as if the
-        # held one could still move, and stall along the bound
-        free = ~(((p <= lo) & (g < 0)) | ((p >= hi) & (g > 0)))
+        # the step is solved over the free parameters only: a full step
+        # clipped afterwards would move the free ones as if a held one could
+        # still move, and stall along the bound
+        free = ~held(p, g)
         jf = jm[:, free]
         a = jf.T @ jf  # one operand: numpy's symmetric product, as for jm.T @ jm
         step = np.zeros(n_par)
@@ -217,7 +198,7 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
                 step[free] = np.linalg.solve(a + lam * np.diag(np.diag(a)), g[free])
             except np.linalg.LinAlgError as exc:
                 raise RankDeficiencyError("singular Jacobian in normal equations") from exc
-            trial = _clip_to_bounds(p + step, lo, hi)
+            trial = np.clip(p + step, lo, hi)
             r_trial = residual(trial)
             ssr_trial = float(r_trial @ r_trial)
             # ulp-level non-increases are accepted so the iterate can keep

@@ -51,7 +51,7 @@ import numpy as np
 from .units_core import json_text, make_rng, write_csv_columns
 from .wavepacket import emission_profile
 from .overlap_analytics import SourcePair, mwo_voigt_averaged
-from .spectral_noise import _ou_path_uniform
+from .spectral_noise import ou_path_uniform
 
 __all__ = [
     "Polarization",
@@ -59,6 +59,7 @@ __all__ = [
     "CoincidenceHistogram",
     "VisibilityEstimate",
     "simulate_histogram",
+    "simulate_histograms",
     "estimate_visibility",
     "analytic_prediction",
     "write_histogram_csv",
@@ -247,8 +248,8 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
     def ou(purpose: int, sigma: float, tau_c_ns: float) -> np.ndarray | float:
         if sigma == 0.0:
             return 0.0
-        return _ou_path_uniform(sigma, math.exp(-T / tau_c_ns),
-                                make_rng(seed, *key, purpose), n_shard)
+        return ou_path_uniform(sigma, math.exp(-T / tau_c_ns),
+                               make_rng(seed, *key, purpose), n_shard)
 
     # cross-source pairs at offset k, index k + W: same-pulse pairs build the
     # central peak, pairs offset by whole periods the side peaks
@@ -298,9 +299,9 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
     return counts[:-1]
 
 
-def _simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
-                         pols: Sequence[Polarization], seed: int,
-                         workers: int = 1) -> list[CoincidenceHistogram]:
+def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
+                        pols: Sequence[Polarization], seed: int,
+                        workers: int = 1) -> list[CoincidenceHistogram]:
     """One coincidence histogram per polarization in `pols`; the shards of all
     of them share one pool of `workers` threads, queued in the order of `pols`.
     Deterministic per (pair, cfg, pol, seed): `workers` never changes a result."""
@@ -326,7 +327,7 @@ def _simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
 def simulate_histogram(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,
                        seed: int, workers: int = 1) -> CoincidenceHistogram:
     """Synthesize one coincidence histogram for the given polarization."""
-    return _simulate_histograms(pair, cfg, (pol,), seed, workers)[0]
+    return simulate_histograms(pair, cfg, (pol,), seed, workers)[0]
 
 
 def estimate_visibility(h_par: CoincidenceHistogram, h_perp: CoincidenceHistogram,

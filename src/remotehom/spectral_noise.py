@@ -24,6 +24,7 @@ __all__ = [
     "WanderingProcess",
     "DelayVisibilitySeries",
     "sample_frequency_path",
+    "ou_path_uniform",
     "visibility_vs_delay",
     "intrinsic_visibility",
     "individual_indistinguishability",
@@ -43,8 +44,8 @@ class WanderingProcess:
             raise ValueError(f"tau_c_ns must be > 0, got {self.tau_c_ns}")
 
 
-def _ou_path_uniform(sigma: float, lam: float, rng: np.random.Generator,
-                     n: int) -> np.ndarray:
+def ou_path_uniform(sigma: float, lam: float, rng: np.random.Generator,
+                    n: int) -> np.ndarray:
     """x_0 .. x_{n-1} of x_{k+1} = lam x_k + sigma sqrt(1-lam^2) eps_k, as a numpy scan.
 
     x_0 is drawn from the stationary N(0, sigma^2), then the n - 1 drive
@@ -85,7 +86,7 @@ def sample_frequency_path(p: WanderingProcess, times: Sequence[float] | np.ndarr
     rng = make_rng(p.seed, stream)
     dts = np.diff(t)
     if dts.size and np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        return _ou_path_uniform(sigma, math.exp(-dts[0] / p.tau_c_ns), rng, t.size)
+        return ou_path_uniform(sigma, math.exp(-dts[0] / p.tau_c_ns), rng, t.size)
     out = np.empty(t.size)
     out[0] = sigma * rng.standard_normal()
     noise = rng.standard_normal(t.size - 1)

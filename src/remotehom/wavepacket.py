@@ -32,7 +32,6 @@ __all__ = [
     "default_grid",
     "emission_profile",
     "classical_overlap",
-    "closed_form_temporal_overlap",
     "read_lifetime_csv",
 ]
 
@@ -218,14 +217,6 @@ def classical_overlap(p: WavepacketProfile, q: WavepacketProfile) -> float:
     t, fp, fq = _resample(p, q)
     s = float(np.trapezoid(fp * fq, t)) ** 2
     return min(max(s, 0.0), 1.0)
-
-
-def closed_form_temporal_overlap(gamma_i: Rate, gamma_j: Rate) -> float:
-    """Closed-form overlap 4*g_i*g_j/(g_i+g_j)^2 of two mono-exponential decays."""
-    gi, gj = gamma_i.value, gamma_j.value
-    if gi <= 0 or gj <= 0:
-        raise ValueError("both rates must be > 0")
-    return 4.0 * gi * gj / (gi + gj) ** 2
 
 
 def read_lifetime_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,6 @@ from remotehom.wavepacket import (
     Charge,
     EmitterParams,
     classical_overlap,
-    closed_form_temporal_overlap,
     default_grid,
     emission_profile,
 )
@@ -39,7 +38,6 @@ from remotehom.hom_montecarlo import (
 )
 from remotehom.estimation import (
     delay_visibility_model,
-    finite_difference_jacobian,
     fit_delay_visibility,
     fit_reflectivity,
     fss_beating_model,
@@ -48,6 +46,8 @@ from remotehom.estimation import (
     mono_exp_model,
 )
 from remotehom.cli_io import main
+
+from reference import closed_form_temporal_overlap, finite_difference_jacobian
 
 PAR, PERP = Polarization.PARALLEL, Polarization.PERPENDICULAR
 GAMMA_IA = Rate(1000 / 162)

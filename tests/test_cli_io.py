@@ -675,6 +675,7 @@ _BAD_VALUES = [
     ("overlap", ("seed",), math.inf),
     ("overlap", ("pair", "s_classical"), True),
     ("overlap", ("pair", "b", "wavelength_nm"), -924.8),
+    ("overlap", ("seed",), -3),
     ("match-pairs", ("sources",), [5]),
     ("match-pairs", ("sources",), 5),
     ("match-pairs", ("sources", 0, "tuning_range_nm"), []),
@@ -682,6 +683,7 @@ _BAD_VALUES = [
     ("match-pairs", ("sources", 0, "emitter", "wavelength_nm"), -1.0),
     ("simulate", ("workers",), 0),
     ("simulate", ("workers",), -2),
+    ("simulate", ("seed",), -1),
 ]
 
 
@@ -705,6 +707,7 @@ def test_cli_wrongly_typed_config_or_catalog_value_exits_2(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(keys[-1]) in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("section, key", [

@@ -14,7 +14,6 @@ from remotehom.estimation import (
     LifetimeTrace,
     RankDeficiencyError,
     delay_visibility_model,
-    finite_difference_jacobian,
     fit_delay_visibility,
     fit_lifetime,
     fit_reflectivity,
@@ -24,6 +23,8 @@ from remotehom.estimation import (
     mono_exp_model,
     read_reflectivity_csv,
 )
+
+from reference import finite_difference_jacobian
 
 HBAR_UEV_PS = 658.2119
 

@@ -9,17 +9,17 @@ import pytest
 from remotehom.units_core import Frequency, Rate
 from remotehom.wavepacket import EmitterParams, emission_profile
 from remotehom.overlap_analytics import SourcePair, mwo_voigt_averaged
-from remotehom.spectral_noise import _ou_path_uniform
+from remotehom.spectral_noise import ou_path_uniform
 from remotehom.hom_montecarlo import (
     CoincidenceHistogram,
     HomExperimentConfig,
     Polarization,
     VisibilityEstimate,
     _delay_bin_probs,
-    _simulate_histograms,
     analytic_prediction,
     estimate_visibility,
     simulate_histogram,
+    simulate_histograms,
     write_histogram_csv,
     write_visibility_json,
 )
@@ -165,11 +165,11 @@ def spy_ou_paths(monkeypatch) -> list:
     calls = []
 
     def spy(sigma, lam, rng, n):
-        path = _ou_path_uniform(sigma, lam, rng, n)
+        path = ou_path_uniform(sigma, lam, rng, n)
         calls.append((sigma, lam, path))  # shards may call from worker threads
         return path
 
-    monkeypatch.setattr(hm, "_ou_path_uniform", spy)
+    monkeypatch.setattr(hm, "ou_path_uniform", spy)
     return calls
 
 
@@ -213,7 +213,7 @@ def test_one_pool_for_both_polarizations_matches_separate_runs(workers):
     b = EmitterParams(128.0, delta_omega=Rate(2.0), tau_c_ns=50.0, brightness=0.8)
     pair = SourcePair(a=a, b=b, mean_detuning=Frequency(1.0), s_classical=0.97)
     cfg = quiet_config(3 * 65536 + 1000, blink_on_prob=0.9, g2=0.01)
-    hists = _simulate_histograms(pair, cfg, (PAR, PERP), seed=119, workers=workers)
+    hists = simulate_histograms(pair, cfg, (PAR, PERP), seed=119, workers=workers)
     assert [h.polarization for h in hists] == [PAR, PERP]
     for h in hists:
         ref = simulate_histogram(pair, cfg, h.polarization, seed=119)
@@ -275,7 +275,7 @@ def test_delay_shape_computed_once_per_run(monkeypatch):
     monkeypatch.setattr(hm, "_delay_bin_probs", spy)
     pair = quiet_pair(162.0, 128.0)
     cfg = quiet_config(70_000, g2=0.01)
-    _simulate_histograms(pair, cfg, (PAR, PERP), seed=115, workers=2)
+    simulate_histograms(pair, cfg, (PAR, PERP), seed=115, workers=2)
     assert calls == [(pair, cfg)]
 
 

@@ -11,9 +11,9 @@ from remotehom.wavepacket import EmitterParams
 from remotehom.spectral_noise import (
     DelayVisibilitySeries,
     WanderingProcess,
-    _ou_path_uniform,
     individual_indistinguishability,
     intrinsic_visibility,
+    ou_path_uniform,
     sample_frequency_path,
     visibility_vs_delay,
 )
@@ -92,9 +92,9 @@ def test_uniform_path_scan_matches_recursion(lam):
     for k, eps in enumerate(z[1:], start=1):
         x = lam * x + sigma * math.sqrt(1.0 - lam * lam) * eps
         ref[k] = x
-    got = _ou_path_uniform(sigma, lam, np.random.default_rng(7), z.size)
+    got = ou_path_uniform(sigma, lam, np.random.default_rng(7), z.size)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * sigma)
-    np.testing.assert_array_equal(_ou_path_uniform(sigma, lam, np.random.default_rng(7), 1),
+    np.testing.assert_array_equal(ou_path_uniform(sigma, lam, np.random.default_rng(7), 1),
                                   ref[:1])
 
 

@@ -12,11 +12,12 @@ from remotehom.wavepacket import (
     GridSpanError,
     WavepacketProfile,
     classical_overlap,
-    closed_form_temporal_overlap,
     default_grid,
     emission_profile,
     read_lifetime_csv,
 )
+
+from reference import closed_form_temporal_overlap
 
 
 def beating_params(t1_ps: float, fss_uev: float, theta: float = 0.0) -> EmitterParams:
