@@ -34,7 +34,7 @@ from .units_core import (
     json_text,
     lifetime_to_rate,
 )
-from .wavepacket import Charge, EmitterParams
+from .wavepacket import Charge, EmitterParams, read_lifetime_csv
 from .overlap_analytics import (
     FilterParams,
     FilterRegimeError,
@@ -450,7 +450,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_lifetime(args: argparse.Namespace) -> int:
-    trace = LifetimeTrace.from_csv(args.data, background=args.background)
+    trace = LifetimeTrace(*read_lifetime_csv(args.data), args.background)
     result = fit_lifetime(trace, LifetimeModel(args.model))
     return _emit_fit(result, args.out, "fit_lifetime.json")
 

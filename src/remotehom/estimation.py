@@ -23,7 +23,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .units_core import HBAR_UEV_NS, Rate, read_csv_columns
-from .wavepacket import read_lifetime_csv
 from .spectral_noise import DelayVisibilitySeries
 
 __all__ = [
@@ -96,11 +95,6 @@ class LifetimeTrace:
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
 
-    @classmethod
-    def from_csv(cls, path: str | Path, background: float = 0.0) -> "LifetimeTrace":
-        t, c = read_lifetime_csv(path)
-        return cls(t, c, background)
-
 
 class LifetimeModel(Enum):
     MONO_EXP = "mono_exp"
@@ -153,21 +147,24 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
     def jac(pv: np.ndarray) -> np.ndarray:
         return np.asarray(model.jac(pv, x), dtype=float) * w[:, None]
 
-    def held(p_: np.ndarray, g: np.ndarray) -> np.ndarray:
-        # a parameter on its bound whose gradient points out of the box: g
-        # points along -grad(ssr)/2, so at a lower bound only g > 0 is usable
-        return ((p_ <= lo) & (g < 0)) | ((p_ >= hi) & (g > 0))
-
-    def grad_ok(jm_: np.ndarray, r_: np.ndarray, p_: np.ndarray) -> bool:
-        g = jm_.T @ r_
-        g = np.where(held(p_, g), 0.0, g)  # the held components cannot move
-        g_inf = float(np.max(np.abs(g))) if g.size else 0.0
+    def judge(pv: np.ndarray, rv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """Jacobian, gradient J^T r, free-parameter mask and convergence at pv."""
+        jm = jac(pv)
+        if not np.all(np.isfinite(jm)):
+            raise RankDeficiencyError("Jacobian contains non-finite entries")
+        g = jm.T @ rv
+        # a parameter on its bound whose gradient points out of the box is
+        # held: g points along -grad(ssr)/2, so at a lower bound only g > 0
+        # is usable
+        free = ~(((pv <= lo) & (g < 0)) | ((pv >= hi) & (g > 0)))
+        g_free = np.where(free, g, 0.0)  # the held components cannot move
+        g_inf = float(np.max(np.abs(g_free))) if g.size else 0.0
         if g_inf <= GTOL:
-            return True
-        col = np.linalg.norm(jm_, axis=0)
-        denom = col * np.linalg.norm(r_)
-        scaled = np.abs(g) / np.where(denom > 0, denom, 1.0)
-        return float(np.max(scaled)) <= GTOL
+            return jm, g, free, True
+        col = np.linalg.norm(jm, axis=0)
+        denom = col * np.linalg.norm(rv)
+        scaled = np.abs(g_free) / np.where(denom > 0, denom, 1.0)
+        return jm, g, free, float(np.max(scaled)) <= GTOL
 
     r = residual(p)
     ssr = float(r @ r)
@@ -175,20 +172,13 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
     # so a quadratic residual surface converges immediately; rejections
     # escalate the damping fast enough for hostile starts
     lam = 1e-8
-    n_iter = 0
-    converged = False
     for n_iter in range(1, MAX_ITER + 1):
-        jm = jac(p)
-        if not np.all(np.isfinite(jm)):
-            raise RankDeficiencyError("Jacobian contains non-finite entries")
-        if grad_ok(jm, r, p):
-            converged = True
+        jm, g, free, converged = judge(p, r)
+        if converged:
             break
-        g = jm.T @ r
         # the step is solved over the free parameters only: a full step
         # clipped afterwards would move the free ones as if a held one could
         # still move, and stall along the bound
-        free = ~held(p, g)
         jf = jm[:, free]
         a = jf.T @ jf  # one operand: numpy's symmetric product, as for jm.T @ jm
         step = np.zeros(n_par)
@@ -211,11 +201,10 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
             lam = max(lam * 10.0, 1e-4)
             if lam > 1e13:
                 break
-        if not accepted:
+        if not accepted:  # stalled damping: p is the iterate just judged
             break
-    if not converged:  # stalled damping or MAX_ITER: judge the final iterate
-        jm = jac(p)
-        converged = grad_ok(jm, r, p)
+    else:  # MAX_ITER steps taken: judge the last one
+        jm, _, _, converged = judge(p, r)
 
     a = jm.T @ jm
     try:

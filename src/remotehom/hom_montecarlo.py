@@ -278,7 +278,7 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
             delta = (delta + ou(_P_FREQ_A, a.delta_omega.value, a.tau_c_ns)
                      - ou(_P_FREQ_B, b.delta_omega.value, b.tau_c_ns))
         m = pair.s_classical * Gsum * gsum / (Gsum * Gsum + 4.0 * delta * delta)
-        p_sb_a, p_sb_b = pair.effective_sidebands
+        p_sb_a, p_sb_b = a.sideband_fraction, b.sideband_fraction
         if p_sb_a > 0.0 or p_sb_b > 0.0:
             m = np.where(bernoulli(_P_SIDEBAND_A, p_sb_a) | bernoulli(_P_SIDEBAND_B, p_sb_b),
                          0.0, m)
@@ -303,7 +303,8 @@ def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
                         pols: Sequence[Polarization], seed: int,
                         workers: int = 1) -> list[CoincidenceHistogram]:
     """One coincidence histogram per polarization in `pols`; the shards of all
-    of them share one pool of `workers` threads, queued in the order of `pols`.
+    of them share one pool of `workers` threads (ValueError below 1), queued in
+    the order of `pols`.
     Deterministic per (pair, cfg, pol, seed): `workers` never changes a result."""
     edges, probs = _delay_bin_probs(pair, cfg)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -316,7 +317,7 @@ def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
         return _simulate_shard(pair, cfg, pols[k], seed, shard, n_shard, probs)
 
     totals = np.zeros((len(pols), centers.size), dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:  # threads start on submit
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # threads start on submit
         # one shard per polarization: two short shards in threads only contend for the GIL
         results = pool.map(run, jobs) if workers > 1 and n_shards > 1 else map(run, jobs)
         for (k, _), counts in zip(jobs, results):
@@ -337,7 +338,7 @@ def estimate_visibility(h_par: CoincidenceHistogram, h_perp: CoincidenceHistogra
     The central integration window is one repetition period centered on
     zero delay. Uncertainty comes from Poisson propagation of the two
     areas. Raises ValueError when the histograms are binned differently
-    or the perpendicular central peak is empty.
+    and ZeroDivisionError when the perpendicular central peak is empty.
     """
     if h_par.bin_centers.shape != h_perp.bin_centers.shape or \
             not np.allclose(h_par.bin_centers, h_perp.bin_centers, rtol=1e-12, atol=1e-12):
@@ -346,7 +347,7 @@ def estimate_visibility(h_par: CoincidenceHistogram, h_perp: CoincidenceHistogra
     a_par = float(np.sum(h_par.counts[window]))
     a_perp = float(np.sum(h_perp.counts[window]))
     if a_perp <= 0:
-        raise ValueError("empty perpendicular central peak; cannot normalize")
+        raise ZeroDivisionError("empty perpendicular central peak; cannot normalize")
     ratio = a_par / a_perp
     if a_par > 0:
         sigma = ratio * math.sqrt(1.0 / a_par + 1.0 / a_perp)
@@ -359,11 +360,11 @@ def analytic_prediction(pair: SourcePair) -> float:
     """Closed-form prediction of the measured visibility for a pair.
 
     The Voigt-averaged overlap degraded by the sideband fractions:
-    (1 - p_a)(1 - p_b) * M_voigt. A filter on the pair removes the
-    sidebands, so the factors become 1.
+    (1 - p_a)(1 - p_b) * M_voigt. Filtered emitters (see `apply_filter`)
+    carry no sideband, so the factors become 1.
     """
-    p_a, p_b = pair.effective_sidebands
-    return (1.0 - p_a) * (1.0 - p_b) * mwo_voigt_averaged(pair)
+    return ((1.0 - pair.a.sideband_fraction) * (1.0 - pair.b.sideband_fraction)
+            * mwo_voigt_averaged(pair))
 
 
 def write_histogram_csv(h: CoincidenceHistogram, path: str | Path,

@@ -72,9 +72,10 @@ class SourcePair:
 
     `mean_detuning` is the mean difference of the two center frequencies
     (rad/ns) and `s_classical` the classical temporal overlap of the two
-    emission profiles. When `filter` is set, both sources are taken to be
-    behind matched spectral filters: sideband fractions no longer
-    contribute (see :func:`apply_filter` for the wandering reweighting).
+    emission profiles. `filter` records the matched spectral filter both
+    sources sit behind; it changes nothing by itself. The emitters of a
+    filtered pair are those returned by :func:`apply_filter`, which
+    removes the sideband and reweights the wandering.
     """
 
     a: EmitterParams
@@ -91,13 +92,6 @@ class SourcePair:
     def combined_wandering(self) -> Rate:
         """Std. dev. of the detuning fluctuation: sqrt(dw_a^2 + dw_b^2)."""
         return Rate(math.hypot(self.a.delta_omega.value, self.b.delta_omega.value))
-
-    @property
-    def effective_sidebands(self) -> tuple[float, float]:
-        """Per-source sideband fractions after the (optional) filter."""
-        if self.filter is not None:
-            return 0.0, 0.0
-        return self.a.sideband_fraction, self.b.sideband_fraction
 
 
 def make_source_pair(a: EmitterParams, b: EmitterParams,

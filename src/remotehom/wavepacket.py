@@ -191,31 +191,19 @@ def emission_profile(params: EmitterParams,
     return WavepacketProfile.from_intensity(grid, intensity)
 
 
-def _resample(p: WavepacketProfile, q: WavepacketProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Put two profiles on one grid (the finer spacing wins), zero outside support."""
-    same = (p.t_grid.size == q.t_grid.size
-            and np.allclose(p.t_grid, q.t_grid, rtol=1e-12, atol=1e-15))
-    if same:
-        return p.t_grid, p.f, q.f
-    dt = min(p.dt, q.dt)
-    t0 = min(p.t_grid[0], q.t_grid[0])
-    t1 = max(p.t_grid[-1], q.t_grid[-1])
-    n = int(round((t1 - t0) / dt)) + 1
-    t = t0 + dt * np.arange(n)
-    fp = np.interp(t, p.t_grid, p.f, left=0.0, right=0.0)
-    fq = np.interp(t, q.t_grid, q.f, left=0.0, right=0.0)
-    return t, fp, fq
-
-
 def classical_overlap(p: WavepacketProfile, q: WavepacketProfile) -> float:
     """Generalised classical overlap s = [ integral f_p f_q dt ]^2, in [0, 1].
 
     Symmetric in its arguments; equals 1 for identical profiles
     (Cauchy-Schwarz equality) and the closed form
-    4*g_p*g_q/(g_p+g_q)^2 for mono-exponential profiles.
+    4*g_p*g_q/(g_p+g_q)^2 for mono-exponential profiles. Both profiles
+    must be sampled on one grid, e.g. `default_grid(t1_p, t1_q)`.
     """
-    t, fp, fq = _resample(p, q)
-    s = float(np.trapezoid(fp * fq, t)) ** 2
+    if p.t_grid.size != q.t_grid.size or not np.allclose(p.t_grid, q.t_grid,
+                                                         rtol=1e-12, atol=1e-15):
+        raise ValueError("profiles must share one time grid; build both on "
+                         "default_grid(t1_p, t1_q)")
+    s = float(np.trapezoid(p.f * q.f, p.t_grid)) ** 2
     return min(max(s, 0.0), 1.0)
 
 

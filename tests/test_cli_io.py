@@ -11,6 +11,8 @@ import pytest
 
 from remotehom.units_core import Rate, Wavelength
 from remotehom.wavepacket import Charge
+from remotehom.overlap_analytics import mwo_voigt_averaged
+from remotehom.hom_montecarlo import analytic_prediction
 from remotehom.cli_io import (
     CatalogEntry,
     CavityParams,
@@ -146,6 +148,8 @@ def test_load_run_config_filter_applies_to_both_sources(tmp_path):
         assert after.sideband_fraction == 0.0
         assert after.brightness < before.brightness
         assert after.t1_ps == before.t1_ps
+    # the filtered emitters carry no sideband, so the prediction is the bare average
+    assert analytic_prediction(filtered.pair) == mwo_voigt_averaged(filtered.pair)
 
 
 def test_load_run_config_computes_s_when_omitted(tmp_path):
@@ -630,6 +634,20 @@ def test_cli_arithmetic_error_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "Traceback" not in err
+
+
+def test_cli_empty_perpendicular_peak_exits_3(tmp_path, capsys):
+    # a source that never emits leaves both central peaks empty
+    cfg = json.loads(write_config(tmp_path).read_text())
+    cfg["pair"]["a"]["brightness"] = 0.0
+    path = tmp_path / "dark.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: empty perpendicular central peak; cannot normalize\n"
+    assert not (out / "visibility.json").exists()
 
 
 def test_cli_fit_lifetime_nan_count_exits_2(tmp_path, capsys):

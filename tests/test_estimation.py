@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from remotehom.units_core import Rate
+from remotehom.wavepacket import read_lifetime_csv
 from remotehom.spectral_noise import DelayVisibilitySeries, visibility_vs_delay
 from remotehom.estimation import (
     FitModel,
@@ -280,7 +281,7 @@ def test_lifetime_trace_rejects_non_finite(field, bad):
 def test_lifetime_trace_from_csv(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("time_ps,counts\n0,100\n10,90\n20,82\n")
-    trace = LifetimeTrace.from_csv(path, background=2.0)
+    trace = LifetimeTrace(*read_lifetime_csv(path), background=2.0)
     np.testing.assert_array_equal(trace.time_ps, [0.0, 10.0, 20.0])
     assert trace.background == 2.0
 

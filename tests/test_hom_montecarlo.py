@@ -207,6 +207,12 @@ def test_unequal_tau_c_draws_two_paths_and_matches_analytic_prediction(monkeypat
     assert abs(est.v_tpi - analytic_prediction(pair)) <= 4.0 * sigma
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_fewer_than_one_worker_raises(workers):
+    with pytest.raises(ValueError):
+        simulate_histogram(quiet_pair(), quiet_config(1000), PAR, seed=1, workers=workers)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_one_pool_for_both_polarizations_matches_separate_runs(workers):
     a = EmitterParams(162.0, delta_omega=Rate(3.0), tau_c_ns=50.0)
@@ -365,7 +371,7 @@ def test_estimator_zero_parallel_gives_one():
 
 def test_estimator_rejects_empty_perpendicular():
     h_par, h_perp = synthetic_histograms(100, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroDivisionError):
         estimate_visibility(h_par, h_perp)
 
 

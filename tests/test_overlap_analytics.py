@@ -440,15 +440,6 @@ def test_source_pair_combined_wandering():
     assert p.combined_wandering.value == pytest.approx(5.0)
 
 
-def test_source_pair_effective_sidebands():
-    a = EmitterParams(162.0, sideband_fraction=0.2)
-    b = EmitterParams(128.0, sideband_fraction=0.1)
-    unfiltered = SourcePair(a=a, b=b)
-    assert unfiltered.effective_sidebands == (0.2, 0.1)
-    filtered = SourcePair(a=a, b=b, filter=FILTER_8PM)
-    assert filtered.effective_sidebands == (0.0, 0.0)
-
-
 def test_source_pair_validates_s():
     with pytest.raises(ValueError):
         pair_with(s=1.2)

@@ -164,12 +164,11 @@ def test_theta_never_enters_normalized_profile():
     np.testing.assert_array_equal(p0.f, p1.f)
 
 
-def test_overlap_across_mismatched_grids():
+def test_overlap_rejects_mismatched_grids():
     p = emission_profile(EmitterParams(240.0), uniform_grid(2.4, 4096))
     q = emission_profile(EmitterParams(212.0), uniform_grid(2.4, 6000))
-    s = classical_overlap(p, q)
-    s_cf = closed_form_temporal_overlap(Rate(1000 / 240), Rate(1000 / 212))
-    assert s == pytest.approx(s_cf, abs=2e-4)
+    with pytest.raises(ValueError, match="default_grid"):
+        classical_overlap(p, q)
 
 
 def test_short_grid_raises():
