@@ -503,7 +503,7 @@ def _cmd_predict_delay(args: argparse.Namespace) -> int:
     source = config.pair.a if args.source == "a" else config.pair.b
     tau = source.tau_c_ns
     delays = np.linspace(0.0, 3.0 * tau, 201)
-    vis = np.array([individual_indistinguishability(source, d) for d in delays])
+    vis = individual_indistinguishability(source, delays)
     series = DelayVisibilitySeries(delays, vis, np.zeros_like(vis),
                                    source_label=args.source,
                                    filtered=config.pair.filter is not None)

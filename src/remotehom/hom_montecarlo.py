@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .units_core import json_text, make_rng, write_csv_columns
-from .wavepacket import emission_profile
+from .wavepacket import default_grid, emission_profile
 from .overlap_analytics import SourcePair, mwo_voigt_averaged
 from .spectral_noise import ou_path_uniform
 
@@ -192,28 +192,21 @@ def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig) -> tuple[np.nda
     the mass outside the window. Arrival times are piecewise uniform within
     the profile grid cells (the inverse of the piecewise-linear CDF), so the
     difference density is the cross-correlation of the two profiles' cell
-    masses on one grid at the finer spacing, smoothed by the two detectors'
-    Gaussian jitter (combined width sigma * sqrt(2)).
+    masses on the pair's shared grid, smoothed by the two detectors'
+    Gaussian jitter (combined width sigma * sqrt(2)), applied as its
+    transfer function exp(-2 (pi sigma f)^2).
     """
     half_span = (cfg.window_peaks + 0.5) * cfg.rep_period_ns
     n_bins = max(1, int(round(2.0 * half_span / (cfg.bin_width_ps / 1000.0))))
     edges = np.linspace(-half_span, half_span, n_bins + 1)
-    profile_a, profile_b = emission_profile(pair.a), emission_profile(pair.b)
-    dt = min(profile_a.dt, profile_b.dt)
-    t_end = max(profile_a.t_grid[-1], profile_b.t_grid[-1])
-    t = dt * np.arange(int(round(t_end / dt)) + 1)
-    m_a, m_b = (np.diff(np.interp(t, p.t_grid, p.intensity_cdf()))
-                for p in (profile_a, profile_b))
-    n = m_a.size
+    grid = default_grid(pair.a.t1_ps, pair.b.t1_ps)
+    m_a, m_b = (np.diff(emission_profile(e, grid).intensity_cdf()) for e in (pair.a, pair.b))
+    dt = float(grid[1] - grid[0])
     sig = math.sqrt(2.0) * cfg.jitter_sigma_ps / 1000.0
-    half = int(math.ceil(8.0 * sig / dt))
-    x = dt * np.arange(-half, half + 1)
-    with np.errstate(over="ignore"):  # jitter far below dt: exp(-inf) = 0 off the center
-        kernel = np.exp(-0.5 * (x / sig) ** 2) if sig > 0 else np.ones(1)
-    lag0 = n - 1 + half  # lags -lag0 .. lag0, in units of dt
+    lag0 = m_a.size - 1 + int(math.ceil(8.0 * sig / dt))  # lags -lag0 .. lag0, in units of dt
     n_fft = 1 << (2 * lag0).bit_length()
     spec = np.fft.rfft(m_b, n_fft) * np.conj(np.fft.rfft(m_a, n_fft)) \
-        * np.fft.rfft(np.roll(np.pad(kernel / kernel.sum(), (0, n_fft - kernel.size)), -half))
+        * np.exp(-2.0 * (math.pi * sig * np.fft.rfftfreq(n_fft, dt)) ** 2)
     dens = np.roll(np.fft.irfft(spec, n_fft), lag0)[:2 * lag0 + 1]
     cdf_x = dt * (np.arange(dens.size + 1) - lag0 - 0.5)
     cdf = np.concatenate([[0.0], np.cumsum(dens)])

@@ -97,18 +97,19 @@ def sample_frequency_path(p: WanderingProcess, times: Sequence[float] | np.ndarr
 
 
 def visibility_vs_delay(v0: float, delta_omega_r: float, tau_c_ns: float,
-                        delay_ns: float) -> float:
+                        delay_ns: float | np.ndarray) -> float | np.ndarray:
     """Visibility between photons of one source separated by a delay.
 
     V(d) = v0 / [ 1 + 2 dw_r^2 (1 - exp(-d / tau_c)) ], where dw_r is the
-    wandering width in units of the total homogeneous linewidth. Monotone
-    non-increasing in both the delay and dw_r.
+    wandering width in units of the total homogeneous linewidth, elementwise
+    over an array of delays. Monotone non-increasing in the delay and dw_r.
     """
     if not 0.0 <= v0 <= 1.0:
         raise ValueError(f"v0 must be in [0, 1], got {v0}")
-    if delta_omega_r < 0 or tau_c_ns <= 0 or delay_ns < 0:
+    d = np.asarray(delay_ns, dtype=float)
+    if delta_omega_r < 0 or tau_c_ns <= 0 or np.any(d < 0):
         raise ValueError("need delta_omega_r >= 0, tau_c > 0, delay >= 0")
-    growth = 1.0 - math.exp(-delay_ns / tau_c_ns)
+    growth = 1.0 - np.exp(-d / tau_c_ns)
     return v0 / (1.0 + 2.0 * delta_omega_r ** 2 * growth)
 
 
@@ -119,7 +120,8 @@ def intrinsic_visibility(gamma: Rate, gamma_star: Rate) -> float:
     return gamma.value / (gamma.value + gamma_star.value)
 
 
-def individual_indistinguishability(params: EmitterParams, delay_ns: float) -> float:
+def individual_indistinguishability(params: EmitterParams,
+                                    delay_ns: float | np.ndarray) -> float | np.ndarray:
     """Single-source two-photon indistinguishability at a photon separation.
 
     Combines the intrinsic value g/(g+g*) with the delay law, using
@@ -151,8 +153,8 @@ class DelayVisibilitySeries:
             raise ValueError("delay, visibility and sigma arrays must match and be non-empty")
         if not np.all(np.isfinite(np.stack([d, v, s]))):
             raise ValueError("delay, visibility and sigma must be finite")
-        if np.any(np.diff(d) <= 0):
-            raise ValueError("delays must be strictly increasing")
+        if d[0] < 0 or np.any(np.diff(d) <= 0):
+            raise ValueError("delays must be non-negative and strictly increasing")
         if np.any((v < 0) | (v > 1)):
             raise ValueError("visibilities must lie in [0, 1]")
 

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -165,9 +164,8 @@ def _check_grid(grid: np.ndarray, t1_ns: float) -> None:
             "profile truncation error may exceed 5e-5", stacklevel=3)
 
 
-def emission_profile(params: EmitterParams,
-                     grid: Optional[np.ndarray] = None) -> WavepacketProfile:
-    """Profile implied by the charge state, normalized on `grid` (default: 10 lifetimes).
+def emission_profile(params: EmitterParams, grid: np.ndarray) -> WavepacketProfile:
+    """Profile implied by the charge state, normalized on `grid`.
 
     The intensity is exp(-t / T1), zero before t = 0. A neutral exciton (X)
     with fss > 0 beats: the decay is multiplied by sin^2(fss * t / (2 hbar)).
@@ -179,8 +177,6 @@ def emission_profile(params: EmitterParams,
     (128 ps, 6.7 ueV) pair.
     """
     t1_ns = params.t1_ps / 1000.0
-    if grid is None:
-        grid = default_grid(params.t1_ps)
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid, t1_ns)
     t = np.clip(grid, 0.0, None)

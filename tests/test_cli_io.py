@@ -352,7 +352,7 @@ def test_cli_simulate_readme_perpendicular_histogram_bytes_are_pinned(tmp_path, 
                  "--workers", str(workers)]) == 0
     capsys.readouterr()
     digest = hashlib.sha256((out / "histogram_perp.csv").read_bytes()).hexdigest()
-    assert digest == "b80a246c4b8074bc72d293c27c8835c85da1d09c3ad56f0fe65087662d94afbc"
+    assert digest == "b8ed1836bc39a7756f035cccc18c9010b6f0f57bb2462941f070f44b2da8db3d"
 
 
 def test_cli_match_pairs_demo(tmp_path, capsys):
@@ -431,6 +431,20 @@ def test_cli_fit_delay_with_outlier_flag(tmp_path, capsys):
         assert main(["fit-delay", str(tmp_path / "filt.csv"), str(tmp_path / "unfilt.csv"),
                      "--t1-ps", "162", "--outlier", f"unfiltered:12.2:{bad}"]) == 2
         assert "finite" in capsys.readouterr().err
+
+
+def test_cli_fit_delay_rejects_a_negative_delay(tmp_path, capsys):
+    # the delay law is defined for d >= 0 only, so a row at -300 ns is an
+    # input error (exit 2), not a series to fit
+    filt, unfilt = delay_csvs(tmp_path)
+    with filt.open("r+") as fh:
+        rows = fh.read().splitlines()
+        fh.seek(0)
+        fh.write("\n".join([rows[0], "-300.0,0.9,0.005", *rows[1:]]) + "\n")
+    assert main(["fit-delay", str(filt), str(unfilt), "--t1-ps", "162"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "delays must be non-negative and strictly increasing" in captured.err
 
 
 # a generated delay pair whose V(40 ns) > V(12.2 ns) in the filtered series
@@ -566,9 +580,12 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
     assert "unit suffixes" in capsys.readouterr().err
 
 
-def test_cli_unallocatable_histogram_exits_2_without_traceback(tmp_path):
-    # a valid config whose delay histogram needs ~347 PiB, more than any
-    # address space, so the allocation fails at once
+@pytest.mark.parametrize("experiment", [{"window_peaks": 100000000000000},
+                                        {"jitter_sigma_ps": 1e15}])
+def test_cli_unallocatable_histogram_exits_2_without_traceback(tmp_path, experiment):
+    # valid configs whose delay histogram (~347 PiB) or jitter-padded delay
+    # shape (~512 PiB) needs more than any address space, so the allocation
+    # fails at once
     import subprocess
     import sys
 
@@ -576,8 +593,7 @@ def test_cli_unallocatable_histogram_exits_2_without_traceback(tmp_path):
 
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"pair": {"a": {"t1_ps": 162.0}, "b": {"t1_ps": 128.0}},
-                                "experiment": {"n_pulses": 20000,
-                                               "window_peaks": 100000000000000},
+                                "experiment": {"n_pulses": 20000, **experiment},
                                 "seed": 7}))
     src = str(Path(remotehom.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "remotehom.cli_io", "simulate", "--config",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from remotehom.units_core import Frequency, Rate
-from remotehom.wavepacket import EmitterParams, emission_profile
+from remotehom.wavepacket import EmitterParams, default_grid, emission_profile
 from remotehom.overlap_analytics import SourcePair, mwo_voigt_averaged
 from remotehom.spectral_noise import ou_path_uniform
 from remotehom.hom_montecarlo import (
@@ -308,7 +308,7 @@ def event_level_histogram(pair, cfg, edges, rng):
     times and two jitter draws, then all go into one histogram. Models the
     perpendicular run of an always-on, g2-free pair: offset k holds
     Binomial(n_pulses - |k|, 1/2) coincidences."""
-    profiles = [emission_profile(p) for p in (pair.a, pair.b)]
+    profiles = [emission_profile(p, default_grid(p.t1_ps)) for p in (pair.a, pair.b)]
     (cdf_a, grid_a), (cdf_b, grid_b) = [(p.intensity_cdf(), p.t_grid) for p in profiles]
     jit = cfg.jitter_sigma_ps / 1000.0
     taus = []

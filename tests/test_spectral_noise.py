@@ -149,6 +149,8 @@ def test_visibility_validation():
         visibility_vs_delay(0.9, -0.5, 100.0, 10.0)
     with pytest.raises(ValueError):
         visibility_vs_delay(0.9, 0.5, 100.0, -10.0)
+    with pytest.raises(ValueError):
+        visibility_vs_delay(0.9, 0.5, 100.0, np.array([0.0, 12.2, -10.0]))
 
 
 def test_intrinsic_visibility_cases():
@@ -166,6 +168,19 @@ def test_individual_indistinguishability_wiring():
         intrinsic_visibility(src.gamma, src.gamma_star),
         4.6 / src.total_linewidth.value, 1420.0, 525.0)
     assert individual_indistinguishability(src, 525.0) == pytest.approx(direct, rel=1e-12)
+
+
+def test_delay_law_on_an_array_equals_the_scalar_calls_bit_for_bit():
+    src = EmitterParams(162.0, gamma_star=Rate(0.17), delta_omega=Rate(4.6),
+                        tau_c_ns=1420.0)
+    delays = np.linspace(0.0, 3.0 * src.tau_c_ns, 201)
+    curve = individual_indistinguishability(src, delays)
+    assert curve.shape == delays.shape
+    scalars = [individual_indistinguishability(src, float(d)) for d in delays]
+    assert all(isinstance(v, float) for v in scalars)
+    np.testing.assert_array_equal(curve, scalars)
+    np.testing.assert_array_equal(visibility_vs_delay(0.95, 0.8, 700.0, delays),
+                                  [visibility_vs_delay(0.95, 0.8, 700.0, d) for d in delays])
 
 
 # --- Monte-Carlo bridge: OU paths feeding the overlap formula ----------------
@@ -240,6 +255,9 @@ def test_series_validation():
     with pytest.raises(ValueError):
         DelayVisibilitySeries(np.array([0.0, 1.0]), np.array([0.9, 0.8]),
                               np.array([0.01]))
+    with pytest.raises(ValueError, match="non-negative"):
+        DelayVisibilitySeries(np.array([-300.0, 12.2]), np.array([0.9, 0.8]),
+                              np.array([0.01, 0.01]))
 
 
 @pytest.mark.parametrize("which", range(3))

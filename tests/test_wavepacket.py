@@ -142,7 +142,7 @@ def test_overlap_symmetric():
 
 
 def test_overlap_identical_profiles_is_one():
-    p = emission_profile(EmitterParams(162.0))
+    p = emission_profile(EmitterParams(162.0), default_grid(162.0))
     assert classical_overlap(p, p) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -204,7 +204,7 @@ def test_profile_rejects_bad_normalization():
 
 
 def test_intensity_cdf_monotone_and_complete():
-    p = emission_profile(EmitterParams(162.0))
+    p = emission_profile(EmitterParams(162.0), default_grid(162.0))
     cdf = p.intensity_cdf()
     assert cdf[0] == 0.0
     assert cdf[-1] == 1.0
