@@ -146,7 +146,13 @@ class WavepacketProfile:
 
 
 def default_grid(*t1_ps: float) -> np.ndarray:
-    """Uniform grid of DEFAULT_SAMPLES points spanning 10 times the longest lifetime."""
+    """Uniform grid of DEFAULT_SAMPLES points spanning 10 times the longest lifetime.
+
+    Beyond 10 lifetimes a mono-exponential profile leaves e^-10 = 4.5e-5 of
+    its intensity. A beating X leaves more, and more the slower it beats:
+    for T1 = 162 ps, 8.9e-5 at 6.3 ueV, 6.0e-4 at 1.5 ueV and 2.4e-3 at
+    0.5 ueV. Profiles are renormalized on the grid, so that tail is dropped.
+    """
     if not t1_ps:
         raise ValueError("at least one lifetime required")
     return uniform_grid(DEFAULT_SPAN_LIFETIMES * max(t1_ps) / 1000.0, DEFAULT_SAMPLES)
@@ -160,8 +166,8 @@ def _check_grid(grid: np.ndarray, t1_ns: float) -> None:
     # 1e-9 slack: a span of exactly 10 lifetimes may round a few ulp short
     if span < DEFAULT_SPAN_LIFETIMES * t1_ns * (1.0 - 1e-9) or grid.size < 2000:
         warnings.warn(
-            "grid shorter than 10 lifetimes or under 2000 samples; "
-            "profile truncation error may exceed 5e-5", stacklevel=3)
+            "grid shorter than 10 lifetimes or under 2000 samples; profile "
+            "truncation error may exceed that of the default grid", stacklevel=3)
 
 
 def emission_profile(params: EmitterParams, grid: np.ndarray) -> WavepacketProfile:

@@ -675,6 +675,32 @@ def test_cli_fit_lifetime_nan_count_exits_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_cli_fit_lifetime_reversed_times_exits_2(tmp_path, capsys):
+    data = tmp_path / "trace.csv"
+    rows = [f"{10.0 * i!r},{1e4 * math.exp(-10.0 * i / 162.0)!r}" for i in range(160)]
+    data.write_text("time_ps,counts\n" + "\n".join(reversed(rows)) + "\n")
+    assert main(["fit-lifetime", str(data), "--model", "mono_exp"]) == 2
+    assert capsys.readouterr().err == "error: times must be strictly increasing\n"
+
+
+def test_cli_fit_lifetime_slow_beat_converges(tmp_path, capsys):
+    # fss 2.10 ueV, T1 197 ps: the beat period (~2 ns) is about the trace's
+    # span, so the decay shows no beat minimum to seed the splitting from
+    rng = np.random.default_rng([15, 388])
+    amp, t1, fss, t0, bg = (float(rng.uniform(lo, hi)) for lo, hi in
+                            ((8000.0, 40000.0), (120.0, 250.0), (2.0, 15.0), (20.0, 60.0), (2.0, 20.0)))
+    t = np.arange(0.0, 2000.0, 4.0)
+    dt = np.clip(t - t0, 0.0, None)
+    counts = rng.poisson(amp * np.sin(fss * dt / (2.0 * 658.2119)) ** 2 * np.exp(-dt / t1) + bg)
+    data = tmp_path / "trace.csv"
+    data.write_text("time_ps,counts\n" + "".join(f"{float(ti)!r},{ci}\n" for ti, ci in zip(t, counts)))
+    assert main(["fit-lifetime", str(data), "--model", "fss_beating",
+                 "--background", repr(bg)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"]
+    assert payload["params"]["fss_uev"] == pytest.approx(fss, abs=3.0 * payload["sigmas"]["fss_uev"])
+
+
 @pytest.mark.parametrize("mutate", [
     lambda cfg: cfg["pair"]["a"].update(t1_ps=None),
     lambda cfg: cfg["pair"]["a"].update(t1_ps=[1]),
