@@ -168,45 +168,48 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
         scaled = np.abs(g_free) / np.where(denom > 0, denom, 1.0)
         return jm, g, free, float(np.max(scaled)) <= GTOL
 
-    r = residual(p)
-    ssr = float(r @ r)
-    # near-zero initial damping: the first step is effectively Gauss-Newton,
-    # so a quadratic residual surface converges immediately; rejections
-    # escalate the damping fast enough for hostile starts
-    lam = 1e-8
-    for n_iter in range(1, MAX_ITER + 1):
-        jm, g, free, converged = judge(p, r)
-        if converged:
-            break
-        # the step is solved over the free parameters only: a full step
-        # clipped afterwards would move the free ones as if a held one could
-        # still move, and stall along the bound
-        jf = jm[:, free]
-        a = jf.T @ jf  # one operand: numpy's symmetric product, as for jm.T @ jm
-        step = np.zeros(n_par)
-        accepted = False
-        for _ in range(60):
-            try:
-                step[free] = np.linalg.solve(a + lam * np.diag(np.diag(a)), g[free])
-            except np.linalg.LinAlgError as exc:
-                raise RankDeficiencyError("singular Jacobian in normal equations") from exc
-            trial = np.clip(p + step, lo, hi)
-            r_trial = residual(trial)
-            ssr_trial = float(r_trial @ r_trial)
-            # ulp-level non-increases are accepted so the iterate can keep
-            # polishing the gradient once the cost has hit float precision
-            if ssr_trial <= ssr * (1.0 + 1e-13) and (ssr_trial < ssr or bool(np.any(trial != p))):
-                p, r, ssr = trial, r_trial, ssr_trial
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
+    # a trial step can overflow the model; its non-finite cost is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = residual(p)
+        ssr = float(r @ r)
+        # near-zero initial damping: the first step is effectively Gauss-Newton,
+        # so a quadratic residual surface converges immediately; rejections
+        # escalate the damping fast enough for hostile starts
+        lam = 1e-8
+        for n_iter in range(1, MAX_ITER + 1):
+            jm, g, free, converged = judge(p, r)
+            if converged:
                 break
-            lam = max(lam * 10.0, 1e-4)
-            if lam > 1e13:
+            # the step is solved over the free parameters only: a full step
+            # clipped afterwards would move the free ones as if a held one could
+            # still move, and stall along the bound
+            jf = jm[:, free]
+            a = jf.T @ jf  # one operand: numpy's symmetric product, as for jm.T @ jm
+            step = np.zeros(n_par)
+            accepted = False
+            for _ in range(60):
+                try:
+                    step[free] = np.linalg.solve(a + lam * np.diag(np.diag(a)), g[free])
+                except np.linalg.LinAlgError as exc:
+                    raise RankDeficiencyError("singular Jacobian in normal equations") from exc
+                trial = np.clip(p + step, lo, hi)
+                r_trial = residual(trial)
+                ssr_trial = float(r_trial @ r_trial)
+                # ulp-level non-increases are accepted so the iterate can keep
+                # polishing the gradient once the cost has hit float precision
+                if math.isfinite(ssr_trial) and ssr_trial <= ssr * (1.0 + 1e-13) \
+                        and (ssr_trial < ssr or bool(np.any(trial != p))):
+                    p, r, ssr = trial, r_trial, ssr_trial
+                    lam = max(lam / 3.0, 1e-12)
+                    accepted = True
+                    break
+                lam = max(lam * 10.0, 1e-4)
+                if lam > 1e13:
+                    break
+            if not accepted:  # stalled damping: p is the iterate just judged
                 break
-        if not accepted:  # stalled damping: p is the iterate just judged
-            break
-    else:  # MAX_ITER steps taken: judge the last one
-        jm, _, _, converged = judge(p, r)
+        else:  # MAX_ITER steps taken: judge the last one
+            jm, _, _, converged = judge(p, r)
 
     a = jm.T @ jm
     try:

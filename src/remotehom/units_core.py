@@ -128,21 +128,31 @@ def uniform_grid(t_max_ns: float, n_samples: int) -> np.ndarray:
 def read_csv_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ...]:
     """The leading columns `names` of a CSV file, one float array each.
 
-    Lines starting with `#` are comments; the first other line is the
-    header and must start with `names`; further columns are ignored. Raises
-    ValueError on an empty file, a wrong header, no data rows, a short
-    row or a cell that is not a finite number.
+    Empty lines are skipped and lines whose first non-blank character is
+    `#` are comments; the first other line is the header and must start
+    with `names`; further columns are ignored. numpy's C parser
+    (`np.loadtxt`, `"` quoting a cell) reads the data rows, so `1_000`,
+    which `float()` reads, is an error. Raises ValueError on an empty file,
+    a wrong header, no data rows, a short row or a cell that is not a
+    finite number.
     """
     path, n = Path(path), len(names)
-    with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
+    lines = [ln for ln in path.read_text().split("\n")
+             if ln and ("#" not in ln or not ln.lstrip().startswith("#"))]
+    if not lines:
         raise ValueError(f"{path}: empty file")
-    if [c.strip() for c in rows[0][:n]] != list(names):
-        raise ValueError(f"{path}: expected header '{','.join(names)}', got {rows[0]}")
-    if len(rows) == 1 or min(map(len, rows[1:])) < n:
-        raise ValueError(f"{path}: no data rows, or a row with fewer than {n} cells")
-    data = np.array([float(c) for r in rows[1:] for c in r[:n]]).reshape(-1, n)
+    header = next(csv.reader(lines[:1]))
+    if [c.strip() for c in header[:n]] != list(names):
+        raise ValueError(f"{path}: expected header '{','.join(names)}', got {header}")
+    short = f"{path}: no data rows, or a row with fewer than {n} cells"
+    if len(lines) == 1:  # before loadtxt, which warns on an empty input
+        raise ValueError(short)
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", usecols=range(n), ndmin=2, quotechar='"',
+                          comments=None)
+    except ValueError as exc:  # loadtxt reports a short row as a missing column index
+        short_row = str(exc).startswith("invalid column index")
+        raise ValueError(short if short_row else f"{path}: {exc}") from None
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: every value must be finite")
     return tuple(data.T)

@@ -1,12 +1,16 @@
 """Independent references that the tests check the package against.
 
-Neither is needed at run time: `closed_form_temporal_overlap` is the
+None is needed at run time: `closed_form_temporal_overlap` is the
 closed form that `classical_overlap` must reproduce for mono-exponential
-profiles, and `finite_difference_jacobian` the numerical derivative that
-every analytic Jacobian in `remotehom.estimation` must match.
+profiles, `finite_difference_jacobian` the numerical derivative that
+every analytic Jacobian in `remotehom.estimation` must match, and
+`csv_float_columns` the `csv` module and `float()` reading of a CSV that
+`read_csv_columns` must reproduce.
 """
 
-from typing import Callable
+import csv
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,3 +36,25 @@ def finite_difference_jacobian(fn: Callable, p: np.ndarray, x, rel_step: float =
         dn[j] -= h
         cols.append((np.asarray(fn(up, x)) - np.asarray(fn(dn, x))) / (2.0 * h))
     return np.stack(cols, axis=1)
+
+
+def csv_float_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ...]:
+    """`read_csv_columns` by the `csv` module and one `float()` per cell.
+
+    The same contract, except that `float()` also reads what numpy's parser
+    rejects (underscore literals such as `1_000`, non-ASCII digits) and that
+    a quoted first cell starting with `#` makes the line a comment.
+    """
+    path, n = Path(path), len(names)
+    with path.open(newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    if [c.strip() for c in rows[0][:n]] != list(names):
+        raise ValueError(f"{path}: expected header '{','.join(names)}', got {rows[0]}")
+    if len(rows) == 1 or min(map(len, rows[1:])) < n:
+        raise ValueError(f"{path}: no data rows, or a row with fewer than {n} cells")
+    data = np.array([float(c) for r in rows[1:] for c in r[:n]]).reshape(-1, n)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: every value must be finite")
+    return tuple(data.T)

@@ -1,9 +1,14 @@
 """Unit conversion layer: exact constants, round trips, validation."""
 
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remotehom.units_core import (
     C_NM_PER_NS,
@@ -19,6 +24,8 @@ from remotehom.units_core import (
     uniform_grid,
     write_csv_columns,
 )
+
+from reference import csv_float_columns
 
 
 def test_hbar_constant_value():
@@ -157,12 +164,93 @@ def test_read_csv_columns_skips_comments_and_extra_cells(tmp_path):
     ("a,b\n1,2\n-inf,2\n", "finite"),
     ("a,b\n1,1e999\n", "finite"),
     ("a,b\n1,two\n", "could not convert"),
+    ("a,b\n1,2\n   \n3,4\n", "could not convert"),  # a whitespace-only line is a row
+    ("a,b\n1_000,2\n", "could not convert"),  # float() reads 1000, numpy's parser does not
+    ("a,b\n1,2 # note\n", "could not convert"),  # a comment takes a whole line
+    ("a,b\nNaN,2\n", "finite"),
+    ("a,b\n1,Infinity\n", "finite"),
 ])
 def test_read_csv_columns_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "t.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         read_csv_columns(path, ("a", "b"))
+
+
+def test_read_csv_columns_reads_quoted_cells_crlf_and_mid_file_comments(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'# exported\r\n"a"," b ",note\r\n"1.5",2,"x,y"\r\n  # mid\r\n\r\n'
+                     b'3," 4e1 "\r\n')
+    a, b = read_csv_columns(path, ("a", "b"))
+    np.testing.assert_array_equal(a, [1.5, 3.0])
+    np.testing.assert_array_equal(b, [2.0, 40.0])
+
+
+def test_read_csv_columns_header_only_file_raises_without_warning(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# no data\na,b\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_csv_columns(path, ("a", "b"))
+
+
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10**20, 10**20).map(str))
+ODD_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["NaN", "-inf", "Infinity", "+1.5", ".5", "5.", "-0", "1E-3", "1_000",
+                     "0x10", "1e999", "", "two", "2#c", "1 2", "--1"]),
+    st.text(alphabet="0123456789.eE+-_ ", max_size=6),
+)
+# a cell plain, quoted or padded; a blank before an opening quote makes the
+# quote part of the cell
+FORMATS = st.sampled_from(["{}", '"{}"', "{} ", " {}", '"{}" ', "\t{}"])
+ODD_FORMATS = st.sampled_from(["{}", '"{}"', ' "{}"', '\t"{}" '])
+TAILS = st.sampled_from(["", ",x", ',"1,2"'])
+OTHER_LINES = st.sampled_from(["# comment", "  # indented, comment", "", "   ", "7", "#"])
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """CSV text under an `a,b` header: rows of two numbers, plain, quoted or
+    padded, some with a third cell; then up to two odd cells and up to two
+    comment, empty, whitespace-only or short lines; LF or CRLF."""
+    rows = [[draw(FORMATS).format(a), draw(FORMATS).format(b)]
+            for a, b in draw(st.lists(st.tuples(NUMBERS, NUMBERS), min_size=1, max_size=6))]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, 1))] = draw(ODD_FORMATS).format(draw(ODD_CELLS))
+    lines = [",".join(row) + draw(TAILS) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(OTHER_LINES))
+    header = draw(st.sampled_from(["a,b", " a , b ,c", "a,c", '"a","b"', "a,b"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([header] + lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=csv_texts())
+def test_read_csv_columns_matches_the_csv_module_and_float(text):
+    # bit-equal columns wherever the oracle reads the file, ValueError
+    # wherever it raises; only an underscore literal reads in the oracle alone
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode())
+        try:
+            expected = csv_float_columns(path, ("a", "b"))
+        except ValueError:
+            with pytest.raises(ValueError):
+                read_csv_columns(path, ("a", "b"))
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = read_csv_columns(path, ("a", "b"))
+            except ValueError as exc:
+                assert "_" in str(exc).split(":", 1)[1], exc
+                return
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in expected]
 
 
 def test_write_csv_columns_round_trips_exactly(tmp_path):
