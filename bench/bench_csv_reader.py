@@ -2,15 +2,15 @@
 
 Usage, from the root of a source checkout:
 
-    python bench/bench_csv_reader.py [--src DIR] [--calls N] [--out FILE]
+    python bench/bench_csv_reader.py [--src DIR]
 
 `--src` is the directory that holds the `remotehom` package to time
 (default: this checkout's `src/`), so that two trees can be timed by one
 script. The CSVs are written the way the benchmark's `fit_batch` workload
 writes them (the repr of each float): a 500-row lifetime trace, a 400-row
-reflectivity spectrum and a 7-row delay series. Each case runs `--calls`
-times after 20 untimed calls; the median and quartiles of the single-call
-times, in ms, go to stdout as JSON (and to `--out` if given).
+reflectivity spectrum and a 7-row delay series. Each read runs 500 times
+and the in-process `fit-lifetime` 100 times, after 20 untimed calls; the
+median and quartiles of the single-call times, in ms, go to stdout as JSON.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+READ_CALLS, FIT_CALLS = 500, 100
 
 
 def write_csv(path: Path, header: str, columns: list[np.ndarray]) -> None:
@@ -72,8 +73,6 @@ def summarize(fn, calls: int) -> dict[str, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--calls", type=int, default=500)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     from remotehom.cli_io import main as cli_main
@@ -81,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         inputs = make_inputs(Path(tmp))
-        result = {name: summarize(lambda p=path, n=names: read_csv_columns(p, n), args.calls)
+        result = {name: summarize(lambda p=path, n=names: read_csv_columns(p, n), READ_CALLS)
                   for name, (path, names) in inputs.items()}
         argv_fit = ["fit-lifetime", str(inputs["lifetime_500_rows"][0]), "--model", "mono_exp",
                     "--background", "10"]
@@ -91,13 +90,10 @@ def main(argv: list[str] | None = None) -> int:
                 if cli_main(argv_fit) != 0:
                     raise RuntimeError("fit-lifetime failed")
 
-        result["main_fit_lifetime_mono"] = summarize(fit, max(args.calls // 5, 20))
+        result["main_fit_lifetime_mono"] = summarize(fit, FIT_CALLS)
     payload = {"src": str(args.src), "python": platform.python_version(),
                "numpy": np.__version__, "read_csv_columns": result}
-    text = json.dumps(payload, indent=1)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
+    print(json.dumps(payload, indent=1))
     return 0
 
 

@@ -137,6 +137,7 @@ def read_csv_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
     finite number.
     """
     path, n = Path(path), len(names)
+    # `"#" not in ln` spares the lstrip on the many lines that cannot be comments
     lines = [ln for ln in path.read_text().split("\n")
              if ln and ("#" not in ln or not ln.lstrip().startswith("#"))]
     if not lines:
@@ -144,15 +145,16 @@ def read_csv_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
     header = next(csv.reader(lines[:1]))
     if [c.strip() for c in header[:n]] != list(names):
         raise ValueError(f"{path}: expected header '{','.join(names)}', got {header}")
-    short = f"{path}: no data rows, or a row with fewer than {n} cells"
     if len(lines) == 1:  # before loadtxt, which warns on an empty input
-        raise ValueError(short)
+        raise ValueError(f"{path}: no data rows")
     try:
         data = np.loadtxt(lines[1:], delimiter=",", usecols=range(n), ndmin=2, quotechar='"',
                           comments=None)
-    except ValueError as exc:  # loadtxt reports a short row as a missing column index
-        short_row = str(exc).startswith("invalid column index")
-        raise ValueError(short if short_row else f"{path}: {exc}") from None
+    except ValueError as exc:  # loadtxt's "at row" counts data lines, not file lines: cut it
+        msg = str(exc).split(" at row")[0]
+        if msg.startswith("invalid column index"):  # loadtxt's words for a short row
+            msg = f"a row with fewer than {n} cells"
+        raise ValueError(f"{path}: {msg}") from None
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: every value must be finite")
     return tuple(data.T)
