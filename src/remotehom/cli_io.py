@@ -132,7 +132,14 @@ class SourceCatalog:
 
 @dataclass(frozen=True)
 class RunConfig:
-    pair: SourcePair
+    """A resolved run. `pair` is built on first read: unless the config gives
+    s_classical, it samples both emission profiles, which predict-delay never reads."""
+
+    a: EmitterParams
+    b: EmitterParams
+    mean_detuning: Frequency
+    filter: Optional[FilterParams]
+    s_classical: Optional[float]
     experiment: HomExperimentConfig
     seed: int
     outputs: Path
@@ -144,6 +151,11 @@ class RunConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "outputs", Path(self.outputs))
+
+    @functools.cached_property
+    def pair(self) -> SourcePair:
+        return make_source_pair(self.a, self.b, self.mean_detuning, filt=self.filter,
+                                s_classical=self.s_classical)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +286,11 @@ def load_run_config(path: str | Path, *, seed_override: Optional[int] = None,
         filt = FilterParams(center=Wavelength(f["center_nm"]), fwhm_pm=f["fwhm_pm"])
         a, _ = apply_filter(a, filt)
         b, _ = apply_filter(b, filt)
-    pair = make_source_pair(a, b, Frequency(pair_d["mean_detuning_ns_inv"]), filt=filt,
-                            s_classical=pair_d["s_classical"])
-    cfg = RunConfig(pair=pair, experiment=experiment, seed=top["seed"],
+    s = pair_d["s_classical"]
+    if s is not None and not 0.0 <= s <= 1.0:  # SourcePair's check, which a lazy pair defers
+        raise ValueError(f"pair.s_classical must be in [0, 1], got {s}")
+    cfg = RunConfig(a=a, b=b, mean_detuning=Frequency(pair_d["mean_detuning_ns_inv"]),
+                    filter=filt, s_classical=s, experiment=experiment, seed=top["seed"],
                     outputs=top["outputs"], workers=workers)
     return cfg, config_hash(resolved)
 
@@ -388,9 +402,9 @@ def overlap_report(pair: SourcePair, cfg_hash: str) -> dict:
 def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     """Analytic predictions, both-polarization Monte Carlo, visibility
     estimate and bound check; writes all artifacts into config.outputs."""
+    pair = config.pair  # first: a pair that cannot be built leaves no output directory
     out = config.outputs
     out.mkdir(parents=True, exist_ok=True)
-    pair = config.pair
 
     bound = remote_upper_bound(pair.s_classical, 1.0, 1.0)
     report = dict(overlap_report(pair, cfg_hash), upper_bound=bound)
@@ -500,13 +514,13 @@ def _cmd_match_pairs(args: argparse.Namespace) -> int:
 def _cmd_predict_delay(args: argparse.Namespace) -> int:
     config, h = load_run_config(args.config,
                                 filter_fwhm_override=args.filter_fwhm_pm)
-    source = config.pair.a if args.source == "a" else config.pair.b
+    source = config.a if args.source == "a" else config.b
     tau = source.tau_c_ns
     delays = np.linspace(0.0, 3.0 * tau, 201)
     vis = individual_indistinguishability(source, delays)
     series = DelayVisibilitySeries(delays, vis, np.zeros_like(vis),
                                    source_label=args.source,
-                                   filtered=config.pair.filter is not None)
+                                   filtered=config.filter is not None)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "predicted_delay.csv"

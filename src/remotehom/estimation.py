@@ -433,7 +433,8 @@ def _fss_seed(t: np.ndarray, c: np.ndarray, t1_0: float) -> list[float]:
 def fit_lifetime(trace: LifetimeTrace, model: LifetimeModel) -> FitResult:
     """Fit a decay trace with a mono-exponential or beating model.
 
-    Requires at least 100 samples spanning at least three lifetimes.
+    Requires at least 100 samples spanning at least three lifetimes, and
+    at least three non-zero bins from the peak on.
     T1 is seeded from a log-linear tail regression. The beating fit
     starts from a variable-projection scan over beat frequency and T1
     (`_fss_seed`), which also yields t0, amplitude and background.
@@ -441,6 +442,9 @@ def fit_lifetime(trace: LifetimeTrace, model: LifetimeModel) -> FitResult:
     t, c = trace.time_ps, trace.counts
     if t.size < 100:
         raise ValueError(f"need >= 100 samples, got {t.size}")
+    decay_bins = np.count_nonzero(c[np.argmax(c):])
+    if decay_bins < 3:  # a lone spike holds no decay to fit
+        raise ValueError(f"need >= 3 non-zero bins from the peak on, got {decay_bins}")
     bg0 = trace.background if trace.background > 0 else float(np.percentile(c, 2))
     t1_0 = _tail_t1_estimate(t, c, bg0)
     span = float(t[-1] - t[0])

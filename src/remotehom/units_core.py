@@ -120,8 +120,8 @@ def make_rng(seed: int, *stream_key: int) -> np.random.Generator:
 
 def uniform_grid(t_max_ns: float, n_samples: int) -> np.ndarray:
     """Uniform time grid [0, t_max] in ns with `n_samples` points."""
-    if t_max_ns <= 0 or n_samples < 2:
-        raise ValueError("grid needs t_max > 0 and at least 2 samples")
+    if not (0 < t_max_ns < math.inf) or n_samples < 2:
+        raise ValueError("grid needs a finite t_max > 0 and at least 2 samples")
     return np.linspace(0.0, float(t_max_ns), int(n_samples))
 
 

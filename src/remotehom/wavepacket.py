@@ -78,6 +78,10 @@ class EmitterParams:
     def __post_init__(self) -> None:
         if not self.t1_ps > 0:
             raise ValueError(f"t1_ps must be > 0, got {self.t1_ps}")
+        if not (math.isfinite(1000.0 / self.t1_ps)
+                and math.isfinite(DEFAULT_SPAN_LIFETIMES * self.t1_ps)):
+            raise ValueError(f"t1_ps must give a finite rate 1000/t1_ps and a finite "
+                             f"{DEFAULT_SPAN_LIFETIMES:g}-lifetime span, got {self.t1_ps}")
         if not self.tau_c_ns > 0:
             raise ValueError(f"tau_c_ns must be > 0, got {self.tau_c_ns}")
         if not math.isfinite(self.theta_rad):
@@ -201,8 +205,10 @@ def classical_overlap(p: WavepacketProfile, q: WavepacketProfile) -> float:
     4*g_p*g_q/(g_p+g_q)^2 for mono-exponential profiles. Both profiles
     must be sampled on one grid, e.g. `default_grid(t1_p, t1_q)`.
     """
-    if p.t_grid.size != q.t_grid.size or not np.allclose(p.t_grid, q.t_grid,
-                                                         rtol=1e-12, atol=1e-15):
+    # one array is one grid (a profile's grid holds no NaN): skip the elementwise test
+    if p.t_grid is not q.t_grid and (
+            p.t_grid.size != q.t_grid.size
+            or not np.allclose(p.t_grid, q.t_grid, rtol=1e-12, atol=1e-15)):
         raise ValueError("profiles must share one time grid; build both on "
                          "default_grid(t1_p, t1_q)")
     s = float(np.trapezoid(p.f * q.f, p.t_grid)) ** 2

@@ -566,6 +566,69 @@ def test_cli_predict_delay(tmp_path, capsys):
     assert first_v == pytest.approx((1000 / 162) / (1000 / 162 + 0.17), rel=1e-9)
 
 
+def write_computed_s_config(tmp_path: Path, **emitter_a) -> Path:
+    """write_config's run without s_classical, so that the pair samples both profiles."""
+    cfg = json.loads(write_config(tmp_path).read_text())
+    del cfg["pair"]["s_classical"]
+    cfg["pair"]["a"].update(emitter_a)
+    path = tmp_path / "computed_s.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("fwhm", [[], ["--filter-fwhm-pm", "20"]])
+def test_cli_predict_delay_builds_no_emission_profile(tmp_path, capsys, monkeypatch, fwhm):
+    import remotehom.overlap_analytics as oa
+
+    argv = ["predict-delay", "--config", str(write_computed_s_config(tmp_path)),
+            "--source", "b", *fwhm]
+    assert main(argv + ["--out", str(tmp_path / "built")]) == 0
+    # where make_source_pair looks the builder up
+    monkeypatch.setattr(oa, "emission_profile",
+                        lambda *args: pytest.fail("predict-delay built an emission profile"))
+    assert main(argv + ["--out", str(tmp_path / "lazy")]) == 0
+    capsys.readouterr()
+    name = "predicted_delay.csv"
+    assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "built" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["overlap", "simulate"])
+def test_cli_overlap_and_simulate_build_the_pair_once(tmp_path, capsys, monkeypatch, command):
+    import remotehom.overlap_analytics as oa
+
+    calls, build = [], oa.emission_profile
+    monkeypatch.setattr(oa, "emission_profile", lambda *args: calls.append(args) or build(*args))
+    path = write_computed_s_config(tmp_path)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2  # one profile per source
+
+
+@pytest.mark.parametrize("command", ["overlap", "simulate", "predict-delay"])
+def test_cli_s_classical_out_of_range_exits_2(tmp_path, capsys, command):
+    cfg = json.loads(write_config(tmp_path).read_text())
+    cfg["pair"]["s_classical"] = 1.5
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "s_classical must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, code", [("overlap", 2), ("simulate", 2),
+                                           ("predict-delay", 0)])
+def test_cli_unbuildable_profile_fails_only_the_commands_that_read_s(tmp_path, capsys,
+                                                                     command, code):
+    # valid emitters whose beating profile underflows to zero everywhere;
+    # predict-delay reads no profile, and simulate fails before making --out
+    path = write_computed_s_config(tmp_path, t1_ps=1e-300, charge="X", fss_uev=1e300)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "positive area" in capsys.readouterr().err
+
+
 def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert main(["overlap", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from remotehom.cli_io import main
@@ -20,9 +20,15 @@ from remotehom.cli_io import main
 BAD_VALUES = [math.nan, math.inf, -math.inf, None, "x", [1], {"k": 1}, -1, 0, True]
 
 
-def _emitter() -> st.SearchStrategy:
+PHYSICAL_T1_PS = st.floats(60.0, 400.0)
+# half of the draws log-uniform over the positive finite floats (5e-324 to
+# 1.8e308), where the rate 1000/t1_ps or the 10-lifetime grid span overflows
+ANY_T1_PS = st.one_of(PHYSICAL_T1_PS, st.floats(-323.3, 308.25).map(lambda e: 10.0 ** e))
+
+
+def _emitter(t1_ps: st.SearchStrategy = PHYSICAL_T1_PS) -> st.SearchStrategy:
     return st.fixed_dictionaries({
-        "t1_ps": st.floats(60.0, 400.0),
+        "t1_ps": t1_ps,
         "gamma_star_ns_inv": st.floats(0.0, 2.0),
         "delta_omega_ns_inv": st.floats(0.0, 10.0),
         "tau_c_ns": st.floats(1.0, 5000.0),
@@ -35,24 +41,25 @@ def _emitter() -> st.SearchStrategy:
     })
 
 
-SANE_CONFIG = st.fixed_dictionaries({
-    "pair": st.fixed_dictionaries({
-        "a": _emitter(), "b": _emitter(),
-        "mean_detuning_ns_inv": st.floats(-20.0, 20.0),
-    }, optional={"s_classical": st.floats(0.0, 1.0)}),
-    "experiment": st.fixed_dictionaries({
-        "n_pulses": st.integers(2_000, 20_000),
-        "rep_period_ns": st.floats(5.0, 20.0),
-        "jitter_sigma_ps": st.floats(0.0, 100.0),
-        "g2": st.floats(0.0, 0.5),
-        "blink_on_prob": st.floats(0.5, 1.0),
-        "blink_dwell_ns": st.floats(20.0, 500.0),
-        "bin_width_ps": st.floats(20.0, 200.0),
-        "window_peaks": st.integers(1, 4),
-    }),
-    "seed": st.integers(0, 2**31),
-}, optional={"filter": st.fixed_dictionaries({"center_nm": st.just(924.847),
-                                              "fwhm_pm": st.floats(5.0, 50.0)})})
+def _sane_config(t1_ps: st.SearchStrategy) -> st.SearchStrategy:
+    return st.fixed_dictionaries({
+        "pair": st.fixed_dictionaries({
+            "a": _emitter(t1_ps), "b": _emitter(t1_ps),
+            "mean_detuning_ns_inv": st.floats(-20.0, 20.0),
+        }, optional={"s_classical": st.floats(0.0, 1.0)}),
+        "experiment": st.fixed_dictionaries({
+            "n_pulses": st.integers(2_000, 20_000),
+            "rep_period_ns": st.floats(5.0, 20.0),
+            "jitter_sigma_ps": st.floats(0.0, 100.0),
+            "g2": st.floats(0.0, 0.5),
+            "blink_on_prob": st.floats(0.5, 1.0),
+            "blink_dwell_ns": st.floats(20.0, 500.0),
+            "bin_width_ps": st.floats(20.0, 200.0),
+            "window_peaks": st.integers(1, 4),
+        }),
+        "seed": st.integers(0, 2**31),
+    }, optional={"filter": st.fixed_dictionaries({"center_nm": st.just(924.847),
+                                                  "fwhm_pm": st.floats(5.0, 50.0)})})
 
 
 def _paths(d: dict, prefix: tuple = ()) -> list[tuple]:
@@ -85,9 +92,15 @@ def _corrupt(draw, cfg: dict) -> dict:
 
 
 @st.composite
-def configs(draw) -> dict:
+def configs(draw, t1_ps: st.SearchStrategy = PHYSICAL_T1_PS) -> dict:
     """A sane config with up to two keys deleted, added or corrupted."""
-    return _corrupt(draw, draw(SANE_CONFIG))
+    return _corrupt(draw, draw(_sane_config(t1_ps)))
+
+
+def extreme_t1_config(t1_ps: float) -> dict:
+    """A minimal config whose source a has lifetime `t1_ps`."""
+    return {"pair": {"a": {"t1_ps": t1_ps}, "b": {"t1_ps": 128.0}},
+            "experiment": {"n_pulses": 20000}, "seed": 7}
 
 
 SANE_SOURCE = st.fixed_dictionaries({
@@ -141,7 +154,9 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 
 
 @PROPERTY
-@given(cfg=configs(), fwhm=FILTER_OVERRIDE)
+@given(cfg=configs(ANY_T1_PS), fwhm=FILTER_OVERRIDE)
+@example(cfg=extreme_t1_config(1e-320), fwhm=None)
+@example(cfg=extreme_t1_config(1e308), fwhm=None)
 def test_overlap_exit_code_contract(cfg, fwhm):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"
@@ -153,7 +168,9 @@ def test_overlap_exit_code_contract(cfg, fwhm):
 
 
 @PROPERTY
-@given(cfg=configs(), fwhm=FILTER_OVERRIDE, source=st.sampled_from(["a", "b"]))
+@given(cfg=configs(ANY_T1_PS), fwhm=FILTER_OVERRIDE, source=st.sampled_from(["a", "b"]))
+@example(cfg=extreme_t1_config(1e-320), fwhm=None, source="a")
+@example(cfg=extreme_t1_config(1e308), fwhm=None, source="a")
 def test_predict_delay_exit_code_contract(cfg, fwhm, source):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"

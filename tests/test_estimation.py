@@ -342,6 +342,18 @@ def test_fit_lifetime_rejects_sparse_or_short_traces():
                      LifetimeModel.MONO_EXP)
 
 
+@pytest.mark.parametrize("model", list(LifetimeModel))
+@pytest.mark.parametrize("spike", [10, 100])
+def test_fit_lifetime_rejects_a_lone_spike(model, spike):
+    # a trace that is zero but for one bin holds no decay: the mono fit ran
+    # all of its iterations (spike at 10) or met a singular Jacobian (at 100)
+    counts = np.zeros(500)
+    counts[spike] = 1e3
+    trace = LifetimeTrace(time_ps=np.arange(0.0, 2000.0, 4.0), counts=counts)
+    with pytest.raises(ValueError, match="3 non-zero bins from the peak on"):
+        fit_lifetime(trace, model)
+
+
 @pytest.mark.parametrize("field", ["time_ps", "counts", "background"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_lifetime_trace_rejects_non_finite(field, bad):

@@ -144,6 +144,9 @@ def test_uniform_grid_validation():
         uniform_grid(-1.0, 4096)
     with pytest.raises(ValueError):
         uniform_grid(1.0, 1)
+    for t_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite t_max"):
+            uniform_grid(t_max, 4096)
 
 
 def test_read_csv_columns_skips_comments_and_extra_cells(tmp_path):

@@ -171,6 +171,19 @@ def test_overlap_rejects_mismatched_grids():
         classical_overlap(p, q)
 
 
+def test_overlap_on_one_grid_array_equals_overlap_on_an_equal_copy():
+    # the shared-array shortcut skips the elementwise grid test, not the result
+    g = default_grid(162.0, 128.0)
+    p = emission_profile(beating_params(162.0, 6.3), g)
+    q = emission_profile(EmitterParams(128.0), g)
+    q_copy = WavepacketProfile(g.copy(), q.f)
+    assert p.t_grid is q.t_grid and p.t_grid is not q_copy.t_grid
+    assert classical_overlap(p, q) == classical_overlap(p, q_copy)
+    shifted = WavepacketProfile(g + 1e-3, q.f)
+    with pytest.raises(ValueError, match="default_grid"):
+        classical_overlap(p, shifted)
+
+
 def test_short_grid_raises():
     with pytest.raises(GridSpanError):
         emission_profile(EmitterParams(500.0), uniform_grid(1.0, 2048))
@@ -223,6 +236,10 @@ def test_emitter_params_validation():
         EmitterParams(t1_ps=162.0, sideband_fraction=-0.1)
     with pytest.raises(ValueError):
         EmitterParams(t1_ps=162.0, tau_c_ns=0.0)
+    # a lifetime whose rate 1000/t1_ps or 10-lifetime grid span overflows
+    for t1_ps in (1e-320, 5e-306, 1e308, math.inf):
+        with pytest.raises(ValueError, match="t1_ps must give a finite rate"):
+            EmitterParams(t1_ps=t1_ps)
     for theta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="theta_rad"):
             EmitterParams(t1_ps=162.0, theta_rad=theta)
