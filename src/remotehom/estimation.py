@@ -216,6 +216,8 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
         cov = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError("singular Jacobian at the optimum") from exc
+    if not np.all(np.isfinite(cov)):  # a numerically singular a inverts to inf or nan
+        raise RankDeficiencyError("singular Jacobian at the optimum")
     if sigma is None:
         dof = max(y.size - n_par, 1)
         cov = cov * (ssr / dof)

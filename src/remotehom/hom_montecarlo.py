@@ -22,10 +22,12 @@ per-pulse Bernoulli for the parallel central peak, where the
 wandering-correlated m changes from pulse to pulse, and binomial counts
 everywhere else. Each peak's histogram is then one multinomial draw of
 its count over its bin probabilities. A shard draws only what can change
-a result: a brightness of 1 or a sideband fraction of 0 settles every
-pulse without a draw, and sources sharing tau_c get one OU path for the
-detuning, since the difference of two independent OU paths with one
-tau_c is an OU path of std hypot(dw_a, dw_b). Unequal tau_c draw two.
+a result: a brightness of 1 settles every pulse without a draw, the phonon
+sidebands scale m by (1 - p_a)(1 - p_b) instead of a per-pulse draw that
+would enter only that pulse's acceptance, and sources sharing tau_c get
+one OU path for the detuning, since the difference of two independent OU
+paths with one tau_c is an OU path of std hypot(dw_a, dw_b). Unequal tau_c
+draw two.
 
 Determinism: the pulse train is cut into fixed-size shards, and the
 shards of all polarizations of a run share one thread pool; every random
@@ -144,11 +146,11 @@ class VisibilityEstimate:
 
 # Stream purpose codes; every use of randomness gets its own sub-stream so
 # that switching one mechanism on or off (e.g. blinking) leaves all other
-# draws untouched, enabling tightly paired comparisons at one seed.
+# draws untouched, enabling tightly paired comparisons at one seed. Retired
+# codes (6, 7, 10) stay gaps: recoding a live stream would change its draws.
 _P_BLINK_A, _P_BLINK_B = 0, 1
 _P_EMIT_A, _P_EMIT_B = 2, 3
 _P_FREQ_A, _P_FREQ_B = 4, 5
-_P_SIDEBAND_A, _P_SIDEBAND_B = 6, 7
 _P_ACCEPT, _P_TIMES, _P_G2 = 8, 9, 11
 
 
@@ -270,11 +272,8 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
         else:
             delta = (delta + ou(_P_FREQ_A, a.delta_omega.value, a.tau_c_ns)
                      - ou(_P_FREQ_B, b.delta_omega.value, b.tau_c_ns))
-        m = pair.s_classical * Gsum * gsum / (Gsum * Gsum + 4.0 * delta * delta)
-        p_sb_a, p_sb_b = a.sideband_fraction, b.sideband_fraction
-        if p_sb_a > 0.0 or p_sb_b > 0.0:
-            m = np.where(bernoulli(_P_SIDEBAND_A, p_sb_a) | bernoulli(_P_SIDEBAND_B, p_sb_b),
-                         0.0, m)
+        m = ((1.0 - a.sideband_fraction) * (1.0 - b.sideband_fraction) * pair.s_classical
+             * Gsum * gsum / (Gsum * Gsum + 4.0 * delta * delta))
         n_peak[W] = np.count_nonzero(both & (rng_accept.random(n_shard) < 0.5 * (1.0 - m)))
     else:
         n_peak[W] = rng_accept.binomial(n_pairs[W], 0.5)

@@ -38,10 +38,8 @@ __all__ = [
     "voigt",
     "mwo_voigt_averaged",
     "remote_upper_bound",
-    "indistinguishability_from_hom",
     "filtered_wandering",
     "apply_filter",
-    "calibrate_sideband_fraction",
 ]
 
 
@@ -178,20 +176,6 @@ def remote_upper_bound(s: float, m_i: float, m_j: float) -> float:
     return min(s, math.sqrt(m_i * m_j))
 
 
-def indistinguishability_from_hom(v_hom: float, g2: float) -> float:
-    """Mean wavepacket overlap from a HOM visibility and a g2(0) value.
-
-    M = (V + g2) / (1 - g2). A result above 1 signals inconsistent inputs
-    and is returned unclamped with a warning.
-    """
-    if not 0.0 <= g2 < 1.0:
-        raise ValueError(f"g2 must be in [0, 1), got {g2}")
-    m = (v_hom + g2) / (1.0 - g2)
-    if m > 1.0:
-        warnings.warn(f"inferred overlap {m} exceeds 1; inputs inconsistent", stacklevel=2)
-    return m
-
-
 def filtered_wandering(sigma: Rate, filter_hwhm: Rate) -> tuple[float, Rate]:
     """Average transmission and reweighted wandering width behind a filter.
 
@@ -241,22 +225,3 @@ def apply_filter(params: EmitterParams, filt: FilterParams) -> tuple[EmitterPara
     new_params = replace(params, delta_omega=new_sigma, sideband_fraction=0.0,
                          brightness=params.brightness * factor)
     return new_params, factor
-
-
-def calibrate_sideband_fraction(params: EmitterParams, filt: FilterParams,
-                                target_ratio: float = 0.5) -> float:
-    """Sideband fraction that makes the filter transmit `target_ratio` overall.
-
-    Solves (1 - p) * t_bar = target for p, where t_bar is the mean
-    zero-phonon-line transmission of the filter over the source's
-    wandering distribution. Raises ValueError when the target is not
-    reachable for any p in [0, 1].
-    """
-    if not 0.0 < target_ratio <= 1.0:
-        raise ValueError("target_ratio must be in (0, 1]")
-    t_bar, _ = filtered_wandering(params.delta_omega, Rate(filt.fwhm_rate.value / 2.0))
-    p = 1.0 - target_ratio / t_bar
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(
-            f"target ratio {target_ratio} unreachable: mean transmission is {t_bar:.4f}")
-    return p

@@ -125,10 +125,6 @@ class WavepacketProfile:
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"intensity must integrate to 1 +- {NORM_TOL}, got {norm}")
 
-    @property
-    def dt(self) -> float:
-        return float(self.t_grid[1] - self.t_grid[0])
-
     @classmethod
     def from_intensity(cls, t_grid: np.ndarray, intensity: np.ndarray) -> "WavepacketProfile":
         """Build a normalized profile from sampled (non-negative) intensity."""

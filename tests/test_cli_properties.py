@@ -230,17 +230,38 @@ def _fit_exit_code_contract(argv: list[str]) -> None:
         assert_strict_json(out)
 
 
+def decay_trace(seed: int, n: int, span_ps: float, t1_ps: float, amplitude: float,
+                beating: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson counts of a decay (or a 6.5 ueV beat) over a background of 5 on `n` bins."""
+    t = np.linspace(0.0, span_ps, n)
+    shape = np.sin(6.5 * t / 1316.4) ** 2 if beating else 1.0
+    return t, np.random.default_rng(seed).poisson(amplitude * shape * np.exp(-t / t1_ps) + 5.0)
+
+
+@st.composite
+def lifetime_csvs(draw) -> tuple[str, str]:
+    """(model, CSV text) of a trace over a log-uniform span of 1e-3 to 1e6 ps,
+    with T1 log-uniform over 1 % to 100 % of the span: above a third of it the
+    fit refuses the trace."""
+    model = draw(st.sampled_from(["mono_exp", "fss_beating"]))
+    seed, n = draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([400, 150, 400, 0, 5]))
+    span = 10.0 ** draw(st.floats(-3.0, 6.0))
+    t1 = span * 10.0 ** draw(st.floats(-2.0, 0.0))
+    t, counts = decay_trace(seed, n, span, t1, draw(st.floats(0.0, 3e4)), model == "fss_beating")
+    return model, draw(csv_text("time_ps,counts", [t, counts]))
+
+
+# Poisson(5) noise over 3.5 ps: a trial step once overflowed the beating model
+SHORT_NOISE_CSV = "\n".join(["time_ps,counts"] + [
+    f"{float(x)!r},{float(c)!r}" for x, c in zip(*decay_trace(111, 150, 3.5, 1.0, 0.0, True))
+]) + "\n"
+
+
 @PROPERTY
-@given(data=st.data(), n=st.sampled_from([400, 150, 400, 0, 5]),
-       model=st.sampled_from(["mono_exp", "fss_beating"]),
-       background=st.sampled_from(["10", "0", "10", "nan"]))
-def test_fit_lifetime_exit_code_contract(data, n, model, background):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    t = np.linspace(0.0, data.draw(st.floats(100.0, 3000.0)), n)
-    t1 = data.draw(st.floats(50.0, 400.0))
-    shape = np.sin(6.5 * t / 1316.4) ** 2 if model == "fss_beating" else 1.0
-    counts = rng.poisson(data.draw(st.floats(0.0, 3e4)) * shape * np.exp(-t / t1) + 5.0)
-    text = data.draw(csv_text("time_ps,counts", [t, counts]))
+@given(trace=lifetime_csvs(), background=st.sampled_from(["10", "0", "10", "nan"]))
+@example(trace=("fss_beating", SHORT_NOISE_CSV), background="0")
+def test_fit_lifetime_exit_code_contract(trace, background):
+    model, text = trace
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         path.write_text(text)

@@ -302,22 +302,22 @@ def test_lifetime_fits_of_hostile_traces_return_or_raise_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                fit_lifetime(trace, model)
+                res = fit_lifetime(trace, model)
             except (ValueError, ArithmeticError, np.linalg.LinAlgError):
-                pass
+                continue
+        assert np.all(np.isfinite(list(res.sigmas.values()))), i
 
 
 def test_fss_fit_of_a_short_noise_trace_raises_no_warning():
     # Poisson(5) noise over 3.5 ps: a trial step overflowed the beating model
-    # and warned "invalid value encountered in multiply" (inf * 0)
+    # and warned "invalid value encountered in multiply" (inf * 0); the fit
+    # then ends at t1 ~ 1e154, where inverting J^T J returns an infinite sigma
     t = np.linspace(0.0, 3.5, 150)
     counts = np.random.default_rng(111).poisson(5.0, t.size).astype(float)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
+        with pytest.raises(RankDeficiencyError):
             fit_lifetime(LifetimeTrace(time_ps=t, counts=counts), LifetimeModel.FSS_BEATING)
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError):
-            pass
 
 
 def test_fit_lifetime_noiseless_exact():

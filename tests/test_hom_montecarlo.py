@@ -113,13 +113,14 @@ def test_g2_contamination_lowers_visibility():
 
 
 def test_sideband_fraction_degrades_visibility():
-    a = EmitterParams(162.0, sideband_fraction=0.1)
-    b = EmitterParams(162.0, sideband_fraction=0.2)
-    pair = SourcePair(a=a, b=b, s_classical=1.0)
+    # a one-sided sideband scales m by its source's factor alone
     cfg = quiet_config(400_000)
-    est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=107),
-                              simulate_histogram(pair, cfg, PERP, seed=107))
-    assert abs(est.v_tpi - 0.9 * 0.8) <= 3.0 * est.sigma
+    for (p_a, p_b), expected in (((0.1, 0.2), 0.9 * 0.8), ((0.0, 0.3), 0.7)):
+        pair = SourcePair(a=EmitterParams(162.0, sideband_fraction=p_a),
+                          b=EmitterParams(162.0, sideband_fraction=p_b), s_classical=1.0)
+        est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=107),
+                                  simulate_histogram(pair, cfg, PERP, seed=107))
+        assert abs(est.v_tpi - expected) <= 3.0 * est.sigma, (p_a, p_b)
 
 
 def test_brightness_thins_the_coincidences():

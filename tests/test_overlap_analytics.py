@@ -14,9 +14,7 @@ from remotehom.overlap_analytics import (
     FilterRegimeError,
     SourcePair,
     apply_filter,
-    calibrate_sideband_fraction,
     filtered_wandering,
-    indistinguishability_from_hom,
     make_source_pair,
     mwo_no_dephasing,
     mwo_voigt_averaged,
@@ -279,26 +277,6 @@ def test_upper_bound_validates_range():
         remote_upper_bound(1.2, 0.9, 0.9)
 
 
-def test_hom_inversion_examples():
-    assert indistinguishability_from_hom(0.9, 0.0) == pytest.approx(0.9)
-    assert indistinguishability_from_hom(0.9, 0.01) == pytest.approx(0.91 / 0.99, rel=1e-12)
-    assert indistinguishability_from_hom(0.9, 0.01) == pytest.approx(0.9192, abs=1e-4)
-    assert indistinguishability_from_hom(1.0, 0.0) == pytest.approx(1.0)
-
-
-def test_hom_inversion_flags_inconsistent_inputs():
-    with pytest.warns(UserWarning):
-        m = indistinguishability_from_hom(0.99, 0.05)
-    assert m > 1.0
-
-
-def test_hom_inversion_validates_g2():
-    with pytest.raises(ValueError):
-        indistinguishability_from_hom(0.9, 1.0)
-    with pytest.raises(ValueError):
-        indistinguishability_from_hom(0.9, -0.1)
-
-
 # --- filter model -----------------------------------------------------------
 
 FILTER_8PM = FilterParams(center=Wavelength(924.8), fwhm_pm=8.0)
@@ -330,6 +308,14 @@ def test_apply_filter_removes_sideband():
     out, factor = apply_filter(src, FILTER_8PM)
     assert out.sideband_fraction == 0.0
     assert factor == pytest.approx(0.7, abs=1e-9)
+    # with wandering, the sideband loss multiplies the zero-phonon-line transmission
+    out, factor = apply_filter(
+        EmitterParams(162.0, delta_omega=Rate(4.7), sideband_fraction=0.3), FILTER_8PM)
+    t_bar, sigma = filtered_wandering(Rate(4.7), Rate(FILTER_8PM.fwhm_rate.value / 2.0))
+    assert t_bar < 1.0
+    assert out.sideband_fraction == 0.0
+    assert out.delta_omega == sigma
+    assert factor == pytest.approx(0.7 * t_bar, rel=1e-12)
 
 
 def test_apply_filter_rejects_sub_linewidth_filter():
@@ -337,23 +323,6 @@ def test_apply_filter_rejects_sub_linewidth_filter():
     # ~3.5 rad/ns, inside the homogeneous line
     with pytest.raises(FilterRegimeError):
         apply_filter(EmitterParams(162.0), FilterParams(center=Wavelength(924.8), fwhm_pm=0.5))
-
-
-def test_apply_filter_halves_brightness_when_calibrated():
-    # the documented operating point: calibrate the sideband fraction so
-    # the 8 pm filter transmits about half the total emission
-    src = EmitterParams(162.0, delta_omega=Rate(4.7), sideband_fraction=0.0)
-    p = calibrate_sideband_fraction(src, FILTER_8PM, target_ratio=0.5)
-    out, factor = apply_filter(
-        EmitterParams(162.0, delta_omega=Rate(4.7), sideband_fraction=p), FILTER_8PM)
-    assert factor == pytest.approx(0.5, abs=0.15)
-    assert factor == pytest.approx(0.5, abs=1e-6)
-
-
-def test_calibrate_sideband_unreachable_target():
-    src = EmitterParams(162.0, delta_omega=Rate(200.0), sideband_fraction=0.0)
-    with pytest.raises(ValueError):
-        calibrate_sideband_fraction(src, FILTER_8PM, target_ratio=0.99)
 
 
 def test_filtered_wandering_zero_sigma():

@@ -1,4 +1,5 @@
-"""Package structure: every name one module takes from another is public."""
+"""Package structure: every name one module takes from another is public, and
+every public name is reached by the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import remotehom
 
 MODULES = sorted(Path(remotehom.__file__).parent.glob("*.py"))
+BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def private_relative_imports(path: Path) -> list[str]:
@@ -20,3 +22,35 @@ def test_no_module_imports_a_private_name_of_another():
     assert len(MODULES) > 1
     found = {p.name: names for p in MODULES if (names := private_relative_imports(p))}
     assert found == {}
+
+
+def exported_names(path: Path) -> list[str]:
+    """The string entries of the module-level `__all__` of `path`."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name `path` reads, as a bare name, an attribute or an import: a
+    definition, an assignment or an `__all__` string is not a reference."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_exported_name_is_reached_outside_the_tests():
+    # a public name that only tests call is code no command runs
+    assert BENCHMARK, "perfbench/ not found next to tests/"
+    reached = set().union(*map(referenced_names, MODULES + BENCHMARK))
+    unreached = {p.name: names for p in MODULES
+                 if (names := [n for n in exported_names(p) if n not in reached])}
+    assert unreached == {}
