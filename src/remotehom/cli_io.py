@@ -40,7 +40,6 @@ from .overlap_analytics import (
     FilterRegimeError,
     SourcePair,
     apply_filter,
-    make_source_pair,
     mwo_no_dephasing,
     mwo_voigt_averaged,
     mwo_with_dephasing,
@@ -154,8 +153,8 @@ class RunConfig:
 
     @functools.cached_property
     def pair(self) -> SourcePair:
-        return make_source_pair(self.a, self.b, self.mean_detuning, filt=self.filter,
-                                s_classical=self.s_classical)
+        return SourcePair(a=self.a, b=self.b, mean_detuning=self.mean_detuning,
+                          s_classical=self.s_classical, filter=self.filter)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +514,10 @@ def _cmd_predict_delay(args: argparse.Namespace) -> int:
     config, h = load_run_config(args.config,
                                 filter_fwhm_override=args.filter_fwhm_pm)
     source = config.a if args.source == "a" else config.b
-    tau = source.tau_c_ns
-    delays = np.linspace(0.0, 3.0 * tau, 201)
+    span = 3.0 * source.tau_c_ns
+    if not np.isfinite(span):
+        raise ValueError(f"tau_c_ns must give a finite 3 tau_c delay span, got {source.tau_c_ns}")
+    delays = np.linspace(0.0, span, 201)
     vis = individual_indistinguishability(source, delays)
     series = DelayVisibilitySeries(delays, vis, np.zeros_like(vis),
                                    source_label=args.source,

@@ -51,8 +51,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .units_core import json_text, make_rng, write_csv_columns
-from .wavepacket import default_grid, emission_profile
-from .overlap_analytics import SourcePair, mwo_voigt_averaged
+from .overlap_analytics import SourcePair, mwo_voigt_averaged, mwo_with_dephasing
 from .spectral_noise import ou_path_uniform
 
 __all__ = [
@@ -201,8 +200,8 @@ def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig) -> tuple[np.nda
     half_span = (cfg.window_peaks + 0.5) * cfg.rep_period_ns
     n_bins = max(1, int(round(2.0 * half_span / (cfg.bin_width_ps / 1000.0))))
     edges = np.linspace(-half_span, half_span, n_bins + 1)
-    grid = default_grid(pair.a.t1_ps, pair.b.t1_ps)
-    m_a, m_b = (np.diff(emission_profile(e, grid).intensity_cdf()) for e in (pair.a, pair.b))
+    m_a, m_b = (np.diff(p.intensity_cdf()) for p in pair.profiles)
+    grid = pair.profiles[0].t_grid
     dt = float(grid[1] - grid[0])
     sig = math.sqrt(2.0) * cfg.jitter_sigma_ps / 1000.0
     lag0 = m_a.size - 1 + int(math.ceil(8.0 * sig / dt))  # lags -lag0 .. lag0, in units of dt
@@ -212,11 +211,9 @@ def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig) -> tuple[np.nda
     dens = np.roll(np.fft.irfft(spec, n_fft), lag0)[:2 * lag0 + 1]
     cdf_x = dt * (np.arange(dens.size + 1) - lag0 - 0.5)
     cdf = np.concatenate([[0.0], np.cumsum(dens)])
-    probs = []
-    for k in range(-cfg.window_peaks, cfg.window_peaks + 1):
-        p = np.clip(np.diff(np.interp(edges - k * cfg.rep_period_ns, cdf_x, cdf)), 0.0, None)
-        probs.append(np.append(p, max(0.0, 1.0 - p.sum())))
-    return edges, np.array(probs)
+    ks = np.arange(-cfg.window_peaks, cfg.window_peaks + 1)
+    p = np.clip(np.diff(np.interp(edges - ks[:, None] * cfg.rep_period_ns, cdf_x, cdf)), 0.0, None)
+    return edges, np.column_stack([p, np.maximum(1.0 - p.sum(axis=1), 0.0)])
 
 
 def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,
@@ -262,8 +259,6 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
         # the overlap m varies pulse to pulse with the correlated wandering,
         # so acceptance stays a per-pulse Bernoulli here
         a, b = pair.a, pair.b
-        gsum = a.gamma.value + b.gamma.value
-        Gsum = a.total_linewidth.value + b.total_linewidth.value
         delta = pair.mean_detuning.value
         if a.tau_c_ns == b.tau_c_ns:
             # two independent AR(1) paths with one lambda differ by one AR(1)
@@ -272,8 +267,9 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
         else:
             delta = (delta + ou(_P_FREQ_A, a.delta_omega.value, a.tau_c_ns)
                      - ou(_P_FREQ_B, b.delta_omega.value, b.tau_c_ns))
-        m = ((1.0 - a.sideband_fraction) * (1.0 - b.sideband_fraction) * pair.s_classical
-             * Gsum * gsum / (Gsum * Gsum + 4.0 * delta * delta))
+        with np.errstate(over="ignore"):  # a detuning whose square overflows has m = 0
+            m = (1.0 - a.sideband_fraction) * (1.0 - b.sideband_fraction) \
+                * mwo_with_dephasing(pair, delta)
         n_peak[W] = np.count_nonzero(both & (rng_accept.random(n_shard) < 0.5 * (1.0 - m)))
     else:
         n_peak[W] = rng_accept.binomial(n_pairs[W], 0.5)

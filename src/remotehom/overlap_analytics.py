@@ -20,13 +20,15 @@ apply that bridge factor.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .units_core import Frequency, Rate, Wavelength, fwhm_pm_to_angular_rate
-from .wavepacket import EmitterParams, classical_overlap, default_grid, emission_profile
+from .wavepacket import (EmitterParams, WavepacketProfile, classical_overlap, default_grid,
+                         emission_profile)
 
 __all__ = [
     "FilterParams",
@@ -70,21 +72,31 @@ class SourcePair:
 
     `mean_detuning` is the mean difference of the two center frequencies
     (rad/ns) and `s_classical` the classical temporal overlap of the two
-    emission profiles. `filter` records the matched spectral filter both
-    sources sit behind; it changes nothing by itself. The emitters of a
-    filtered pair are those returned by :func:`apply_filter`, which
+    `profiles`, computed unless given. `filter` records the matched spectral
+    filter both sources sit behind; it changes nothing by itself. The emitters
+    of a filtered pair are those returned by :func:`apply_filter`, which
     removes the sideband and reweights the wandering.
     """
 
     a: EmitterParams
     b: EmitterParams
     mean_detuning: Frequency = Frequency(0.0)
-    s_classical: float = 1.0
+    s_classical: Optional[float] = None
     filter: Optional[FilterParams] = None
 
     def __post_init__(self) -> None:
+        if self.s_classical is None:
+            object.__setattr__(self, "s_classical", classical_overlap(*self.profiles))
         if not 0.0 <= self.s_classical <= 1.0:
             raise ValueError(f"s_classical must be in [0, 1], got {self.s_classical}")
+
+    @functools.cached_property
+    def profiles(self) -> tuple[WavepacketProfile, WavepacketProfile]:
+        """The emission profiles of a and b, built on first read."""
+        # one grid for both profiles, spanning the slower emitter: separate
+        # grids would zero-fill the faster profile's tail and bias s low
+        grid = default_grid(self.a.t1_ps, self.b.t1_ps)
+        return emission_profile(self.a, grid), emission_profile(self.b, grid)
 
     @property
     def combined_wandering(self) -> Rate:
@@ -97,14 +109,7 @@ def make_source_pair(a: EmitterParams, b: EmitterParams,
                      filt: Optional[FilterParams] = None,
                      s_classical: Optional[float] = None) -> SourcePair:
     """Build a pair, computing s from the emission profiles unless given."""
-    if s_classical is None:
-        # one grid for both profiles, spanning the slower emitter: separate
-        # grids would zero-fill the faster profile's tail and bias s low
-        grid = default_grid(a.t1_ps, b.t1_ps)
-        s_classical = classical_overlap(emission_profile(a, grid),
-                                        emission_profile(b, grid))
-    return SourcePair(a=a, b=b, mean_detuning=mean_detuning,
-                      s_classical=s_classical, filter=filt)
+    return SourcePair(a=a, b=b, mean_detuning=mean_detuning, s_classical=s_classical, filter=filt)
 
 
 def mwo_no_dephasing(gamma_i: Rate, gamma_j: Rate, delta: Frequency) -> float:
@@ -119,18 +124,19 @@ def mwo_no_dephasing(gamma_i: Rate, gamma_j: Rate, delta: Frequency) -> float:
     return 4.0 * gi * gj / ((gi + gj) ** 2 + delta.value ** 2)
 
 
-def mwo_with_dephasing(pair: SourcePair) -> float:
-    """Dephasing-broadened overlap at the pair's mean detuning.
+def mwo_with_dephasing(pair: SourcePair, detuning: Optional[float] = None) -> float:
+    """Dephasing-broadened overlap at `detuning` (rad/ns), by default the
+    pair's mean detuning; an array of detunings gives one overlap each.
 
-    M = s * (G_i + G_j)(g_i + g_j) / [ (G_i + G_j)^2 + 4 dbar^2 ]
+    M = s * (G_i + G_j)(g_i + g_j) / [ (G_i + G_j)^2 + 4 delta^2 ]
     with G = g + g* the total homogeneous linewidth of each source.
     """
     gi, gj = pair.a.gamma.value, pair.b.gamma.value
     Gi, Gj = pair.a.total_linewidth.value, pair.b.total_linewidth.value
     if Gi <= 0 or Gj <= 0:
         raise ValueError("total linewidths must be > 0")
-    dbar = pair.mean_detuning.value
-    return pair.s_classical * (Gi + Gj) * (gi + gj) / ((Gi + Gj) ** 2 + 4.0 * dbar ** 2)
+    d = pair.mean_detuning.value if detuning is None else detuning
+    return pair.s_classical * (Gi + Gj) * (gi + gj) / ((Gi + Gj) ** 2 + 4.0 * d ** 2)
 
 
 def voigt(x: float, lorentz_hwhm: Rate, gauss_sigma: Rate) -> float:

@@ -84,6 +84,11 @@ class EmitterParams:
                              f"{DEFAULT_SPAN_LIFETIMES:g}-lifetime span, got {self.t1_ps}")
         if not self.tau_c_ns > 0:
             raise ValueError(f"tau_c_ns must be > 0, got {self.tau_c_ns}")
+        # the simulator's detuning path reaches about 6 combined widths, and the
+        # combined width of a pair is up to sqrt(2) widths of one source
+        if not math.isfinite(16.0 * self.delta_omega.value):
+            raise ValueError("delta_omega must give a finite 16-width detuning span, "
+                             f"got {self.delta_omega.value}")
         if not math.isfinite(self.theta_rad):
             raise ValueError(f"theta_rad must be finite, got {self.theta_rad}")
         for name in ("brightness", "sideband_fraction"):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from remotehom.units_core import Rate, Wavelength
-from remotehom.wavepacket import Charge
+from remotehom.wavepacket import Charge, WavepacketProfile
 from remotehom.overlap_analytics import mwo_voigt_averaged
 from remotehom.hom_montecarlo import analytic_prediction
 from remotehom.cli_io import (
@@ -576,32 +576,44 @@ def write_computed_s_config(tmp_path: Path, **emitter_a) -> Path:
     return path
 
 
+def count_profile_builds(monkeypatch) -> list:
+    """The arguments of every WavepacketProfile.from_intensity call from now on."""
+    calls, build = [], WavepacketProfile.from_intensity
+    monkeypatch.setattr(WavepacketProfile, "from_intensity",
+                        staticmethod(lambda *args: calls.append(args) or build(*args)))
+    return calls
+
+
 @pytest.mark.parametrize("fwhm", [[], ["--filter-fwhm-pm", "20"]])
 def test_cli_predict_delay_builds_no_emission_profile(tmp_path, capsys, monkeypatch, fwhm):
-    import remotehom.overlap_analytics as oa
-
     argv = ["predict-delay", "--config", str(write_computed_s_config(tmp_path)),
             "--source", "b", *fwhm]
     assert main(argv + ["--out", str(tmp_path / "built")]) == 0
-    # where make_source_pair looks the builder up
-    monkeypatch.setattr(oa, "emission_profile",
-                        lambda *args: pytest.fail("predict-delay built an emission profile"))
+    calls = count_profile_builds(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "lazy")]) == 0
     capsys.readouterr()
+    assert calls == []
     name = "predicted_delay.csv"
     assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "built" / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["overlap", "simulate"])
 def test_cli_overlap_and_simulate_build_the_pair_once(tmp_path, capsys, monkeypatch, command):
-    import remotehom.overlap_analytics as oa
-
-    calls, build = [], oa.emission_profile
-    monkeypatch.setattr(oa, "emission_profile", lambda *args: calls.append(args) or build(*args))
+    calls = count_profile_builds(monkeypatch)
     path = write_computed_s_config(tmp_path)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    assert len(calls) == 2  # one profile per source
+    assert len(calls) == 2  # one profile per source, for s and the delay shape alike
+
+
+@pytest.mark.parametrize("command, builds", [("overlap", 0), ("simulate", 2)])
+def test_cli_given_s_builds_profiles_only_for_the_delay_shape(tmp_path, capsys, monkeypatch,
+                                                              command, builds):
+    calls = count_profile_builds(monkeypatch)
+    path = write_config(tmp_path)  # gives s_classical
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize("command", ["overlap", "simulate", "predict-delay"])
@@ -627,6 +639,36 @@ def test_cli_unbuildable_profile_fails_only_the_commands_that_read_s(tmp_path, c
     assert out.exists() == (code == 0)
     if code:
         assert "positive area" in capsys.readouterr().err
+
+
+def test_cli_huge_wandering_simulates_to_zero_overlap_and_an_overflowing_one_exits_2(
+        tmp_path, capsys):
+    # the suite turns RuntimeWarnings into errors: neither run may warn
+    cfg = json.loads(write_config(tmp_path).read_text())
+    cfg["pair"]["a"]["delta_omega_ns_inv"] = 1e200  # 4 delta^2 overflows: m = 0
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "wide")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert abs(summary["v_tpi"]) < 5.0 * summary["sigma"]
+    cfg["pair"]["a"]["delta_omega_ns_inv"] = 1e308  # the detuning path itself overflows
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "wider"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert "delta_omega must give a finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau_c_ns, code", [(1e307, 0), (1e308, 2)])
+def test_cli_predict_delay_rejects_an_overflowing_delay_span(tmp_path, capsys, tau_c_ns, code):
+    cfg = json.loads(write_config(tmp_path).read_text())
+    cfg["pair"]["a"]["tau_c_ns"] = tau_c_ns
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["predict-delay", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else
+                   f"error: tau_c_ns must give a finite 3 tau_c delay span, got {tau_c_ns}\n")
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):

@@ -20,31 +20,41 @@ from remotehom.cli_io import main
 BAD_VALUES = [math.nan, math.inf, -math.inf, None, "x", [1], {"k": 1}, -1, 0, True]
 
 
-PHYSICAL_T1_PS = st.floats(60.0, 400.0)
-# half of the draws log-uniform over the positive finite floats (5e-324 to
-# 1.8e308), where the rate 1000/t1_ps or the 10-lifetime grid span overflows
-ANY_T1_PS = st.one_of(PHYSICAL_T1_PS, st.floats(-323.3, 308.25).map(lambda e: 10.0 ** e))
+def _or_any_positive(physical: st.SearchStrategy) -> st.SearchStrategy:
+    """Half of the draws from `physical`, half log-uniform over the positive
+    finite floats (5e-324 to 1.8e308)."""
+    return st.one_of(physical, st.floats(-323.3, 308.25).map(lambda e: 10.0 ** e))
 
 
-def _emitter(t1_ps: st.SearchStrategy = PHYSICAL_T1_PS) -> st.SearchStrategy:
+PHYSICAL = {"t1_ps": st.floats(60.0, 400.0), "gamma_star_ns_inv": st.floats(0.0, 2.0),
+            "delta_omega_ns_inv": st.floats(0.0, 10.0), "tau_c_ns": st.floats(1.0, 5000.0)}
+# where the rate 1000/t1_ps or the 10-lifetime grid span overflows
+ANY_T1_PS = {"t1_ps": _or_any_positive(PHYSICAL["t1_ps"])}
+# where predict-delay's 3 tau_c delay span overflows
+ANY_TAU_C_NS = {"tau_c_ns": _or_any_positive(PHYSICAL["tau_c_ns"])}
+# where the squared detuning of the parallel shards overflows (m = 0) and,
+# beyond 1e307, the detuning path itself
+ANY_DELTA_OMEGA = {"delta_omega_ns_inv": _or_any_positive(PHYSICAL["delta_omega_ns_inv"])}
+
+
+def _emitter(**keys: st.SearchStrategy) -> st.SearchStrategy:
+    """An emitter dict: the PHYSICAL strategies, except where `keys` override them."""
     return st.fixed_dictionaries({
-        "t1_ps": t1_ps,
-        "gamma_star_ns_inv": st.floats(0.0, 2.0),
-        "delta_omega_ns_inv": st.floats(0.0, 10.0),
-        "tau_c_ns": st.floats(1.0, 5000.0),
+        **PHYSICAL,
         "wavelength_nm": st.just(924.847),
         "fss_uev": st.floats(0.0, 10.0),
         "theta_rad": st.floats(-3.2, 3.2),
         "charge": st.sampled_from(["X", "CX"]),
         "brightness": st.floats(0.2, 1.0),
         "sideband_fraction": st.floats(0.0, 0.5),
+        **keys,
     })
 
 
-def _sane_config(t1_ps: st.SearchStrategy) -> st.SearchStrategy:
+def _sane_config(**keys: st.SearchStrategy) -> st.SearchStrategy:
     return st.fixed_dictionaries({
         "pair": st.fixed_dictionaries({
-            "a": _emitter(t1_ps), "b": _emitter(t1_ps),
+            "a": _emitter(**keys), "b": _emitter(**keys),
             "mean_detuning_ns_inv": st.floats(-20.0, 20.0),
         }, optional={"s_classical": st.floats(0.0, 1.0)}),
         "experiment": st.fixed_dictionaries({
@@ -92,14 +102,15 @@ def _corrupt(draw, cfg: dict) -> dict:
 
 
 @st.composite
-def configs(draw, t1_ps: st.SearchStrategy = PHYSICAL_T1_PS) -> dict:
-    """A sane config with up to two keys deleted, added or corrupted."""
-    return _corrupt(draw, draw(_sane_config(t1_ps)))
+def configs(draw, **keys: st.SearchStrategy) -> dict:
+    """A sane config, with the emitter strategies `keys` in place of PHYSICAL's,
+    and up to two keys deleted, added or corrupted."""
+    return _corrupt(draw, draw(_sane_config(**keys)))
 
 
-def extreme_t1_config(t1_ps: float) -> dict:
-    """A minimal config whose source a has lifetime `t1_ps`."""
-    return {"pair": {"a": {"t1_ps": t1_ps}, "b": {"t1_ps": 128.0}},
+def extreme_config(**a) -> dict:
+    """A minimal config whose source a (T1 162 ps unless given) has the keys `a`."""
+    return {"pair": {"a": {"t1_ps": 162.0, **a}, "b": {"t1_ps": 128.0}},
             "experiment": {"n_pulses": 20000}, "seed": 7}
 
 
@@ -154,9 +165,9 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 
 
 @PROPERTY
-@given(cfg=configs(ANY_T1_PS), fwhm=FILTER_OVERRIDE)
-@example(cfg=extreme_t1_config(1e-320), fwhm=None)
-@example(cfg=extreme_t1_config(1e308), fwhm=None)
+@given(cfg=configs(**ANY_T1_PS), fwhm=FILTER_OVERRIDE)
+@example(cfg=extreme_config(t1_ps=1e-320), fwhm=None)
+@example(cfg=extreme_config(t1_ps=1e308), fwhm=None)
 def test_overlap_exit_code_contract(cfg, fwhm):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"
@@ -168,9 +179,11 @@ def test_overlap_exit_code_contract(cfg, fwhm):
 
 
 @PROPERTY
-@given(cfg=configs(ANY_T1_PS), fwhm=FILTER_OVERRIDE, source=st.sampled_from(["a", "b"]))
-@example(cfg=extreme_t1_config(1e-320), fwhm=None, source="a")
-@example(cfg=extreme_t1_config(1e308), fwhm=None, source="a")
+@given(cfg=configs(**ANY_T1_PS, **ANY_TAU_C_NS), fwhm=FILTER_OVERRIDE,
+       source=st.sampled_from(["a", "b"]))
+@example(cfg=extreme_config(t1_ps=1e-320), fwhm=None, source="a")
+@example(cfg=extreme_config(t1_ps=1e308), fwhm=None, source="a")
+@example(cfg=extreme_config(tau_c_ns=1e308), fwhm=None, source="a")
 def test_predict_delay_exit_code_contract(cfg, fwhm, source):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"
@@ -180,7 +193,8 @@ def test_predict_delay_exit_code_contract(cfg, fwhm, source):
 
 
 @PROPERTY
-@given(cfg=configs(), fwhm=FILTER_OVERRIDE)
+@given(cfg=configs(**ANY_DELTA_OMEGA), fwhm=FILTER_OVERRIDE)
+@example(cfg=extreme_config(delta_omega_ns_inv=1e200), fwhm=None)
 def test_simulate_exit_code_contract(cfg, fwhm):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"

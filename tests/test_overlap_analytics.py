@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from remotehom.units_core import EnergySplitting, Frequency, Rate, Wavelength
-from remotehom.wavepacket import Charge, EmitterParams
+from remotehom.wavepacket import Charge, EmitterParams, classical_overlap
 from remotehom.overlap_analytics import (
     FilterParams,
     FilterRegimeError,
@@ -115,6 +115,16 @@ def test_dephasing_bounded_by_classical_overlap():
                       s=rng.uniform(0.1, 1.0),
                       t1=tuple(rng.uniform(80.0, 400.0, size=2)))
         assert mwo_with_dephasing(p) <= p.s_classical + 1e-15
+
+
+def test_dephasing_at_an_array_of_detunings_is_elementwise():
+    p = pair_with(gamma_star=(0.17, 0.03), detuning=1.5, s=0.97)
+    deltas = np.random.default_rng(34).normal(1.5, 4.0, 50)
+    m = mwo_with_dephasing(p, deltas)
+    assert m.shape == deltas.shape
+    for d, m_d in zip(deltas, m):
+        assert m_d == pytest.approx(mwo_with_dephasing(p, float(d)), rel=1e-15)
+    assert mwo_with_dephasing(p, None) == mwo_with_dephasing(p, 1.5) == mwo_with_dephasing(p)
 
 
 def test_dephasing_equality_only_when_pure_and_resonant():
@@ -402,6 +412,17 @@ def test_make_source_pair_computes_s_from_profiles():
 def test_make_source_pair_explicit_s_wins():
     p = make_source_pair(EmitterParams(240.0), EmitterParams(212.0), s_classical=0.9)
     assert p.s_classical == 0.9
+
+
+def test_source_pair_profiles_share_one_grid_and_give_s():
+    a, b = EmitterParams(162.0), EmitterParams(240.0)
+    p = SourcePair(a=a, b=b)
+    prof_a, prof_b = p.profiles
+    assert prof_a.t_grid is prof_b.t_grid
+    assert prof_a.t_grid[-1] == pytest.approx(2.4)  # 10 lifetimes of the slower source
+    assert p.profiles is p.profiles  # built once
+    assert p.s_classical == classical_overlap(prof_a, prof_b)
+    assert SourcePair(a=a, b=b, s_classical=0.5).s_classical == 0.5
 
 
 def test_source_pair_combined_wandering():

@@ -240,6 +240,10 @@ def test_emitter_params_validation():
     for t1_ps in (1e-320, 5e-306, 1e308, math.inf):
         with pytest.raises(ValueError, match="t1_ps must give a finite rate"):
             EmitterParams(t1_ps=t1_ps)
+    # a wandering width whose 16-width detuning span overflows
+    with pytest.raises(ValueError, match="delta_omega must give a finite 16-width"):
+        EmitterParams(t1_ps=162.0, delta_omega=Rate(1.2e307))
+    assert EmitterParams(t1_ps=162.0, delta_omega=Rate(1e307)).delta_omega.value == 1e307
     for theta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="theta_rad"):
             EmitterParams(t1_ps=162.0, theta_rad=theta)
