@@ -413,8 +413,8 @@ def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     h_par, h_perp = simulate_histograms(pair, config.experiment,
                                         (Polarization.PARALLEL, Polarization.PERPENDICULAR),
                                         config.seed, workers=config.workers)
-    write_histogram_csv(h_par, out / "histogram_par.csv", config_hash=cfg_hash)
-    write_histogram_csv(h_perp, out / "histogram_perp.csv", config_hash=cfg_hash)
+    write_histogram_csv((h_par, h_perp), (out / "histogram_par.csv", out / "histogram_perp.csv"),
+                        config_hash=cfg_hash)
 
     est = estimate_visibility(h_par, h_perp, config.experiment.rep_period_ns)
     write_visibility_json(est, out / "visibility.json", config_hash=cfg_hash,

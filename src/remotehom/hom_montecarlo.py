@@ -17,12 +17,17 @@ A histogram is shape x counts. The detection-time difference of one
 coincidence does not depend on which pulse produced it, so each peak's
 bin probabilities are computed once per run (the cross-correlation of
 the two emission profiles, smoothed by the detector jitter, shifted by
-the peak's offset). A shard counts the coincidences of each peak: a
+the peak's offset) and stored as a band: the bins that hold the peak's
+support, every other bin having probability exactly 0, so memory grows
+linearly in the number of peaks. The shape is the thread pool's first
+job. A shard meanwhile counts the coincidences of each peak: a
 per-pulse Bernoulli for the parallel central peak, where the
 wandering-correlated m changes from pulse to pulse, and binomial counts
 everywhere else. Each peak's histogram is then one multinomial draw of
-its count over its bin probabilities. A shard draws only what can change
-a result: a brightness of 1 settles every pulse without a draw, the phonon
+its count over its band, which draws what a draw over the whole row
+would, since a bin of probability 0 takes no draw; the shard waits for
+the shape only there. A shard draws only what can change a result: a
+brightness of 1 settles every pulse without a draw, the phonon
 sidebands scale m by (1 - p_a)(1 - p_b) instead of a per-pulse draw that
 would enter only that pulse's acceptance, and sources sharing tau_c get
 one OU path for the detuning, since the difference of two independent OU
@@ -42,7 +47,7 @@ against correlation times of microseconds or less).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -185,17 +190,21 @@ def _blink_chain(rng: np.random.Generator, n: int, p_on: float,
     return np.concatenate(pieces)[:n]
 
 
-def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram bin edges and the bin probabilities of t_b - t_a + k*T for
-    each peak offset k in [-W, W].
+def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Histogram bin edges and, for each peak offset k in [-W, W], the band of
+    bins that holds the support of t_b - t_a + k*T: its first bin and the bin
+    probabilities over it.
 
-    Row k + W holds one probability per bin plus a last overflow cell for
-    the mass outside the window. Arrival times are piecewise uniform within
-    the profile grid cells (the inverse of the piecewise-linear CDF), so the
-    difference density is the cross-correlation of the two profiles' cell
-    masses on the pair's shared grid, smoothed by the two detectors'
-    Gaussian jitter (combined width sigma * sqrt(2)), applied as its
-    transfer function exp(-2 (pi sigma f)^2).
+    Row k + W of the probabilities holds one value per band bin plus a last
+    overflow cell for the mass outside the band; every bin outside the band
+    has probability exactly 0, so the band is the whole row of a dense
+    (2W + 1) x n_bins table, in O(W * band) memory. Arrival times are
+    piecewise uniform within the profile grid cells (the inverse of the
+    piecewise-linear CDF), so the difference density is the cross-correlation
+    of the two profiles' cell masses on the pair's shared grid, smoothed by
+    the two detectors' Gaussian jitter (combined width sigma * sqrt(2)),
+    applied as its transfer function exp(-2 (pi sigma f)^2).
     """
     half_span = (cfg.window_peaks + 0.5) * cfg.rep_period_ns
     n_bins = max(1, int(round(2.0 * half_span / (cfg.bin_width_ps / 1000.0))))
@@ -211,13 +220,22 @@ def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig) -> tuple[np.nda
     dens = np.roll(np.fft.irfft(spec, n_fft), lag0)[:2 * lag0 + 1]
     cdf_x = dt * (np.arange(dens.size + 1) - lag0 - 0.5)
     cdf = np.concatenate([[0.0], np.cumsum(dens)])
-    ks = np.arange(-cfg.window_peaks, cfg.window_peaks + 1)
-    p = np.clip(np.diff(np.interp(edges - ks[:, None] * cfg.rep_period_ns, cdf_x, cdf)), 0.0, None)
-    return edges, np.column_stack([p, np.maximum(1.0 - p.sum(axis=1), 0.0)])
+    shifts = np.arange(-cfg.window_peaks, cfg.window_peaks + 1) * cfg.rep_period_ns
+    # a bin with both edges on one side of [cdf_x[0], cdf_x[-1]] reads one constant
+    # CDF value twice, so its probability is exactly 0; the spare bins on each side
+    # absorb the rounding of edges - shift
+    first = np.searchsorted(edges, cdf_x[0] + shifts) - 2
+    width = min(int(np.max(np.searchsorted(edges, cdf_x[-1] + shifts) + 1 - first)), n_bins)
+    starts = np.clip(first, 0, n_bins - width)
+    p = np.clip(np.diff(np.interp(edges[starts[:, None] + np.arange(width + 1)] - shifts[:, None],
+                                  cdf_x, cdf)), 0.0, None)
+    return edges, starts, np.column_stack([p, np.maximum(1.0 - p.sum(axis=1), 0.0)])
 
 
 def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,
-                    seed: int, shard: int, n_shard: int, probs: np.ndarray) -> np.ndarray:
+                    seed: int, shard: int, n_shard: int, shape: Future) -> np.ndarray:
+    """Coincidence counts of one shard over each peak's band of the delay shape
+    `shape` (a future of `_delay_bin_probs`), read only for the time draws."""
     key = (0 if pol is Polarization.PARALLEL else 1, shard)
     T = cfg.rep_period_ns
     W = cfg.window_peaks
@@ -282,9 +300,9 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
     if cfg.g2 > 0.0:
         n_peak += make_rng(seed, *key, _P_G2).binomial(n_pairs, 0.5 * cfg.g2)
 
-    rng_times = make_rng(seed, *key, _P_TIMES)
-    counts = sum(rng_times.multinomial(n_k, p_k) for n_k, p_k in zip(n_peak, probs))
-    return counts[:-1]
+    # a binomial with p = 0 draws nothing, so drawing over a band leaves this
+    # stream where the dense row would
+    return make_rng(seed, *key, _P_TIMES).multinomial(n_peak, shape.result()[2])[:, :-1]
 
 
 def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
@@ -292,25 +310,34 @@ def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
                         workers: int = 1) -> list[CoincidenceHistogram]:
     """One coincidence histogram per polarization in `pols`; the shards of all
     of them share one pool of `workers` threads (ValueError below 1), queued in
-    the order of `pols`.
+    the order of `pols`, behind the delay shape, so each shard counts its
+    coincidences while the shape is built and waits for it only at its time draws.
     Deterministic per (pair, cfg, pol, seed): `workers` never changes a result."""
-    edges, probs = _delay_bin_probs(pair, cfg)
-    centers = 0.5 * (edges[:-1] + edges[1:])
     n_shards = (cfg.n_pulses + SHARD_SIZE - 1) // SHARD_SIZE
     jobs = [(k, shard) for k in range(len(pols)) for shard in range(n_shards)]
-
-    def run(job: tuple[int, int]) -> np.ndarray:
-        k, shard = job
-        n_shard = min(SHARD_SIZE, cfg.n_pulses - shard * SHARD_SIZE)
-        return _simulate_shard(pair, cfg, pols[k], seed, shard, n_shard, probs)
-
-    totals = np.zeros((len(pols), centers.size), dtype=np.int64)
+    bands: list = [0] * len(pols)  # per polarization, its shards' band counts summed
     with ThreadPoolExecutor(max_workers=workers) as pool:  # threads start on submit
+        # first in the FIFO queue, so a pool thread takes it before any shard waits on it
+        shape = pool.submit(_delay_bin_probs, pair, cfg)
+
+        def run(job: tuple[int, int]) -> np.ndarray:
+            k, shard = job
+            n_shard = min(SHARD_SIZE, cfg.n_pulses - shard * SHARD_SIZE)
+            return _simulate_shard(pair, cfg, pols[k], seed, shard, n_shard, shape)
+
         # one shard per polarization: two short shards in threads only contend for the GIL
         results = pool.map(run, jobs) if workers > 1 and n_shards > 1 else map(run, jobs)
         for (k, _), counts in zip(jobs, results):
-            totals[k] += counts
-    return [CoincidenceHistogram(centers, total, pol) for total, pol in zip(totals, pols)]
+            bands[k] += counts
+    edges, starts, probs = shape.result()
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    columns = starts[:, None] + np.arange(probs.shape[1] - 1)
+    hists = []
+    for band, pol in zip(bands, pols):
+        total = np.zeros(centers.size, dtype=np.int64)
+        np.add.at(total, columns, band)  # adjacent peaks' bands may overlap
+        hists.append(CoincidenceHistogram(centers, total, pol))
+    return hists
 
 
 def simulate_histogram(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,
@@ -328,8 +355,10 @@ def estimate_visibility(h_par: CoincidenceHistogram, h_perp: CoincidenceHistogra
     areas. Raises ValueError when the histograms are binned differently
     and ZeroDivisionError when the perpendicular central peak is empty.
     """
-    if h_par.bin_centers.shape != h_perp.bin_centers.shape or \
-            not np.allclose(h_par.bin_centers, h_perp.bin_centers, rtol=1e-12, atol=1e-12):
+    # one array is one binning (a histogram's centers hold no NaN): skip the elementwise test
+    if h_par.bin_centers is not h_perp.bin_centers and (
+            h_par.bin_centers.shape != h_perp.bin_centers.shape
+            or not np.allclose(h_par.bin_centers, h_perp.bin_centers, rtol=1e-12, atol=1e-12)):
         raise ValueError("histograms must share identical binning")
     window = np.abs(h_par.bin_centers) < rep_period_ns / 2.0
     a_par = float(np.sum(h_par.counts[window]))
@@ -355,11 +384,21 @@ def analytic_prediction(pair: SourcePair) -> float:
             * mwo_voigt_averaged(pair))
 
 
-def write_histogram_csv(h: CoincidenceHistogram, path: str | Path,
+def write_histogram_csv(h: CoincidenceHistogram | Sequence[CoincidenceHistogram],
+                        path: str | Path | Sequence[str | Path],
                         config_hash: Optional[str] = None) -> None:
-    """Write `bin_center_ns, counts` rows, tagged with the producing config."""
-    write_csv_columns(path, ("bin_center_ns", "counts"), (h.bin_centers, h.counts),
-                      comment=f"config_hash={config_hash}" if config_hash else None)
+    """Write `bin_center_ns, counts` rows, tagged with the producing config.
+
+    Given a sequence of histograms and one path each, writes each file and
+    formats a bin-center array that several of them share once.
+    """
+    hists, paths = ((h,), (path,)) if isinstance(h, CoincidenceHistogram) else (h, path)
+    centers = text = None
+    for hist, p in zip(hists, paths):
+        if hist.bin_centers is not centers:  # not the last file's array: format it
+            centers = text = hist.bin_centers
+        text = write_csv_columns(p, ("bin_center_ns", "counts"), (text, hist.counts),
+                                 comment=f"config_hash={config_hash}" if config_hash else None)[0]
 
 
 def write_visibility_json(est: VisibilityEstimate, path: str | Path,

@@ -112,8 +112,11 @@ def make_rng(seed: int, *stream_key: int) -> np.random.Generator:
 
     All stochastic code in this package draws from generators produced
     here. Passing the same `(seed, *stream_key)` always yields the same
-    stream; distinct keys yield statistically independent streams. This
-    is the documented split rule for concurrent simulations.
+    stream; distinct keys of one length yield statistically independent
+    streams. This is the documented split rule for concurrent simulations.
+    Each caller keeps one key length: `SeedSequence` pads its entropy with
+    zeros to four words, so keys that differ only by trailing zeros, such
+    as (s, 0, 9) and (s, 0, 9, 0), give the same stream.
     """
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, stream_key)]))
 
@@ -160,17 +163,23 @@ def read_csv_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
     return tuple(data.T)
 
 
-def write_csv_columns(path: str | Path, names: Sequence[str], columns: Sequence[np.ndarray],
-                      comment: str | None = None) -> None:
+def write_csv_columns(path: str | Path, names: Sequence[str],
+                      columns: Sequence[np.ndarray | list[str]],
+                      comment: str | None = None) -> list[list[str]]:
     """Write `columns` under the header `names`, after an optional `# comment` line.
 
     Each value is the repr of its Python scalar, so floats read back bit for
     bit with :func:`read_csv_columns` and integer columns stay integers.
+    Returns each column's text, the list of those reprs, which a later call
+    may take in place of the column, so that files sharing a column format
+    it once.
     """
-    fmt = ",".join(["%r"] * len(names))
+    texts = [c if isinstance(c, list) else list(map(repr, np.asarray(c).tolist()))
+             for c in columns]
     lines = ([f"# {comment}"] if comment else []) + [",".join(names)]
-    lines += [fmt % values for values in zip(*(np.asarray(c).tolist() for c in columns))]
+    lines += map(",".join, zip(*texts))
     Path(path).write_text("\n".join(lines) + "\n", newline="")
+    return texts
 
 
 def json_text(payload: dict) -> str:

@@ -3,12 +3,15 @@
 None is needed at run time: `closed_form_temporal_overlap` is the
 closed form that `classical_overlap` must reproduce for mono-exponential
 profiles, `finite_difference_jacobian` the numerical derivative that
-every analytic Jacobian in `remotehom.estimation` must match, and
+every analytic Jacobian in `remotehom.estimation` must match,
 `csv_float_columns` the `csv` module and `float()` reading of a CSV that
-`read_csv_columns` must reproduce.
+`read_csv_columns` must reproduce, and `dense_delay_bin_probs` the full
+(2W + 1) x (n_bins + 1) delay table whose rows the banded
+`_delay_bin_probs` must hold.
 """
 
 import csv
+import math
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -58,3 +61,31 @@ def csv_float_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarra
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: every value must be finite")
     return tuple(data.T)
+
+
+def dense_delay_bin_probs(pair, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Bin edges and the full table of bin probabilities of t_b - t_a + k*T,
+    one row per peak offset k in [-W, W], each with a last overflow cell.
+
+    The delay shape of `hom_montecarlo._delay_bin_probs` with every bin of
+    every row stored: the cross-correlation of the two profiles' cell
+    masses, times the jitter's transfer function, read as a CDF at
+    `edges - k*T`.
+    """
+    half_span = (cfg.window_peaks + 0.5) * cfg.rep_period_ns
+    n_bins = max(1, int(round(2.0 * half_span / (cfg.bin_width_ps / 1000.0))))
+    edges = np.linspace(-half_span, half_span, n_bins + 1)
+    m_a, m_b = (np.diff(p.intensity_cdf()) for p in pair.profiles)
+    grid = pair.profiles[0].t_grid
+    dt = float(grid[1] - grid[0])
+    sig = math.sqrt(2.0) * cfg.jitter_sigma_ps / 1000.0
+    lag0 = m_a.size - 1 + int(math.ceil(8.0 * sig / dt))
+    n_fft = 1 << (2 * lag0).bit_length()
+    spec = np.fft.rfft(m_b, n_fft) * np.conj(np.fft.rfft(m_a, n_fft)) \
+        * np.exp(-2.0 * (math.pi * sig * np.fft.rfftfreq(n_fft, dt)) ** 2)
+    dens = np.roll(np.fft.irfft(spec, n_fft), lag0)[:2 * lag0 + 1]
+    cdf_x = dt * (np.arange(dens.size + 1) - lag0 - 0.5)
+    cdf = np.concatenate([[0.0], np.cumsum(dens)])
+    ks = np.arange(-cfg.window_peaks, cfg.window_peaks + 1)
+    p = np.clip(np.diff(np.interp(edges - ks[:, None] * cfg.rep_period_ns, cdf_x, cdf)), 0.0, None)
+    return edges, np.column_stack([p, np.maximum(1.0 - p.sum(axis=1), 0.0)])

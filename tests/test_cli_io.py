@@ -688,8 +688,8 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("experiment", [{"window_peaks": 100000000000000},
                                         {"jitter_sigma_ps": 1e15}])
 def test_cli_unallocatable_histogram_exits_2_without_traceback(tmp_path, experiment):
-    # valid configs whose delay histogram (~347 PiB) or jitter-padded delay
-    # shape (~512 PiB) needs more than any address space, so the allocation
+    # valid configs whose per-peak counts (~1.4 PiB) or jitter-padded delay
+    # shape (~512 PiB) need more than any address space, so the allocation
     # fails at once
     import subprocess
     import sys

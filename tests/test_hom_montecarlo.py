@@ -1,14 +1,16 @@
 """Coincidence-histogram synthesis and the visibility estimator."""
 
+import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from remotehom.units_core import Frequency, Rate
-from remotehom.wavepacket import EmitterParams, default_grid, emission_profile
-from remotehom.overlap_analytics import SourcePair, mwo_voigt_averaged
+from remotehom.units_core import EnergySplitting, Frequency, Rate, Wavelength
+from remotehom.wavepacket import Charge, EmitterParams, default_grid, emission_profile
+from remotehom.overlap_analytics import FilterParams, SourcePair, apply_filter, mwo_voigt_averaged
 from remotehom.spectral_noise import ou_path_uniform
 from remotehom.hom_montecarlo import (
     CoincidenceHistogram,
@@ -23,6 +25,8 @@ from remotehom.hom_montecarlo import (
     write_histogram_csv,
     write_visibility_json,
 )
+
+from reference import dense_delay_bin_probs
 
 PAR, PERP = Polarization.PARALLEL, Polarization.PERPENDICULAR
 
@@ -286,6 +290,65 @@ def test_delay_shape_computed_once_per_run(monkeypatch):
     assert calls == [(pair, cfg)]
 
 
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("charge", [Charge.X, Charge.CX])
+def test_banded_delay_rows_are_the_dense_rows(charge, filtered):
+    sources = [EmitterParams(t1, charge=charge, delta_omega=Rate(4.7),
+                             fss=EnergySplitting(6.3 if charge is Charge.X else 0.0))
+               for t1 in (162.0, 128.0)]
+    filt = FilterParams(Wavelength(924.8), 20.0) if filtered else None
+    if filtered:
+        sources = [apply_filter(src, filt)[0] for src in sources]
+    pair = SourcePair(*sources, s_classical=1.0, filter=filt)
+    for w in (1, 3, 7):
+        for jitter in (0.0, 12.0, 100.0):
+            for bin_ps in (5.0, 50.0, 200.0):
+                cfg = quiet_config(1000, window_peaks=w, jitter_sigma_ps=jitter,
+                                   bin_width_ps=bin_ps)
+                edges, starts, probs = _delay_bin_probs(pair, cfg)
+                dense_edges, dense = dense_delay_bin_probs(pair, cfg)
+                assert edges.tobytes() == dense_edges.tobytes()
+                width = probs.shape[1] - 1
+                assert starts.shape == (2 * w + 1,) and width < edges.size
+                for row, start, band in zip(dense, starts, probs):
+                    assert band[:-1].tobytes() == row[start:start + width].tobytes()
+                    outside = np.ones(row.size - 1, dtype=bool)
+                    outside[start:start + width] = False
+                    assert not row[:-1][outside].any()
+                    # the overflow cells may differ in summation order only
+                    assert band[-1] == pytest.approx(row[-1], abs=1e-15)
+
+
+def test_banded_delay_rows_do_not_grow_with_the_window():
+    pair = quiet_pair(162.0, 128.0, s_classical=1.0)
+    _, _, narrow = _delay_bin_probs(pair, quiet_config(1000, window_peaks=3))
+    edges, starts, wide = _delay_bin_probs(pair, quiet_config(1000, window_peaks=1000))
+    assert edges.size == 488_245 and starts.size == wide.shape[0] == 2001
+    assert wide.shape[1] <= narrow.shape[1]
+
+
+def test_simulated_counts_are_pinned_at_every_worker_count():
+    # sha256 of both polarizations' counts (little-endian int64) as computed
+    # by the dense delay table: the banded rows and the shape built in the
+    # pool leave every draw where it was
+    pair = SourcePair(EmitterParams(162.0, gamma_star=Rate(0.17), delta_omega=Rate(4.7),
+                                    brightness=0.8),
+                      EmitterParams(128.0, gamma_star=Rate(0.03), delta_omega=Rate(2.12),
+                                    brightness=0.8))
+    cfg = HomExperimentConfig(n_pulses=150_000, g2=0.02, blink_on_prob=0.9,
+                              blink_dwell_ns=100.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # shards and the shape job interleave more often
+    try:
+        digests = [hashlib.sha256(b"".join(np.asarray(h.counts, "<i8").tobytes() for h in
+                                           simulate_histograms(pair, cfg, (PAR, PERP), 2021,
+                                                               workers=workers))).hexdigest()
+                   for workers in (1, 2, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert digests == ["be9326abaea501af5aa7efb692417d985f59bb9c8418270e5922f36932c84d8c"] * 3
+
+
 def test_polarizations_draw_independent_streams():
     pair = quiet_pair()
     cfg = quiet_config(100_000)
@@ -455,6 +518,17 @@ def test_write_histogram_csv(tmp_path):
     assert lines[1] == "bin_center_ns,counts"
     assert lines[2] == "-0.5,3"
     assert lines[3] == "0.5,7"
+
+
+def test_write_histogram_csv_many_shares_the_center_text(tmp_path):
+    centers = np.linspace(-2.0, 2.0, 9) / 3.0
+    hists = [CoincidenceHistogram(centers, np.arange(9) * k, pol)
+             for k, pol in ((1, PAR), (5, PERP))]
+    paths = [tmp_path / "par.csv", tmp_path / "perp.csv"]
+    write_histogram_csv(hists, paths, config_hash="abc123")
+    for h, path in zip(hists, paths):
+        write_histogram_csv(h, tmp_path / "one.csv", config_hash="abc123")
+        assert path.read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 def test_write_visibility_json(tmp_path):

@@ -124,6 +124,14 @@ def test_make_rng_distinct_purpose_keys_differ():
         assert not np.array_equal(base, other)
 
 
+def test_make_rng_keys_differing_by_trailing_zeros_alias():
+    # SeedSequence pads its entropy with zeros to four words: the reason each
+    # caller keeps one key length
+    a = make_rng(1234, 0, 9).uniform(size=16)
+    b = make_rng(1234, 0, 9, 0).uniform(size=16)
+    np.testing.assert_array_equal(a, b)
+
+
 def test_make_rng_seed_changes_stream():
     a = make_rng(1, 0).uniform(size=16)
     b = make_rng(2, 0).uniform(size=16)
@@ -270,3 +278,14 @@ def test_write_csv_columns_round_trips_exactly(tmp_path):
     x_back, n_back = read_csv_columns(path, ("x", "n"))
     np.testing.assert_array_equal(x_back, x)
     np.testing.assert_array_equal(n_back, n)
+
+
+def test_write_csv_columns_matches_the_percent_r_row_format(tmp_path):
+    x = np.array([-0.0, 1e-05, 5e-324, 1e16, 0.1, -2.5e-300, 123456789.0])
+    n = np.array([0, -1, 2**62, -(2**63), 7, 10**15, 3], dtype=np.int64)
+    expected = "# c\nx,n\n" + "".join("%r,%r\n" % row for row in zip(x.tolist(), n.tolist()))
+    texts = write_csv_columns(tmp_path / "arrays.csv", ("x", "n"), (x, n), comment="c")
+    assert (tmp_path / "arrays.csv").read_text() == expected
+    # a column given as its returned text writes the same bytes
+    write_csv_columns(tmp_path / "text.csv", ("x", "n"), (texts[0], n), comment="c")
+    assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
