@@ -53,7 +53,7 @@ def run_tree(src: Path) -> dict:
     import overlap_sweep
     from remotehom import hom_montecarlo as hm
     from remotehom.cli_io import main
-    from remotehom.overlap_analytics import SourcePair
+    from remotehom.overlap_analytics import make_source_pair
     from remotehom.wavepacket import Charge, EmitterParams, WavepacketProfile
     from remotehom.units_core import EnergySplitting
 
@@ -96,7 +96,7 @@ def run_tree(src: Path) -> dict:
             cfg = hm.HomExperimentConfig(n_pulses=1000, window_peaks=int(rng.integers(1, 6)),
                                          jitter_sigma_ps=float(rng.uniform(0.0, 200.0)),
                                          bin_width_ps=float(rng.uniform(5.0, 200.0)))
-            shape = hm._delay_bin_probs(SourcePair(*emitters, s_classical=1.0), cfg)
+            shape = hm._delay_bin_probs(make_source_pair(*emitters, s_classical=1.0), cfg)
             # without the overflow cells, whose sums may round differently
             edges, probs = shape[0], shape[-1][:, :-1]
             if len(shape) == 3:  # banded rows: (edges, first bin of each band, bands)

@@ -131,14 +131,9 @@ class SourceCatalog:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A resolved run. `pair` is built on first read: unless the config gives
-    s_classical, it samples both emission profiles, which predict-delay never reads."""
+    """A resolved run: the source pair, the experiment, and where its artifacts go."""
 
-    a: EmitterParams
-    b: EmitterParams
-    mean_detuning: Frequency
-    filter: Optional[FilterParams]
-    s_classical: Optional[float]
+    pair: SourcePair
     experiment: HomExperimentConfig
     seed: int
     outputs: Path
@@ -149,12 +144,6 @@ class RunConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        object.__setattr__(self, "outputs", Path(self.outputs))
-
-    @functools.cached_property
-    def pair(self) -> SourcePair:
-        return SourcePair(a=self.a, b=self.b, mean_detuning=self.mean_detuning,
-                          s_classical=self.s_classical, filter=self.filter)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +274,10 @@ def load_run_config(path: str | Path, *, seed_override: Optional[int] = None,
         filt = FilterParams(center=Wavelength(f["center_nm"]), fwhm_pm=f["fwhm_pm"])
         a, _ = apply_filter(a, filt)
         b, _ = apply_filter(b, filt)
-    s = pair_d["s_classical"]
-    if s is not None and not 0.0 <= s <= 1.0:  # SourcePair's check, which a lazy pair defers
-        raise ValueError(f"pair.s_classical must be in [0, 1], got {s}")
-    cfg = RunConfig(a=a, b=b, mean_detuning=Frequency(pair_d["mean_detuning_ns_inv"]),
-                    filter=filt, s_classical=s, experiment=experiment, seed=top["seed"],
-                    outputs=top["outputs"], workers=workers)
+    pair = SourcePair(a=a, b=b, mean_detuning=Frequency(pair_d["mean_detuning_ns_inv"]),
+                      s_given=pair_d["s_classical"], filter=filt)
+    cfg = RunConfig(pair=pair, experiment=experiment, seed=top["seed"],
+                    outputs=Path(top["outputs"]), workers=workers)
     return cfg, config_hash(resolved)
 
 
@@ -401,12 +388,11 @@ def overlap_report(pair: SourcePair, cfg_hash: str) -> dict:
 def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     """Analytic predictions, both-polarization Monte Carlo, visibility
     estimate and bound check; writes all artifacts into config.outputs."""
-    pair = config.pair  # first: a pair that cannot be built leaves no output directory
-    out = config.outputs
-    out.mkdir(parents=True, exist_ok=True)
-
+    pair = config.pair  # s is read first: a pair whose s fails leaves no output directory
     bound = remote_upper_bound(pair.s_classical, 1.0, 1.0)
     report = dict(overlap_report(pair, cfg_hash), upper_bound=bound)
+    out = config.outputs
+    out.mkdir(parents=True, exist_ok=True)
     (out / "overlap.json").write_text(json_text(report))
 
     # parallel first: its shards are the long ones, so they head the queue
@@ -483,8 +469,8 @@ def _parse_override(text: str) -> tuple[str, float, float]:
 
 
 def _cmd_fit_delay(args: argparse.Namespace) -> int:
-    filtered = DelayVisibilitySeries.from_csv(args.filtered, filtered=True)
-    unfiltered = DelayVisibilitySeries.from_csv(args.unfiltered, filtered=False)
+    filtered = DelayVisibilitySeries.from_csv(args.filtered)
+    unfiltered = DelayVisibilitySeries.from_csv(args.unfiltered)
     overrides = [_parse_override(o) for o in (args.outlier or [])]
     gamma = lifetime_to_rate(args.t1_ps)
     result = fit_delay_visibility(filtered, unfiltered, gamma,
@@ -513,15 +499,13 @@ def _cmd_match_pairs(args: argparse.Namespace) -> int:
 def _cmd_predict_delay(args: argparse.Namespace) -> int:
     config, h = load_run_config(args.config,
                                 filter_fwhm_override=args.filter_fwhm_pm)
-    source = config.a if args.source == "a" else config.b
+    source = config.pair.a if args.source == "a" else config.pair.b
     span = 3.0 * source.tau_c_ns
     if not np.isfinite(span):
         raise ValueError(f"tau_c_ns must give a finite 3 tau_c delay span, got {source.tau_c_ns}")
     delays = np.linspace(0.0, span, 201)
     vis = individual_indistinguishability(source, delays)
-    series = DelayVisibilitySeries(delays, vis, np.zeros_like(vis),
-                                   source_label=args.source,
-                                   filtered=config.filter is not None)
+    series = DelayVisibilitySeries(delays, vis, np.zeros_like(vis))
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "predicted_delay.csv"

@@ -285,9 +285,8 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
         else:
             delta = (delta + ou(_P_FREQ_A, a.delta_omega.value, a.tau_c_ns)
                      - ou(_P_FREQ_B, b.delta_omega.value, b.tau_c_ns))
-        with np.errstate(over="ignore"):  # a detuning whose square overflows has m = 0
-            m = (1.0 - a.sideband_fraction) * (1.0 - b.sideband_fraction) \
-                * mwo_with_dephasing(pair, delta)
+        m = (1.0 - a.sideband_fraction) * (1.0 - b.sideband_fraction) \
+            * mwo_with_dephasing(pair, delta)
         n_peak[W] = np.count_nonzero(both & (rng_accept.random(n_shard) < 0.5 * (1.0 - m)))
     else:
         n_peak[W] = rng_accept.binomial(n_pairs[W], 0.5)

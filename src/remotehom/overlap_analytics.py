@@ -24,7 +24,9 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from .units_core import Frequency, Rate, Wavelength, fwhm_pm_to_angular_rate
 from .wavepacket import (EmitterParams, WavepacketProfile, classical_overlap, default_grid,
@@ -71,24 +73,27 @@ class SourcePair:
     """Two configured sources with their mutual detuning and filter settings.
 
     `mean_detuning` is the mean difference of the two center frequencies
-    (rad/ns) and `s_classical` the classical temporal overlap of the two
-    `profiles`, computed unless given. `filter` records the matched spectral
-    filter both sources sit behind; it changes nothing by itself. The emitters
-    of a filtered pair are those returned by :func:`apply_filter`, which
-    removes the sideband and reweights the wandering.
+    (rad/ns) and `s_given` a given classical temporal overlap s, if any.
+    `filter` records the matched spectral filter both sources sit behind; it
+    changes nothing by itself. The emitters of a filtered pair are those
+    returned by :func:`apply_filter`, which removes the sideband and
+    reweights the wandering.
     """
 
     a: EmitterParams
     b: EmitterParams
     mean_detuning: Frequency = Frequency(0.0)
-    s_classical: Optional[float] = None
+    s_given: Optional[float] = None
     filter: Optional[FilterParams] = None
 
     def __post_init__(self) -> None:
-        if self.s_classical is None:
-            object.__setattr__(self, "s_classical", classical_overlap(*self.profiles))
-        if not 0.0 <= self.s_classical <= 1.0:
-            raise ValueError(f"s_classical must be in [0, 1], got {self.s_classical}")
+        if self.s_given is not None and not 0.0 <= self.s_given <= 1.0:
+            raise ValueError(f"s_classical must be in [0, 1], got {self.s_given}")
+
+    @functools.cached_property
+    def s_classical(self) -> float:
+        """The given s, or else the classical overlap of the `profiles`, on first read."""
+        return classical_overlap(*self.profiles) if self.s_given is None else self.s_given
 
     @functools.cached_property
     def profiles(self) -> tuple[WavepacketProfile, WavepacketProfile]:
@@ -109,7 +114,21 @@ def make_source_pair(a: EmitterParams, b: EmitterParams,
                      filt: Optional[FilterParams] = None,
                      s_classical: Optional[float] = None) -> SourcePair:
     """Build a pair, computing s from the emission profiles unless given."""
-    return SourcePair(a=a, b=b, mean_detuning=mean_detuning, s_classical=s_classical, filter=filt)
+    return SourcePair(a=a, b=b, mean_detuning=mean_detuning, s_given=s_classical, filter=filt)
+
+
+def _scale_free(ratio: Callable, *rates):
+    """num / den for `(num, den) = ratio(*rates)`, both of degree 2 in the rates. Where den
+    overflows, both come from the rates over the largest of them: the same quotient, finite."""
+    rates = [np.asarray(r, dtype=float)[()] for r in rates]  # a scalar squares as a float does
+    with np.errstate(over="ignore", invalid="ignore"):
+        num, den = ratio(*rates)
+        over = np.isinf(den)
+        if over.any():
+            largest = np.max(np.abs(np.broadcast_arrays(*rates)), axis=0)
+            num, den = [np.where(over, x_1, x) for x_1, x in
+                        zip(ratio(*(r / largest for r in rates)), (num, den))]
+        return num / den
 
 
 def mwo_no_dephasing(gamma_i: Rate, gamma_j: Rate, delta: Frequency) -> float:
@@ -121,7 +140,8 @@ def mwo_no_dephasing(gamma_i: Rate, gamma_j: Rate, delta: Frequency) -> float:
     gi, gj = gamma_i.value, gamma_j.value
     if gi <= 0 or gj <= 0:
         raise ValueError("both radiative rates must be > 0")
-    return 4.0 * gi * gj / ((gi + gj) ** 2 + delta.value ** 2)
+    return _scale_free(lambda gi, gj, d: (4.0 * gi * gj, (gi + gj) ** 2 + d ** 2),
+                       gi, gj, delta.value)
 
 
 def mwo_with_dephasing(pair: SourcePair, detuning: Optional[float] = None) -> float:
@@ -133,10 +153,10 @@ def mwo_with_dephasing(pair: SourcePair, detuning: Optional[float] = None) -> fl
     """
     gi, gj = pair.a.gamma.value, pair.b.gamma.value
     Gi, Gj = pair.a.total_linewidth.value, pair.b.total_linewidth.value
-    if Gi <= 0 or Gj <= 0:
-        raise ValueError("total linewidths must be > 0")
     d = pair.mean_detuning.value if detuning is None else detuning
-    return pair.s_classical * (Gi + Gj) * (gi + gj) / ((Gi + Gj) ** 2 + 4.0 * d ** 2)
+    return _scale_free(lambda Gi, Gj, gi, gj, d: (pair.s_classical * (Gi + Gj) * (gi + gj),
+                                                  (Gi + Gj) ** 2 + 4.0 * d ** 2),
+                       Gi, Gj, gi, gj, d)
 
 
 def voigt(x: float, lorentz_hwhm: Rate, gauss_sigma: Rate) -> float:

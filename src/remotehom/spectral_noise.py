@@ -110,7 +110,10 @@ def visibility_vs_delay(v0: float, delta_omega_r: float, tau_c_ns: float,
     if delta_omega_r < 0 or tau_c_ns <= 0 or np.any(d < 0):
         raise ValueError("need delta_omega_r >= 0, tau_c > 0, delay >= 0")
     growth = 1.0 - np.exp(-d / tau_c_ns)
-    return v0 / (1.0 + 2.0 * delta_omega_r ** 2 * growth)
+    # np.float64 squares as a float does, but may overflow: then V is 0, or v0 at zero growth
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = v0 / (1.0 + 2.0 * np.float64(delta_omega_r) ** 2 * growth)
+    return np.where(growth > 0.0, v, v0)[()]
 
 
 def intrinsic_visibility(gamma: Rate, gamma_star: Rate) -> float:

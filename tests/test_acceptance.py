@@ -65,7 +65,7 @@ def noise_pair(t1=(162.0, 128.0), gamma_star=(0.0, 0.0), delta_omega=(0.0, 0.0),
     b = EmitterParams(t1[1], gamma_star=Rate(gamma_star[1]),
                       delta_omega=Rate(delta_omega[1]), tau_c_ns=tau_c,
                       sideband_fraction=sidebands[1])
-    return SourcePair(a=a, b=b, mean_detuning=Frequency(detuning), s_classical=s)
+    return SourcePair(a=a, b=b, mean_detuning=Frequency(detuning), s_given=s)
 
 
 def test_criterion_01_mono_overlap_closed_form_vs_quadrature():
@@ -183,7 +183,7 @@ def test_criterion_05_averaged_overlap_vs_monte_carlo():
         # tie the vectorized kernel to the production static form
         for d in deltas[:3]:
             spot = SourcePair(a=pair.a, b=pair.b, mean_detuning=Frequency(float(d)),
-                              s_classical=1.0)
+                              s_given=1.0)
             kernel = big_gsum * gsum / (big_gsum**2 + 4.0 * d * d)
             assert kernel == pytest.approx(mwo_with_dephasing(spot), rel=1e-12)
         se = samples.std(ddof=1) / math.sqrt(samples.size)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -669,6 +670,53 @@ def test_cli_predict_delay_rejects_an_overflowing_delay_span(tmp_path, capsys, t
     err = capsys.readouterr().err
     assert err == ("" if code == 0 else
                    f"error: tau_c_ns must give a finite 3 tau_c delay span, got {tau_c_ns}\n")
+
+
+def assert_finite_output(stdout: str, out: Path) -> None:
+    """Every number a command printed or wrote is finite."""
+    def non_finite(name):
+        raise AssertionError(f"non-finite JSON value {name}")
+
+    for text in [stdout, *(p.read_text() for p in out.glob("*.json"))]:
+        if text.startswith("{"):
+            json.loads(text, parse_constant=non_finite)
+    for path in out.glob("*.csv"):
+        rows = [ln.split(",") for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        assert np.isfinite(np.array(rows[1:], dtype=float)).all(), path.name
+
+
+# CI's run.json with one key set to a value whose square overflows, as (source,
+# key, value): a key of pair.a, or of the pair itself where source is None
+OVERFLOW_PROBES = [("a", "gamma_star_ns_inv", 1e200), (None, "mean_detuning_ns_inv", 1e200),
+                   ("a", "delta_omega_ns_inv", 1e200), ("a", "gamma_star_ns_inv", 1e308),
+                   (None, "mean_detuning_ns_inv", 1e308), ("a", "delta_omega_ns_inv", 1e307)]
+
+
+@pytest.mark.parametrize("source, key, value", OVERFLOW_PROBES,
+                         ids=[f"{key}={value:g}" for _, key, value in OVERFLOW_PROBES])
+def test_cli_overflowing_rate_or_detuning_gives_one_code_on_every_command(tmp_path, capsys,
+                                                                         source, key, value):
+    """The overlaps and the delay law take their limit, so the 1e200 probes succeed on
+    every command with finite output and no warning, and every command treats the
+    extreme ones alike: exit 0, or 2 from a range check, never 3."""
+    cfg = {"pair": {"a": {"t1_ps": 162.0, "gamma_star_ns_inv": 0.17, "delta_omega_ns_inv": 4.7},
+                    "b": {"t1_ps": 128.0, "gamma_star_ns_inv": 0.03,
+                          "delta_omega_ns_inv": 2.12}},
+           "experiment": {"n_pulses": 20000}, "seed": 7}
+    (cfg["pair"][source] if source else cfg["pair"])[key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    codes = []
+    for command in ("overlap", "simulate", "predict-delay"):
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes.append(main([command, "--config", str(path), "--out", str(out)]))
+        stdout = capsys.readouterr().out
+        if codes[-1] == 0:
+            assert_finite_output(stdout, out)
+    assert len(set(codes)) == 1, codes
+    assert codes[0] in ((0,) if value == 1e200 else (0, 2))
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):

@@ -55,7 +55,7 @@ def central_and_side_areas(h: CoincidenceHistogram, rep=12.2):
 # --- histogram synthesis ----------------------------------------------------
 
 def test_perfect_interference_suppresses_central_peak():
-    pair = quiet_pair(s_classical=1.0)
+    pair = quiet_pair(s_given=1.0)
     h = simulate_histogram(pair, quiet_config(), PAR, seed=101)
     central, side = central_and_side_areas(h)
     assert central == 0.0
@@ -63,7 +63,7 @@ def test_perfect_interference_suppresses_central_peak():
 
 
 def test_perpendicular_central_equals_side_peaks():
-    pair = quiet_pair(s_classical=1.0)
+    pair = quiet_pair(s_given=1.0)
     h = simulate_histogram(pair, quiet_config(), PERP, seed=102)
     central, side = central_and_side_areas(h)
     per_side_peak = side / 2.0  # the area helper covers the two +-T peaks
@@ -72,7 +72,7 @@ def test_perpendicular_central_equals_side_peaks():
 
 
 def test_visibility_one_for_perfect_pair():
-    pair = quiet_pair(s_classical=1.0)
+    pair = quiet_pair(s_given=1.0)
     cfg = quiet_config()
     est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=103),
                               simulate_histogram(pair, cfg, PERP, seed=103))
@@ -83,7 +83,7 @@ def test_visibility_one_for_perfect_pair():
 def test_visibility_approaches_classical_overlap_noise_off():
     # only temporal mismatch: the event acceptance is (1 - s)/2, so the
     # estimator should land on s
-    pair = quiet_pair(162.0, 128.0, s_classical=82944 / 84100)
+    pair = quiet_pair(162.0, 128.0, s_given=82944 / 84100)
     cfg = quiet_config(300_000)
     est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=104),
                               simulate_histogram(pair, cfg, PERP, seed=104))
@@ -91,9 +91,9 @@ def test_visibility_approaches_classical_overlap_noise_off():
 
 
 def test_detuned_pair_loses_visibility():
-    resonant = quiet_pair(s_classical=1.0)
+    resonant = quiet_pair(s_given=1.0)
     detuned = SourcePair(a=quiet_source(), b=quiet_source(),
-                         mean_detuning=Frequency(12.0), s_classical=1.0)
+                         mean_detuning=Frequency(12.0), s_given=1.0)
     cfg = quiet_config()
     v_res = estimate_visibility(simulate_histogram(resonant, cfg, PAR, seed=105),
                                 simulate_histogram(resonant, cfg, PERP, seed=105))
@@ -105,7 +105,7 @@ def test_detuned_pair_loses_visibility():
 
 
 def test_g2_contamination_lowers_visibility():
-    pair = quiet_pair(s_classical=1.0)
+    pair = quiet_pair(s_given=1.0)
     cfg = quiet_config(g2=0.02)
     est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=106),
                               simulate_histogram(pair, cfg, PERP, seed=106))
@@ -121,14 +121,14 @@ def test_sideband_fraction_degrades_visibility():
     cfg = quiet_config(400_000)
     for (p_a, p_b), expected in (((0.1, 0.2), 0.9 * 0.8), ((0.0, 0.3), 0.7)):
         pair = SourcePair(a=EmitterParams(162.0, sideband_fraction=p_a),
-                          b=EmitterParams(162.0, sideband_fraction=p_b), s_classical=1.0)
+                          b=EmitterParams(162.0, sideband_fraction=p_b), s_given=1.0)
         est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=107),
                                   simulate_histogram(pair, cfg, PERP, seed=107))
         assert abs(est.v_tpi - expected) <= 3.0 * est.sigma, (p_a, p_b)
 
 
 def test_brightness_thins_the_coincidences():
-    pair = SourcePair(a=quiet_source(brightness=0.6), b=quiet_source(), s_classical=1.0)
+    pair = SourcePair(a=quiet_source(brightness=0.6), b=quiet_source(), s_given=1.0)
     cfg = quiet_config(200_000)
     central, _ = central_and_side_areas(simulate_histogram(pair, cfg, PERP, seed=120))
     # a pair exists in a fraction 0.6 of the pulses and half of them coincide
@@ -143,7 +143,7 @@ def test_mc_matches_analytic_prediction_with_wandering():
     # the error bar by var(m) * 2 tau_c / T_total
     a = quiet_source(gamma_star=Rate(0.17), delta_omega=Rate(3.0), tau_c_ns=50.0)
     b = quiet_source(gamma_star=Rate(0.03), delta_omega=Rate(2.0), tau_c_ns=50.0)
-    pair = SourcePair(a=a, b=b, mean_detuning=Frequency(2.0), s_classical=1.0)
+    pair = SourcePair(a=a, b=b, mean_detuning=Frequency(2.0), s_given=1.0)
     cfg = quiet_config(500_000)
     est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=108, workers=4),
                               simulate_histogram(pair, cfg, PERP, seed=108, workers=4))
@@ -183,7 +183,7 @@ def test_shared_tau_c_draws_one_detuning_path_of_summed_variance(monkeypatch):
     a = quiet_source(delta_omega=Rate(3.0), tau_c_ns=50.0)
     b = quiet_source(delta_omega=Rate(2.0), tau_c_ns=50.0)
     cfg = quiet_config(1 << 18)
-    simulate_histogram(SourcePair(a=a, b=b, s_classical=1.0), cfg, PAR, seed=117)
+    simulate_histogram(SourcePair(a=a, b=b, s_given=1.0), cfg, PAR, seed=117)
     assert len(calls) == 4  # one path per shard of 65536 pulses
     paths = np.stack([path for _, _, path in calls])
     var, lam, n = 3.0**2 + 2.0**2, math.exp(-cfg.rep_period_ns / 50.0), paths.size
@@ -200,7 +200,7 @@ def test_unequal_tau_c_draws_two_paths_and_matches_analytic_prediction(monkeypat
     calls = spy_ou_paths(monkeypatch)
     a = quiet_source(gamma_star=Rate(0.17), delta_omega=Rate(3.0), tau_c_ns=50.0)
     b = quiet_source(gamma_star=Rate(0.03), delta_omega=Rate(2.0), tau_c_ns=20.0)
-    pair = SourcePair(a=a, b=b, mean_detuning=Frequency(2.0), s_classical=1.0)
+    pair = SourcePair(a=a, b=b, mean_detuning=Frequency(2.0), s_given=1.0)
     cfg = quiet_config(500_000)
     h_par = simulate_histogram(pair, cfg, PAR, seed=118, workers=2)
     T = cfg.rep_period_ns
@@ -222,7 +222,7 @@ def test_fewer_than_one_worker_raises(workers):
 def test_one_pool_for_both_polarizations_matches_separate_runs(workers):
     a = EmitterParams(162.0, delta_omega=Rate(3.0), tau_c_ns=50.0)
     b = EmitterParams(128.0, delta_omega=Rate(2.0), tau_c_ns=50.0, brightness=0.8)
-    pair = SourcePair(a=a, b=b, mean_detuning=Frequency(1.0), s_classical=0.97)
+    pair = SourcePair(a=a, b=b, mean_detuning=Frequency(1.0), s_given=0.97)
     cfg = quiet_config(3 * 65536 + 1000, blink_on_prob=0.9, g2=0.01)
     hists = simulate_histograms(pair, cfg, (PAR, PERP), seed=119, workers=workers)
     assert [h.polarization for h in hists] == [PAR, PERP]
@@ -233,7 +233,7 @@ def test_one_pool_for_both_polarizations_matches_separate_runs(workers):
 
 
 def test_blinking_invariance_of_estimator():
-    pair = quiet_pair(162.0, 128.0, s_classical=82944 / 84100)
+    pair = quiet_pair(162.0, 128.0, s_given=82944 / 84100)
     cfg_blink = quiet_config(400_000, blink_on_prob=0.9, blink_dwell_ns=100.0)
     cfg_steady = quiet_config(400_000)
     est_b = estimate_visibility(simulate_histogram(pair, cfg_blink, PAR, seed=109),
@@ -245,7 +245,7 @@ def test_blinking_invariance_of_estimator():
 
 
 def test_blinking_bunches_both_polarizations_equally():
-    pair = quiet_pair(s_classical=1.0)
+    pair = quiet_pair(s_given=1.0)
     cfg = quiet_config(400_000, blink_on_prob=0.8, blink_dwell_ns=200.0)
     h_par = simulate_histogram(pair, cfg, PAR, seed=110)
     h_perp = simulate_histogram(pair, cfg, PERP, seed=110)
@@ -299,7 +299,7 @@ def test_banded_delay_rows_are_the_dense_rows(charge, filtered):
     filt = FilterParams(Wavelength(924.8), 20.0) if filtered else None
     if filtered:
         sources = [apply_filter(src, filt)[0] for src in sources]
-    pair = SourcePair(*sources, s_classical=1.0, filter=filt)
+    pair = SourcePair(*sources, s_given=1.0, filter=filt)
     for w in (1, 3, 7):
         for jitter in (0.0, 12.0, 100.0):
             for bin_ps in (5.0, 50.0, 200.0):
@@ -320,7 +320,7 @@ def test_banded_delay_rows_are_the_dense_rows(charge, filtered):
 
 
 def test_banded_delay_rows_do_not_grow_with_the_window():
-    pair = quiet_pair(162.0, 128.0, s_classical=1.0)
+    pair = quiet_pair(162.0, 128.0, s_given=1.0)
     _, _, narrow = _delay_bin_probs(pair, quiet_config(1000, window_peaks=3))
     edges, starts, wide = _delay_bin_probs(pair, quiet_config(1000, window_peaks=1000))
     assert edges.size == 488_245 and starts.size == wide.shape[0] == 2001
@@ -460,14 +460,14 @@ def test_analytic_prediction_no_sideband_equals_voigt_average():
     pair = SourcePair(a=quiet_source(gamma_star=Rate(0.17), delta_omega=Rate(4.6)),
                       b=quiet_source(t1_ps=128.0, gamma_star=Rate(0.03),
                                      delta_omega=Rate(1.78)),
-                      s_classical=0.986)
+                      s_given=0.986)
     assert analytic_prediction(pair) == mwo_voigt_averaged(pair)
 
 
 def test_analytic_prediction_sideband_degradation():
     a = EmitterParams(162.0, sideband_fraction=0.05)
     b = EmitterParams(128.0, sideband_fraction=0.05)
-    pair = SourcePair(a=a, b=b, s_classical=0.986)
+    pair = SourcePair(a=a, b=b, s_given=0.986)
     assert analytic_prediction(pair) == pytest.approx(
         0.95 * 0.95 * mwo_voigt_averaged(pair), rel=1e-12)
 
@@ -477,7 +477,7 @@ def test_analytic_prediction_unfiltered_configuration_bound():
                       sideband_fraction=0.05)
     b = EmitterParams(128.0, gamma_star=Rate(0.03), delta_omega=Rate(2.12),
                       sideband_fraction=0.05)
-    pair = SourcePair(a=a, b=b, s_classical=0.986)
+    pair = SourcePair(a=a, b=b, s_given=0.986)
     assert analytic_prediction(pair) <= 0.65 + 0.05
 
 

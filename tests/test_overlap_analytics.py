@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from remotehom.units_core import EnergySplitting, Frequency, Rate, Wavelength
-from remotehom.wavepacket import Charge, EmitterParams, classical_overlap
+from remotehom.wavepacket import Charge, EmitterParams, WavepacketProfile, classical_overlap
 from remotehom.overlap_analytics import (
     FilterParams,
     FilterRegimeError,
@@ -33,7 +33,7 @@ def pair_with(gamma_star=(0.0, 0.0), delta_omega=(0.0, 0.0), detuning=0.0,
                       delta_omega=Rate(delta_omega[0]))
     b = EmitterParams(t1[1], gamma_star=Rate(gamma_star[1]),
                       delta_omega=Rate(delta_omega[1]))
-    return SourcePair(a=a, b=b, mean_detuning=Frequency(detuning), s_classical=s)
+    return SourcePair(a=a, b=b, mean_detuning=Frequency(detuning), s_given=s)
 
 
 # --- mwo_no_dephasing -------------------------------------------------------
@@ -125,6 +125,25 @@ def test_dephasing_at_an_array_of_detunings_is_elementwise():
     for d, m_d in zip(deltas, m):
         assert m_d == pytest.approx(mwo_with_dephasing(p, float(d)), rel=1e-15)
     assert mwo_with_dephasing(p, None) == mwo_with_dephasing(p, 1.5) == mwo_with_dephasing(p)
+
+
+def test_overlaps_take_their_limit_where_a_square_overflows():
+    p = pair_with(gamma_star=(0.17, 0.03), s=0.97)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a Python float and a numpy float give one answer, with no warning
+        assert mwo_with_dephasing(p, 1e200) == mwo_with_dephasing(p, np.float64(1e200)) == 0.0
+        assert mwo_no_dephasing(GAMMA_A, GAMMA_B, Frequency(1e308)) == 0.0
+        # elsewhere in an array the bits are those of the direct quotient
+        m = mwo_with_dephasing(p, np.array([1e300, 3.0]))
+        gi, gj, Gi, Gj = GAMMA_A.value, GAMMA_B.value, GAMMA_A.value + 0.17, GAMMA_B.value + 0.03
+        assert m[1] == 0.97 * (Gi + Gj) * (gi + gj) / ((Gi + Gj) ** 2 + 4.0 * 3.0 ** 2)
+        assert m[0] == 0.0
+        # degree 0 in the rates: where every rate is huge, the value is unchanged
+        tiny = pair_with(t1=(1e-200, 2e-200), detuning=1e203, s=0.97)
+        assert mwo_with_dephasing(tiny) == pytest.approx(
+            mwo_with_dephasing(pair_with(t1=(1.0, 2.0), detuning=1e3, s=0.97)), rel=1e-14)
+        assert mwo_no_dephasing(Rate(1e300), Rate(2e300), Frequency(0.0)) == pytest.approx(8 / 9)
 
 
 def test_dephasing_equality_only_when_pure_and_resonant():
@@ -414,15 +433,26 @@ def test_make_source_pair_explicit_s_wins():
     assert p.s_classical == 0.9
 
 
-def test_source_pair_profiles_share_one_grid_and_give_s():
+def test_source_pair_profiles_share_one_grid_and_give_s(monkeypatch):
+    builds, build = [], WavepacketProfile.from_intensity
+    monkeypatch.setattr(WavepacketProfile, "from_intensity",
+                        staticmethod(lambda *args: builds.append(args) or build(*args)))
     a, b = EmitterParams(162.0), EmitterParams(240.0)
     p = SourcePair(a=a, b=b)
+    assert len(builds) == 0  # s and the profiles are built on first read
+    s = p.s_classical
+    assert len(builds) == 2
+    assert p.s_classical is s
     prof_a, prof_b = p.profiles
+    assert len(builds) == 2
     assert prof_a.t_grid is prof_b.t_grid
     assert prof_a.t_grid[-1] == pytest.approx(2.4)  # 10 lifetimes of the slower source
     assert p.profiles is p.profiles  # built once
-    assert p.s_classical == classical_overlap(prof_a, prof_b)
-    assert SourcePair(a=a, b=b, s_classical=0.5).s_classical == 0.5
+    assert s == classical_overlap(prof_a, prof_b)
+    assert SourcePair(a=a, b=b, s_given=0.5).s_classical == 0.5
+    with pytest.raises(ValueError, match=r"s_classical must be in \[0, 1\]"):
+        SourcePair(a=a, b=b, s_given=1.5)
+    assert len(builds) == 2
 
 
 def test_source_pair_combined_wandering():

@@ -1,6 +1,7 @@
 """Frequency-wandering process and the delay-dependent visibility law."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,15 @@ def test_visibility_monotone_in_delay_and_wandering():
 def test_visibility_no_wandering_is_flat():
     for d in [0.0, 12.2, 525.0, 1e6]:
         assert visibility_vs_delay(0.91, 0.0, 1400.0, d) == pytest.approx(0.91)
+
+
+def test_visibility_takes_its_limit_where_the_squared_width_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = visibility_vs_delay(0.9, 1e200, 1400.0, np.array([0.0, 1e-9, 12.2]))
+        assert v.tolist() == [0.9, 0.0, 0.0]
+        assert visibility_vs_delay(0.9, 1e200, 1400.0, 0.0) == 0.9
+        assert visibility_vs_delay(0.9, math.inf, 1400.0, 12.2) == 0.0
 
 
 def test_visibility_validation():
