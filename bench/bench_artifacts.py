@@ -11,7 +11,7 @@ generates the inputs with the benchmark's own op generators in
 process:
 
 - mc_simulate, seeds 41 and 42, ops 0-11, at 1, 2 and 4 workers;
-- overlap_sweep, seeds 41 and 42, ops 0-199;
+- overlap_sweep, seeds 41 and 42, ops 0-299;
 - fit_batch, seeds 41 and 42, ops 0-599.
 
 An op's digest is the sha256 of its exit codes, its stdout (the op's
@@ -39,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (41, 42)
-OPS = {"mc_simulate": 12, "overlap_sweep": 200, "fit_batch": 600}
+OPS = {"mc_simulate": 12, "overlap_sweep": 300, "fit_batch": 600}
 SHAPE_CONFIGS = 300
 
 

@@ -108,8 +108,9 @@ class CatalogEntry:
 
     def __post_init__(self) -> None:
         lo, hi = self.tuning_range_nm
-        if not lo < hi:
-            raise ValueError(f"{self.label}: tuning range must satisfy min < max")
+        if not (0.0 < lo < hi and 0.0 <= self.peak_brightness <= 1.0):
+            raise ValueError(f"{self.label}: need 0 < min < max of tuning_range_nm and "
+                             f"peak_brightness in [0, 1], got {lo}, {hi}, {self.peak_brightness}")
 
     @property
     def sample(self) -> str:

@@ -51,7 +51,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -346,7 +346,7 @@ def simulate_histogram(pair: SourcePair, cfg: HomExperimentConfig, pol: Polariza
 
 
 def estimate_visibility(h_par: CoincidenceHistogram, h_perp: CoincidenceHistogram,
-                        rep_period_ns: float = 12.2) -> VisibilityEstimate:
+                        rep_period_ns: float) -> VisibilityEstimate:
     """Visibility 1 - A_par/A_perp from the central peaks of the two histograms.
 
     The central integration window is one repetition period centered on
@@ -385,7 +385,7 @@ def analytic_prediction(pair: SourcePair) -> float:
 
 def write_histogram_csv(h: CoincidenceHistogram | Sequence[CoincidenceHistogram],
                         path: str | Path | Sequence[str | Path],
-                        config_hash: Optional[str] = None) -> None:
+                        config_hash: str) -> None:
     """Write `bin_center_ns, counts` rows, tagged with the producing config.
 
     Given a sequence of histograms and one path each, writes each file and
@@ -397,7 +397,7 @@ def write_histogram_csv(h: CoincidenceHistogram | Sequence[CoincidenceHistogram]
         if hist.bin_centers is not centers:  # not the last file's array: format it
             centers = text = hist.bin_centers
         text = write_csv_columns(p, ("bin_center_ns", "counts"), (text, hist.counts),
-                                 comment=f"config_hash={config_hash}" if config_hash else None)[0]
+                                 comment=f"config_hash={config_hash}")[0]
 
 
 def write_visibility_json(est: VisibilityEstimate, path: str | Path,

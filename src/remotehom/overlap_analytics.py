@@ -118,15 +118,15 @@ def make_source_pair(a: EmitterParams, b: EmitterParams,
 
 
 def _scale_free(ratio: Callable, *rates):
-    """num / den for `(num, den) = ratio(*rates)`, both of degree 2 in the rates. Where den
-    overflows, both come from the rates over the largest of them: the same quotient, finite."""
+    """num / den for `(num, den) = ratio(*rates)`, both of degree 2 in the rates. Where den is
+    not a normal float, both come from the rates over the largest of them: the same quotient."""
     rates = [np.asarray(r, dtype=float)[()] for r in rates]  # a scalar squares as a float does
     with np.errstate(over="ignore", invalid="ignore"):
         num, den = ratio(*rates)
-        over = np.isinf(den)
-        if over.any():
+        redo = ~((den >= np.finfo(float).tiny) & (den < np.inf))
+        if redo.any():
             largest = np.max(np.abs(np.broadcast_arrays(*rates)), axis=0)
-            num, den = [np.where(over, x_1, x) for x_1, x in
+            num, den = [np.where(redo, x_1, x) for x_1, x in
                         zip(ratio(*(r / largest for r in rates)), (num, den))]
         return num / den
 
@@ -173,7 +173,10 @@ def voigt(x: float, lorentz_hwhm: Rate, gauss_sigma: Rate) -> float:
     gl, sig = lorentz_hwhm.value, gauss_sigma.value
     if gl == 0.0 and sig == 0.0:
         raise ValueError("Voigt profile needs at least one non-zero width")
-    return float(voigt_profile(x, sig, gl))
+    # scipy loses precision on widths below about 1e-154 and returns 0 above 1e154:
+    # there, V(x; sig, gl) = V(x/L; sig/L, gl/L) / L with L the larger width
+    scale = 1.0 if 1e-150 < max(gl, sig) < 1e150 else max(gl, sig)
+    return float(voigt_profile(x / scale, sig / scale, gl / scale)) / scale
 
 
 def mwo_voigt_averaged(pair: SourcePair) -> float:

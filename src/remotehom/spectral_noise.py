@@ -66,34 +66,23 @@ def ou_path_uniform(sigma: float, lam: float, rng: np.random.Generator,
     return path
 
 
-def sample_frequency_path(p: WanderingProcess, times: Sequence[float] | np.ndarray,
-                          stream: int = 0) -> np.ndarray:
-    """Frequency offsets (rad/ns) of the wandering process at the given times.
+def sample_frequency_path(p: WanderingProcess, times: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Frequency offsets (rad/ns) of the wandering process at uniformly spaced times.
 
-    Deterministic for a given (seed, stream); the path starts in the
-    stationary distribution. Times must be increasing. `stream` selects
-    an independent sub-stream for the same seed (the documented split
-    rule for concurrent use).
+    The path of :func:`ou_path_uniform` on the stream `make_rng(seed, 0)`,
+    starting in the stationary distribution. Raises ValueError unless the
+    times are a non-empty 1-d sequence, increasing and uniformly spaced.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if np.any(np.diff(t) < 0):
-        raise ValueError("times must be increasing")
-    sigma = p.sigma.value
-    if sigma == 0.0:
-        return np.zeros_like(t)
-    rng = make_rng(p.seed, stream)
     dts = np.diff(t)
-    if dts.size and np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        return ou_path_uniform(sigma, math.exp(-dts[0] / p.tau_c_ns), rng, t.size)
-    out = np.empty(t.size)
-    out[0] = sigma * rng.standard_normal()
-    noise = rng.standard_normal(t.size - 1)
-    for k, dt in enumerate(dts):
-        lam = math.exp(-dt / p.tau_c_ns)
-        out[k + 1] = lam * out[k] + sigma * math.sqrt(1.0 - lam * lam) * noise[k]
-    return out
+    if dts.size and not (dts[0] > 0 and np.allclose(dts, dts[0], rtol=1e-9, atol=0.0)):
+        raise ValueError("times must be increasing and uniformly spaced")
+    if p.sigma.value == 0.0:
+        return np.zeros_like(t)
+    lam = math.exp(-dts[0] / p.tau_c_ns) if dts.size else 0.0
+    return ou_path_uniform(p.sigma.value, lam, make_rng(p.seed, 0), t.size)
 
 
 def visibility_vs_delay(v0: float, delta_omega_r: float, tau_c_ns: float,
@@ -164,7 +153,7 @@ class DelayVisibilitySeries:
     def __len__(self) -> int:
         return int(self.delay_ns.size)
 
-    def to_csv(self, path: str | Path, header_comment: str | None = None) -> None:
+    def to_csv(self, path: str | Path, header_comment: str) -> None:
         write_csv_columns(path, ("delay_ns", "visibility", "sigma_v"),
                           (self.delay_ns, self.visibility, self.sigma_v), comment=header_comment)
 

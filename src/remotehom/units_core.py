@@ -165,8 +165,8 @@ def read_csv_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
 
 def write_csv_columns(path: str | Path, names: Sequence[str],
                       columns: Sequence[np.ndarray | list[str]],
-                      comment: str | None = None) -> list[list[str]]:
-    """Write `columns` under the header `names`, after an optional `# comment` line.
+                      comment: str) -> list[list[str]]:
+    """Write `columns` under the header `names`, after a `# comment` line.
 
     Each value is the repr of its Python scalar, so floats read back bit for
     bit with :func:`read_csv_columns` and integer columns stay integers.
@@ -176,7 +176,7 @@ def write_csv_columns(path: str | Path, names: Sequence[str],
     """
     texts = [c if isinstance(c, list) else list(map(repr, np.asarray(c).tolist()))
              for c in columns]
-    lines = ([f"# {comment}"] if comment else []) + [",".join(names)]
+    lines = [f"# {comment}", ",".join(names)]
     lines += map(",".join, zip(*texts))
     Path(path).write_text("\n".join(lines) + "\n", newline="")
     return texts

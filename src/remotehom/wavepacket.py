@@ -191,9 +191,13 @@ def emission_profile(params: EmitterParams, grid: np.ndarray) -> WavepacketProfi
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid, t1_ns)
     t = np.clip(grid, 0.0, None)
-    intensity = np.exp(-t / t1_ns)
+    with np.errstate(over="ignore"):  # t / T1 past the largest float: the decay's limit 0
+        intensity = np.exp(-t / t1_ns)
     if params.charge is Charge.X and params.fss.value > 0:
-        intensity *= np.sin(params.fss.value / (2.0 * HBAR_UEV_NS) * t) ** 2
+        beat = params.fss.value / (2.0 * HBAR_UEV_NS)
+        if not math.isfinite(beat * float(t.max())):
+            raise ValueError(f"fss_uev must give a finite beat phase, got {params.fss.value}")
+        intensity *= np.sin(beat * t) ** 2
     intensity[grid < 0] = 0.0
     return WavepacketProfile.from_intensity(grid, intensity)
 

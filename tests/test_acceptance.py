@@ -227,7 +227,8 @@ def test_criterion_07_simulation_matches_analytic_prediction():
                           detuning=dbar, s=1.0, tau_c=50.0)
         est = estimate_visibility(
             simulate_histogram(pair, cfg, PAR, seed=700 + k, workers=4),
-            simulate_histogram(pair, cfg, PERP, seed=700 + k, workers=4))
+            simulate_histogram(pair, cfg, PERP, seed=700 + k, workers=4),
+            cfg.rep_period_ns)
         sigma = _ou_inflated_sigma(pair, cfg, est.sigma, seed=7000 + k)
         assert abs(est.v_tpi - analytic_prediction(pair)) <= 3.0 * sigma, f"config {k}"
     assert time.perf_counter() - t0 < 300.0
@@ -243,7 +244,8 @@ def test_criterion_08_remote_bound_property():
     pair_1 = noise_pair(gamma_star=(0.17, 0.03), delta_omega=(4.6, 1.78), s=0.986)
     assert analytic_prediction(pair_1) <= bound_1
     est = estimate_visibility(simulate_histogram(pair_1, cfg, PAR, seed=81),
-                              simulate_histogram(pair_1, cfg, PERP, seed=81))
+                              simulate_histogram(pair_1, cfg, PERP, seed=81),
+                              cfg.rep_period_ns)
     assert est.v_tpi <= bound_1 + 3.0 * est.sigma
 
     # dephasing rates chosen to reproduce the two individual
@@ -253,7 +255,8 @@ def test_criterion_08_remote_bound_property():
                         gamma_star=(g_i * (1 / 0.966 - 1), g_j * (1 / 0.938 - 1)))
     assert analytic_prediction(pair_4) <= bound_4
     est = estimate_visibility(simulate_histogram(pair_4, cfg, PAR, seed=84),
-                              simulate_histogram(pair_4, cfg, PERP, seed=84))
+                              simulate_histogram(pair_4, cfg, PERP, seed=84),
+                              cfg.rep_period_ns)
     assert est.v_tpi <= bound_4 + 3.0 * est.sigma
 
 
@@ -352,9 +355,11 @@ def test_criterion_11_blinking_invariance():
                                     blink_on_prob=0.9, blink_dwell_ns=100.0)
     cfg_steady = HomExperimentConfig(n_pulses=1_000_000, g2=0.0, blink_on_prob=1.0)
     est_b = estimate_visibility(simulate_histogram(pair, cfg_blink, PAR, seed=1101),
-                                simulate_histogram(pair, cfg_blink, PERP, seed=1101))
+                                simulate_histogram(pair, cfg_blink, PERP, seed=1101),
+                                cfg_blink.rep_period_ns)
     est_s = estimate_visibility(simulate_histogram(pair, cfg_steady, PAR, seed=1101),
-                                simulate_histogram(pair, cfg_steady, PERP, seed=1101))
+                                simulate_histogram(pair, cfg_steady, PERP, seed=1101),
+                                cfg_steady.rep_period_ns)
     assert abs(est_b.v_tpi - est_s.v_tpi) <= 3.0 * math.hypot(est_b.sigma, est_s.sigma)
 
 

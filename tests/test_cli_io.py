@@ -1,5 +1,6 @@
 """Config ingestion, catalog matching, pipeline artifacts, CLI contract."""
 
+import copy
 import hashlib
 import json
 import math
@@ -904,6 +905,10 @@ _BAD_VALUES = [
     ("match-pairs", ("sources", 0, "tuning_range_nm"), []),
     ("match-pairs", ("sources", 0, "tuning_range_nm"), [924.6, 924.8, 925.0]),
     ("match-pairs", ("sources", 0, "emitter", "wavelength_nm"), -1.0),
+    ("match-pairs", ("sources", 0, "tuning_range_nm"), [-5.0, -1.0]),
+    ("match-pairs", ("sources", 0, "tuning_range_nm"), [0.0, 925.0]),
+    ("match-pairs", ("sources", 0, "peak_brightness"), -3.0),
+    ("match-pairs", ("sources", 0, "peak_brightness"), 7.0),
     ("simulate", ("workers",), 0),
     ("simulate", ("workers",), -2),
     ("simulate", ("seed",), -1),
@@ -915,7 +920,7 @@ _BAD_VALUES = [
 def test_cli_wrongly_typed_config_or_catalog_value_exits_2(tmp_path, capsys, command, keys,
                                                              value):
     doc = (json.loads(write_config(tmp_path).read_text()) if command != "match-pairs"
-           else {"sources": [dict(_SOURCE)]})
+           else {"sources": [copy.deepcopy(_SOURCE)]})
     path = tmp_path / "doc.json"
     argv = [command, "--config", str(path)]
     if command == "simulate":  # the key names a command-line option

@@ -26,37 +26,35 @@ def _or_any_positive(physical: st.SearchStrategy) -> st.SearchStrategy:
     return st.one_of(physical, st.floats(-323.3, 308.25).map(lambda e: 10.0 ** e))
 
 
-PHYSICAL = {"t1_ps": st.floats(60.0, 400.0), "gamma_star_ns_inv": st.floats(0.0, 2.0),
-            "delta_omega_ns_inv": st.floats(0.0, 10.0), "tau_c_ns": st.floats(1.0, 5000.0)}
-# where the rate 1000/t1_ps or the 10-lifetime grid span overflows
-ANY_T1_PS = {"t1_ps": _or_any_positive(PHYSICAL["t1_ps"])}
-# where predict-delay's 3 tau_c delay span overflows
-ANY_TAU_C_NS = {"tau_c_ns": _or_any_positive(PHYSICAL["tau_c_ns"])}
-# where the squared detuning of the parallel shards overflows (m = 0) and,
-# beyond 1e307, the detuning path itself
-ANY_DELTA_OMEGA = {"delta_omega_ns_inv": _or_any_positive(PHYSICAL["delta_omega_ns_inv"])}
+# the emitter's rate and time keys, each drawn half from its physical range and
+# half over all positive finite floats: there a rate 1000/t1_ps, the 10-lifetime
+# grid span, a squared rate or width (the overlap then takes its limit), the
+# 16-width detuning span or predict-delay's 3 tau_c delay span may overflow
+EMITTER = {key: _or_any_positive(physical) for key, physical in {
+    "t1_ps": st.floats(60.0, 400.0), "gamma_star_ns_inv": st.floats(0.0, 2.0),
+    "delta_omega_ns_inv": st.floats(0.0, 10.0), "tau_c_ns": st.floats(1.0, 5000.0),
+    "fss_uev": st.floats(0.0, 10.0)}.items()}
+# of either sign: its square may overflow
+MEAN_DETUNING = _or_any_positive(st.floats(0.0, 20.0)).flatmap(lambda d: st.sampled_from([d, -d]))
 
 
-def _emitter(**keys: st.SearchStrategy) -> st.SearchStrategy:
-    """An emitter dict: the PHYSICAL strategies, except where `keys` override them."""
+def _emitter() -> st.SearchStrategy:
     return st.fixed_dictionaries({
-        **PHYSICAL,
+        **EMITTER,
         "wavelength_nm": st.just(924.847),
-        "fss_uev": st.floats(0.0, 10.0),
         "theta_rad": st.floats(-3.2, 3.2),
         "charge": st.sampled_from(["X", "CX"]),
         "brightness": st.floats(0.2, 1.0),
         "sideband_fraction": st.floats(0.0, 0.5),
-        **keys,
     })
 
 
-def _sane_config(**keys: st.SearchStrategy) -> st.SearchStrategy:
+def _sane_config() -> st.SearchStrategy:
+    # the experiment keys stay in their physical ranges: they set the size of a run
     return st.fixed_dictionaries({
         "pair": st.fixed_dictionaries({
-            "a": _emitter(**keys), "b": _emitter(**keys),
-            "mean_detuning_ns_inv": st.floats(-20.0, 20.0),
-        }, optional={"s_classical": st.floats(0.0, 1.0)}),
+            "a": _emitter(), "b": _emitter(), "mean_detuning_ns_inv": MEAN_DETUNING,
+        }, optional={"s_classical": _or_any_positive(st.floats(0.0, 1.0))}),
         "experiment": st.fixed_dictionaries({
             "n_pulses": st.integers(2_000, 20_000),
             "rep_period_ns": st.floats(5.0, 20.0),
@@ -68,8 +66,8 @@ def _sane_config(**keys: st.SearchStrategy) -> st.SearchStrategy:
             "window_peaks": st.integers(1, 4),
         }),
         "seed": st.integers(0, 2**31),
-    }, optional={"filter": st.fixed_dictionaries({"center_nm": st.just(924.847),
-                                                  "fwhm_pm": st.floats(5.0, 50.0)})})
+    }, optional={"filter": st.fixed_dictionaries({
+        "center_nm": st.just(924.847), "fwhm_pm": _or_any_positive(st.floats(5.0, 50.0))})})
 
 
 def _paths(d: dict, prefix: tuple = ()) -> list[tuple]:
@@ -102,10 +100,9 @@ def _corrupt(draw, cfg: dict) -> dict:
 
 
 @st.composite
-def configs(draw, **keys: st.SearchStrategy) -> dict:
-    """A sane config, with the emitter strategies `keys` in place of PHYSICAL's,
-    and up to two keys deleted, added or corrupted."""
-    return _corrupt(draw, draw(_sane_config(**keys)))
+def configs(draw) -> dict:
+    """A sane config with up to two keys deleted, added or corrupted."""
+    return _corrupt(draw, draw(_sane_config()))
 
 
 def extreme_config(**a) -> dict:
@@ -121,7 +118,8 @@ SANE_SOURCE = st.fixed_dictionaries({
     "tuning_range_nm": st.tuples(st.floats(924.5, 925.2), st.floats(0.01, 0.4)).map(
         lambda lo_width: [lo_width[0], lo_width[0] + lo_width[1]]),
 }, optional={"peak_brightness": st.floats(0.05, 0.3)})
-BAD_RANGES = [[], [924.7], [924.6, 924.8, 925.0], [924.6, math.nan], [True, 925.0], ["924.6", 925.0]]
+BAD_RANGES = [[], [924.7], [924.6, 924.8, 925.0], [924.6, math.nan], [True, 925.0], ["924.6", 925.0],
+              [-5.0, -1.0]]
 
 
 @st.composite
@@ -165,7 +163,7 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 
 
 @PROPERTY
-@given(cfg=configs(**ANY_T1_PS), fwhm=FILTER_OVERRIDE)
+@given(cfg=configs(), fwhm=FILTER_OVERRIDE)
 @example(cfg=extreme_config(t1_ps=1e-320), fwhm=None)
 @example(cfg=extreme_config(t1_ps=1e308), fwhm=None)
 def test_overlap_exit_code_contract(cfg, fwhm):
@@ -179,7 +177,7 @@ def test_overlap_exit_code_contract(cfg, fwhm):
 
 
 @PROPERTY
-@given(cfg=configs(**ANY_T1_PS, **ANY_TAU_C_NS), fwhm=FILTER_OVERRIDE,
+@given(cfg=configs(), fwhm=FILTER_OVERRIDE,
        source=st.sampled_from(["a", "b"]))
 @example(cfg=extreme_config(t1_ps=1e-320), fwhm=None, source="a")
 @example(cfg=extreme_config(t1_ps=1e308), fwhm=None, source="a")
@@ -193,7 +191,7 @@ def test_predict_delay_exit_code_contract(cfg, fwhm, source):
 
 
 @PROPERTY
-@given(cfg=configs(**ANY_DELTA_OMEGA), fwhm=FILTER_OVERRIDE)
+@given(cfg=configs(), fwhm=FILTER_OVERRIDE)
 @example(cfg=extreme_config(delta_omega_ns_inv=1e200), fwhm=None)
 def test_simulate_exit_code_contract(cfg, fwhm):
     with tempfile.TemporaryDirectory() as tmp:

@@ -75,7 +75,8 @@ def test_visibility_one_for_perfect_pair():
     pair = quiet_pair(s_given=1.0)
     cfg = quiet_config()
     est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=103),
-                              simulate_histogram(pair, cfg, PERP, seed=103))
+                              simulate_histogram(pair, cfg, PERP, seed=103),
+                              cfg.rep_period_ns)
     assert est.v_tpi == 1.0
     assert est.a_par == 0.0
 
@@ -86,7 +87,8 @@ def test_visibility_approaches_classical_overlap_noise_off():
     pair = quiet_pair(162.0, 128.0, s_given=82944 / 84100)
     cfg = quiet_config(300_000)
     est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=104),
-                              simulate_histogram(pair, cfg, PERP, seed=104))
+                              simulate_histogram(pair, cfg, PERP, seed=104),
+                              cfg.rep_period_ns)
     assert abs(est.v_tpi - pair.s_classical) <= 3.0 * est.sigma
 
 
@@ -96,9 +98,11 @@ def test_detuned_pair_loses_visibility():
                          mean_detuning=Frequency(12.0), s_given=1.0)
     cfg = quiet_config()
     v_res = estimate_visibility(simulate_histogram(resonant, cfg, PAR, seed=105),
-                                simulate_histogram(resonant, cfg, PERP, seed=105))
+                                simulate_histogram(resonant, cfg, PERP, seed=105),
+                                cfg.rep_period_ns)
     v_det = estimate_visibility(simulate_histogram(detuned, cfg, PAR, seed=105),
-                                simulate_histogram(detuned, cfg, PERP, seed=105))
+                                simulate_histogram(detuned, cfg, PERP, seed=105),
+                                cfg.rep_period_ns)
     assert v_det.v_tpi < v_res.v_tpi - 3.0 * (v_det.sigma + v_res.sigma)
     expected = analytic_prediction(detuned)
     assert abs(v_det.v_tpi - expected) <= 3.0 * v_det.sigma
@@ -108,7 +112,8 @@ def test_g2_contamination_lowers_visibility():
     pair = quiet_pair(s_given=1.0)
     cfg = quiet_config(g2=0.02)
     est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=106),
-                              simulate_histogram(pair, cfg, PERP, seed=106))
+                              simulate_histogram(pair, cfg, PERP, seed=106),
+                              cfg.rep_period_ns)
     # injected distinguishable extras contaminate both polarizations:
     # v = 1 - g2/(1 + g2) up to Poisson noise
     expected = 1.0 - cfg.g2 / (1.0 + cfg.g2)
@@ -123,7 +128,8 @@ def test_sideband_fraction_degrades_visibility():
         pair = SourcePair(a=EmitterParams(162.0, sideband_fraction=p_a),
                           b=EmitterParams(162.0, sideband_fraction=p_b), s_given=1.0)
         est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=107),
-                                  simulate_histogram(pair, cfg, PERP, seed=107))
+                                  simulate_histogram(pair, cfg, PERP, seed=107),
+                                  cfg.rep_period_ns)
         assert abs(est.v_tpi - expected) <= 3.0 * est.sigma, (p_a, p_b)
 
 
@@ -146,7 +152,8 @@ def test_mc_matches_analytic_prediction_with_wandering():
     pair = SourcePair(a=a, b=b, mean_detuning=Frequency(2.0), s_given=1.0)
     cfg = quiet_config(500_000)
     est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=108, workers=4),
-                              simulate_histogram(pair, cfg, PERP, seed=108, workers=4))
+                              simulate_histogram(pair, cfg, PERP, seed=108, workers=4),
+                              cfg.rep_period_ns)
     expected = analytic_prediction(pair)
     assert abs(est.v_tpi - expected) <= 3.0 * ou_inflated_sigma(pair, cfg, est.sigma)
 
@@ -207,7 +214,8 @@ def test_unequal_tau_c_draws_two_paths_and_matches_analytic_prediction(monkeypat
     assert len(calls) == 2 * 8  # both paths in each of the 8 shards
     assert {(s, lam) for s, lam, _ in calls} == {(3.0, math.exp(-T / 50.0)),
                                                  (2.0, math.exp(-T / 20.0))}
-    est = estimate_visibility(h_par, simulate_histogram(pair, cfg, PERP, seed=118, workers=2))
+    est = estimate_visibility(h_par, simulate_histogram(pair, cfg, PERP, seed=118, workers=2),
+                              cfg.rep_period_ns)
     sigma = ou_inflated_sigma(pair, cfg, est.sigma)
     assert abs(est.v_tpi - analytic_prediction(pair)) <= 4.0 * sigma
 
@@ -237,9 +245,11 @@ def test_blinking_invariance_of_estimator():
     cfg_blink = quiet_config(400_000, blink_on_prob=0.9, blink_dwell_ns=100.0)
     cfg_steady = quiet_config(400_000)
     est_b = estimate_visibility(simulate_histogram(pair, cfg_blink, PAR, seed=109),
-                                simulate_histogram(pair, cfg_blink, PERP, seed=109))
+                                simulate_histogram(pair, cfg_blink, PERP, seed=109),
+                                cfg_blink.rep_period_ns)
     est_s = estimate_visibility(simulate_histogram(pair, cfg_steady, PAR, seed=109),
-                                simulate_histogram(pair, cfg_steady, PERP, seed=109))
+                                simulate_histogram(pair, cfg_steady, PERP, seed=109),
+                                cfg_steady.rep_period_ns)
     sigma = math.hypot(est_b.sigma, est_s.sigma)
     assert abs(est_b.v_tpi - est_s.v_tpi) <= 3.0 * sigma
 
@@ -423,12 +433,12 @@ def synthetic_histograms(a_par: int, a_perp: int):
 
 def test_estimator_equal_areas_gives_zero():
     h_par, h_perp = synthetic_histograms(5000, 5000)
-    assert estimate_visibility(h_par, h_perp).v_tpi == 0.0
+    assert estimate_visibility(h_par, h_perp, 12.2).v_tpi == 0.0
 
 
 def test_estimator_zero_parallel_gives_one():
     h_par, h_perp = synthetic_histograms(0, 5000)
-    est = estimate_visibility(h_par, h_perp)
+    est = estimate_visibility(h_par, h_perp, 12.2)
     assert est.v_tpi == 1.0
     assert est.sigma == pytest.approx(1.0 / 5000.0)
 
@@ -436,7 +446,7 @@ def test_estimator_zero_parallel_gives_one():
 def test_estimator_rejects_empty_perpendicular():
     h_par, h_perp = synthetic_histograms(100, 0)
     with pytest.raises(ZeroDivisionError):
-        estimate_visibility(h_par, h_perp)
+        estimate_visibility(h_par, h_perp, 12.2)
 
 
 def test_estimator_rejects_mismatched_binning():
@@ -444,12 +454,12 @@ def test_estimator_rejects_mismatched_binning():
     other = CoincidenceHistogram(np.linspace(-5.0, 5.0, 101),
                                  np.zeros(101, dtype=np.int64), PERP)
     with pytest.raises(ValueError):
-        estimate_visibility(h_par, other)
+        estimate_visibility(h_par, other, 12.2)
 
 
 def test_estimator_poisson_sigma():
     h_par, h_perp = synthetic_histograms(400, 10_000)
-    est = estimate_visibility(h_par, h_perp)
+    est = estimate_visibility(h_par, h_perp, 12.2)
     ratio = 400 / 10_000
     assert est.sigma == pytest.approx(ratio * math.sqrt(1 / 400 + 1 / 10_000), rel=1e-12)
 

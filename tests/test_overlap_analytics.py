@@ -146,6 +146,18 @@ def test_overlaps_take_their_limit_where_a_square_overflows():
         assert mwo_no_dephasing(Rate(1e300), Rate(2e300), Frequency(0.0)) == pytest.approx(8 / 9)
 
 
+def test_overlaps_keep_full_precision_where_a_square_underflows():
+    # rates about 1e-162 rad/ns square below the smallest float: the parent gave 0/0 = NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mwo_no_dephasing(Rate(1e-162), Rate(1e-163), Frequency(0.0)) == pytest.approx(
+            40 / 121, rel=1e-14)
+        slow = pair_with(t1=(1e165, 1e166), s=0.97)
+        assert mwo_with_dephasing(slow) == pytest.approx(0.97, rel=1e-14)
+        assert mwo_voigt_averaged(slow) == pytest.approx(0.97 * mwo_with_dephasing(slow),
+                                                         rel=1e-12)
+
+
 def test_dephasing_equality_only_when_pure_and_resonant():
     p = pair_with(s=0.97, t1=(162.0, 162.0))
     assert mwo_with_dephasing(p) == pytest.approx(0.97, rel=1e-12)
@@ -163,6 +175,17 @@ def test_voigt_gaussian_limit():
 def test_voigt_lorentzian_limit():
     assert voigt(0.0, Rate(1.0), Rate(0.0)) == pytest.approx(1 / math.pi, abs=1e-6)
     assert voigt(0.0, Rate(1.0), Rate(0.0)) == pytest.approx(0.31831, abs=1e-5)
+
+
+def test_voigt_keeps_its_value_where_scipy_underflows():
+    assert voigt(0.0, Rate(0.0), Rate(1e300)) == pytest.approx(
+        1.0 / (1e300 * math.sqrt(2.0 * math.pi)), rel=1e-15)
+    assert voigt(0.0, Rate(1e-160), Rate(0.0)) == pytest.approx(1.0 / (math.pi * 1e-160),
+                                                                rel=1e-15)
+    # no wandering: the averaged overlap is s times the dephasing form (module docstring)
+    huge = pair_with(t1=(1e-200, 2e-200), detuning=1e203, s=0.9)
+    assert mwo_voigt_averaged(huge) == pytest.approx(0.9 * mwo_with_dephasing(huge), rel=1e-12)
+    assert mwo_voigt_averaged(huge) > 0.29
 
 
 def test_voigt_both_widths_zero_rejected():

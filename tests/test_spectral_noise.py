@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from remotehom.units_core import Rate
+from remotehom.units_core import Rate, make_rng
 from remotehom.wavepacket import EmitterParams
 from remotehom.spectral_noise import (
     DelayVisibilitySeries,
@@ -28,14 +28,25 @@ def test_zero_sigma_path_is_exactly_zero():
     np.testing.assert_array_equal(path, np.zeros(513))
 
 
-def test_path_deterministic_per_seed_and_stream():
-    p = WanderingProcess(sigma=Rate(3.0), tau_c_ns=50.0, seed=99)
+def test_path_deterministic_per_seed():
     t = np.linspace(0, 500, 2048)
-    a = sample_frequency_path(p, t, stream=2)
-    b = sample_frequency_path(p, t, stream=2)
+    a = sample_frequency_path(WanderingProcess(sigma=Rate(3.0), tau_c_ns=50.0, seed=99), t)
+    b = sample_frequency_path(WanderingProcess(sigma=Rate(3.0), tau_c_ns=50.0, seed=99), t)
     np.testing.assert_array_equal(a, b)
-    c = sample_frequency_path(p, t, stream=3)
+    c = sample_frequency_path(WanderingProcess(sigma=Rate(3.0), tau_c_ns=50.0, seed=98), t)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("times", [
+    np.linspace(0, 1000, 513),
+    12.2 * np.arange(3 * 65536),  # the benchmark's OU probe: one op's pulse train
+    np.array([7.0]),
+])
+def test_path_is_the_uniform_scan_on_stream_zero(times):
+    p = WanderingProcess(sigma=Rate(2.5), tau_c_ns=50.0, seed=41)
+    lam = math.exp(-(times[1] - times[0]) / 50.0) if times.size > 1 else 0.0
+    np.testing.assert_array_equal(sample_frequency_path(p, times),
+                                  ou_path_uniform(2.5, lam, make_rng(41, 0), times.size))
 
 
 def test_stationary_variance():
@@ -43,18 +54,15 @@ def test_stationary_variance():
     # 1e6 iid normal draws has relative SE sqrt(2/N) = 0.14%, so the 1%
     # band sits at 7 sigma
     sigma = 4.7
-    p = WanderingProcess(sigma=Rate(sigma), tau_c_ns=10.0, seed=17)
-    t = 200.0 * np.arange(1_000_000)
-    path = sample_frequency_path(p, t)
+    path = ou_path_uniform(sigma, math.exp(-200.0 / 10.0), make_rng(17, 0), 1_000_000)
     assert path.var() == pytest.approx(sigma**2, rel=0.01)
     assert abs(path.mean()) < 5.0 * sigma / 1000.0
 
 
 def test_autocorrelation_at_tau_c():
     tau_c = 40.0
-    p = WanderingProcess(sigma=Rate(2.5), tau_c_ns=tau_c, seed=23)
     dt = tau_c / 5.0
-    path = sample_frequency_path(p, dt * np.arange(1_000_000))
+    path = ou_path_uniform(2.5, math.exp(-dt / tau_c), make_rng(23, 0), 1_000_000)
     lag = 5
     x0, x1 = path[:-lag], path[lag:]
     rho = np.mean((x0 - x0.mean()) * (x1 - x1.mean())) / path.var()
@@ -63,23 +71,12 @@ def test_autocorrelation_at_tau_c():
 
 def test_autocorrelation_decay_profile():
     tau_c = 40.0
-    p = WanderingProcess(sigma=Rate(2.5), tau_c_ns=tau_c, seed=29)
     dt = 4.0
-    path = sample_frequency_path(p, dt * np.arange(400_000))
+    path = ou_path_uniform(2.5, math.exp(-dt / tau_c), make_rng(29, 0), 400_000)
     var = path.var()
     for lag_steps in [1, 5, 10, 25]:
         rho = np.mean(path[:-lag_steps] * path[lag_steps:]) / var
         assert rho == pytest.approx(math.exp(-lag_steps * dt / tau_c), abs=0.03)
-
-
-def test_non_uniform_times_match_uniform_statistics():
-    # exact conditional transition: irregular sampling must give the
-    # same stationary law as uniform sampling
-    p = WanderingProcess(sigma=Rate(3.0), tau_c_ns=30.0, seed=31)
-    rng = np.random.default_rng(0)
-    t = np.sort(rng.uniform(0, 90_000.0, size=40_000))
-    path = sample_frequency_path(p, t)
-    assert path.var() == pytest.approx(9.0, rel=0.05)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.78, 0.99, 0.99999, 1.0])
@@ -99,10 +96,13 @@ def test_uniform_path_scan_matches_recursion(lam):
                                   ref[:1])
 
 
-def test_times_must_increase():
+@pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, 1.0, 3.0], [2.0, 1.0, 0.0],
+                                   [1.0, 1.0, 1.0], [0.0, math.nan], [], [[0.0, 1.0]]])
+def test_times_must_increase(times):
+    # uniformly, in one dimension
     p = WanderingProcess(sigma=Rate(1.0), tau_c_ns=10.0, seed=1)
     with pytest.raises(ValueError):
-        sample_frequency_path(p, [0.0, 2.0, 1.0])
+        sample_frequency_path(p, times)
 
 
 def test_process_validation():
@@ -198,15 +198,14 @@ def test_delay_law_on_an_array_equals_the_scalar_calls_bit_for_bit():
 def _mc_pair_visibility(sigma: float, tau_c: float, delta_tau: float,
                         gamma: float, seed: int, n_pairs: int = 40_000):
     """Average instantaneous-detuning overlap of photon pairs a fixed
-    delay apart, with pairs spaced far enough to be independent."""
-    p = WanderingProcess(sigma=Rate(sigma), tau_c_ns=tau_c, seed=seed)
-    spacing = delta_tau + 12.0 * tau_c
-    starts = spacing * np.arange(n_pairs)
-    times = np.empty(2 * n_pairs)
-    times[0::2] = starts
-    times[1::2] = starts + delta_tau
-    path = sample_frequency_path(p, times)
-    delta = path[1::2] - path[0::2]
+    delay apart, with pairs spaced far enough to be independent.
+
+    One path of step delta_tau; pair j is (x[jK], x[jK + 1]), so that
+    consecutive pairs sit at least 12 tau_c apart."""
+    k = math.ceil(12.0 * tau_c / delta_tau) + 1
+    path = ou_path_uniform(sigma, math.exp(-delta_tau / tau_c), make_rng(seed, 0),
+                           (n_pairs - 1) * k + 2)
+    delta = path[1::k] - path[0::k]
     m = 4.0 * gamma**2 / (4.0 * gamma**2 + delta**2)
     return float(m.mean()), float(m.std(ddof=1) / math.sqrt(n_pairs))
 

@@ -196,6 +196,18 @@ def test_marginal_grid_warns():
     assert record[0].filename == __file__  # the warning names the caller's line
 
 
+def test_profile_decays_to_zero_where_t_over_t1_overflows():
+    # the fast profile on the slow one's grid: t / T1 passes the largest float
+    grid = default_grid(1e-149, 1e159)
+    f = emission_profile(EmitterParams(1e-149), grid).f
+    assert f[0] > 0.0 and not f[1:].any()
+
+
+def test_beat_phase_that_overflows_raises():
+    with pytest.raises(ValueError, match="fss_uev"):
+        emission_profile(beating_params(60.0, 1e261), default_grid(60.0, 1e50))
+
+
 def test_profile_rejects_negative_amplitude():
     t = uniform_grid(1.0, 16)
     f = np.full(16, 1.0)
