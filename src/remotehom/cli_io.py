@@ -20,7 +20,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,7 +43,6 @@ from .overlap_analytics import (
     mwo_no_dephasing,
     mwo_voigt_averaged,
     mwo_with_dephasing,
-    remote_upper_bound,
 )
 from .spectral_noise import DelayVisibilitySeries, individual_indistinguishability
 from .hom_montecarlo import (
@@ -207,10 +206,9 @@ _EMITTER = {"t1_ps": float, "gamma_star_ns_inv": 0.0, "delta_omega_ns_inv": 0.0,
             "tau_c_ns": 1400.0, "wavelength_nm": 0.0, "fss_uev": 0.0, "theta_rad": 0.0,
             "charge": "CX", "brightness": 1.0, "sideband_fraction": 0.05}
 
-# the keys are HomExperimentConfig's field names
-_EXPERIMENT = {"n_pulses": int, "rep_period_ns": 12.2, "jitter_sigma_ps": 12.0, "g2": 0.0,
-               "blink_on_prob": 0.9, "blink_dwell_ns": 100.0, "bin_width_ps": 50.0,
-               "window_peaks": 3}
+# HomExperimentConfig's fields: the required n_pulses an int, the others their defaults
+_EXPERIMENT = {f.name: int if f.default is MISSING else f.default
+               for f in fields(HomExperimentConfig)}
 
 
 def emitter_from_dict(d: dict, context: str = "emitter") -> EmitterParams:
@@ -390,7 +388,8 @@ def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     """Analytic predictions, both-polarization Monte Carlo, visibility
     estimate and bound check; writes all artifacts into config.outputs."""
     pair = config.pair  # s is read first: a pair whose s fails leaves no output directory
-    bound = remote_upper_bound(pair.s_classical, 1.0, 1.0)
+    # the remote bound min(s, sqrt(m_a m_b)) with perfect single-source overlaps m = 1
+    bound = pair.s_classical
     report = dict(overlap_report(pair, cfg_hash), upper_bound=bound)
     out = config.outputs
     out.mkdir(parents=True, exist_ok=True)
@@ -596,10 +595,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (FilterRegimeError, RankDeficiencyError, np.linalg.LinAlgError,
             ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -97,9 +97,9 @@ class SourcePair:
 
     @functools.cached_property
     def profiles(self) -> tuple[WavepacketProfile, WavepacketProfile]:
-        """The emission profiles of a and b, built on first read."""
-        # one grid for both profiles, spanning the slower emitter: separate
-        # grids would zero-fill the faster profile's tail and bias s low
+        """The emission profiles of a and b, built on first read, both on one grid
+        that `default_grid` makes uniform (the delay model's single dt relies on
+        it). Separate grids would zero-fill the faster profile's tail, biasing s low."""
         grid = default_grid(self.a.t1_ps, self.b.t1_ps)
         return emission_profile(self.a, grid), emission_profile(self.b, grid)
 

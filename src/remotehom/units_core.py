@@ -27,7 +27,6 @@ __all__ = [
     "lifetime_to_rate",
     "fwhm_pm_to_angular_rate",
     "make_rng",
-    "uniform_grid",
     "read_csv_columns",
     "write_csv_columns",
     "json_text",
@@ -119,13 +118,6 @@ def make_rng(seed: int, *stream_key: int) -> np.random.Generator:
     as (s, 0, 9) and (s, 0, 9, 0), give the same stream.
     """
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, stream_key)]))
-
-
-def uniform_grid(t_max_ns: float, n_samples: int) -> np.ndarray:
-    """Uniform time grid [0, t_max] in ns with `n_samples` points."""
-    if not (0 < t_max_ns < math.inf) or n_samples < 2:
-        raise ValueError("grid needs a finite t_max > 0 and at least 2 samples")
-    return np.linspace(0.0, float(t_max_ns), int(n_samples))
 
 
 def read_csv_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ...]:

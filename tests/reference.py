@@ -2,8 +2,9 @@
 
 None is needed at run time: `closed_form_temporal_overlap` is the
 closed form that `classical_overlap` must reproduce for mono-exponential
-profiles, `finite_difference_jacobian` the numerical derivative that
-every analytic Jacobian in `remotehom.estimation` must match,
+profiles, `beating_overlap_quadrature` the piecewise adaptive quadrature it
+must reproduce for beating ones, `finite_difference_jacobian` the numerical
+derivative that every analytic Jacobian in `remotehom.estimation` must match,
 `csv_float_columns` the `csv` module and `float()` reading of a CSV that
 `read_csv_columns` must reproduce, and `dense_delay_bin_probs` the full
 (2W + 1) x (n_bins + 1) delay table whose rows the banded
@@ -16,6 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.integrate import quad
 
 from remotehom.units_core import Rate
 
@@ -89,3 +91,28 @@ def dense_delay_bin_probs(pair, cfg) -> tuple[np.ndarray, np.ndarray]:
     ks = np.arange(-cfg.window_peaks, cfg.window_peaks + 1)
     p = np.clip(np.diff(np.interp(edges - ks[:, None] * cfg.rep_period_ns, cdf_x, cdf)), 0.0, None)
     return edges, np.column_stack([p, np.maximum(1.0 - p.sum(axis=1), 0.0)])
+
+
+def beating_overlap_quadrature(a: tuple[float, float], b: tuple[float, float],
+                               t_end: float) -> float:
+    """Classical overlap of two ideal beating decays (T1 ps, fss ueV) on [0, t_end] ns.
+
+    Independent oracle: each intensity sin^2(fss t / 2 hbar) exp(-t / T1)
+    is integrated with `quad` piecewise between the zeros of both sine
+    factors, where |sin| is smooth. Uses no package code.
+    """
+    hbar = 0.6582119569  # ueV ns (CODATA)
+    (t1a, fss_a), (t1b, fss_b) = a, b
+    wa, wb = fss_a / (2 * hbar), fss_b / (2 * hbar)
+    ga, gb = 1000.0 / t1a, 1000.0 / t1b
+    zeros = {k * math.pi / w for w in (wa, wb) for k in range(1, int(t_end * w / math.pi) + 1)}
+    edges = [0.0, *sorted(z for z in zeros if z < t_end), t_end]
+
+    def integral(fn) -> float:
+        return math.fsum(quad(fn, lo, hi, epsabs=0.0, epsrel=1e-12)[0]
+                         for lo, hi in zip(edges, edges[1:]))
+
+    na = integral(lambda t: math.sin(wa * t) ** 2 * math.exp(-ga * t))
+    nb = integral(lambda t: math.sin(wb * t) ** 2 * math.exp(-gb * t))
+    c = integral(lambda t: abs(math.sin(wa * t) * math.sin(wb * t)) * math.exp(-0.5 * (ga + gb) * t))
+    return c * c / (na * nb)

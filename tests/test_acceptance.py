@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from remotehom.units_core import EnergySplitting, Frequency, Rate, uniform_grid
+from remotehom.units_core import EnergySplitting, Frequency, Rate
 from remotehom.wavepacket import (
     Charge,
     EmitterParams,
@@ -47,7 +47,8 @@ from remotehom.estimation import (
 )
 from remotehom.cli_io import main
 
-from reference import closed_form_temporal_overlap, finite_difference_jacobian
+from reference import (beating_overlap_quadrature, closed_form_temporal_overlap,
+                       finite_difference_jacobian)
 
 PAR, PERP = Polarization.PARALLEL, Polarization.PERPENDICULAR
 GAMMA_IA = Rate(1000 / 162)
@@ -74,38 +75,13 @@ def test_criterion_01_mono_overlap_closed_form_vs_quadrature():
     worst = 0.0
     for _ in range(100):
         t1a, t1b = rng.uniform(50.0, 600.0, size=2)
-        grid = uniform_grid(20.0 * max(t1a, t1b) / 1000.0, 65536)
+        grid = np.linspace(0.0, 20.0 * max(t1a, t1b) / 1000.0, 65536)
         s_quad = classical_overlap(emission_profile(EmitterParams(t1a), grid),
                                    emission_profile(EmitterParams(t1b), grid))
         s_closed = closed_form_temporal_overlap(*rate_pair(t1a, t1b))
         worst = max(worst, abs(s_quad - s_closed))
     assert worst <= 1e-6
     assert time.perf_counter() - t0 < 5.0
-
-
-def _beating_overlap_quadrature(a: tuple[float, float], b: tuple[float, float],
-                                t_end: float) -> float:
-    """Classical overlap of two ideal beating decays (T1 ps, fss ueV) on [0, t_end] ns.
-
-    Independent oracle: each intensity sin^2(fss t / 2 hbar) exp(-t / T1)
-    is integrated with `quad` piecewise between the zeros of both sine
-    factors, where |sin| is smooth. Uses no package code.
-    """
-    hbar = 0.6582119569  # ueV ns (CODATA)
-    (t1a, fss_a), (t1b, fss_b) = a, b
-    wa, wb = fss_a / (2 * hbar), fss_b / (2 * hbar)
-    ga, gb = 1000.0 / t1a, 1000.0 / t1b
-    zeros = {k * math.pi / w for w in (wa, wb) for k in range(1, int(t_end * w / math.pi) + 1)}
-    edges = [0.0, *sorted(z for z in zeros if z < t_end), t_end]
-
-    def integral(fn) -> float:
-        return math.fsum(quad(fn, lo, hi, epsabs=0.0, epsrel=1e-12)[0]
-                         for lo, hi in zip(edges, edges[1:]))
-
-    na = integral(lambda t: math.sin(wa * t) ** 2 * math.exp(-ga * t))
-    nb = integral(lambda t: math.sin(wb * t) ** 2 * math.exp(-gb * t))
-    c = integral(lambda t: abs(math.sin(wa * t) * math.sin(wb * t)) * math.exp(-0.5 * (ga + gb) * t))
-    return c * c / (na * nb)
 
 
 def test_criterion_02_beating_profile_overlap():
@@ -119,7 +95,7 @@ def test_criterion_02_beating_profile_overlap():
     grid = default_grid(162.0, 128.0)
     s = classical_overlap(emission_profile(a, grid), emission_profile(b, grid))
     assert time.perf_counter() - t0 < 1.0
-    ref = _beating_overlap_quadrature((162.0, 6.3), (128.0, 6.7), float(grid[-1]))
+    ref = beating_overlap_quadrature((162.0, 6.3), (128.0, 6.7), float(grid[-1]))
     assert s == pytest.approx(ref, abs=1e-6)
     assert s == pytest.approx(0.979, abs=0.002)
 

@@ -13,8 +13,8 @@ import pytest
 
 from remotehom.units_core import Rate, Wavelength
 from remotehom.wavepacket import Charge, WavepacketProfile
-from remotehom.overlap_analytics import mwo_voigt_averaged
-from remotehom.hom_montecarlo import analytic_prediction
+from remotehom.overlap_analytics import mwo_voigt_averaged, remote_upper_bound
+from remotehom.hom_montecarlo import HomExperimentConfig, analytic_prediction
 from remotehom.cli_io import (
     CatalogEntry,
     CavityParams,
@@ -165,6 +165,11 @@ def test_load_run_config_computes_s_when_omitted(tmp_path):
     path.write_text(json.dumps(cfg_dict))
     cfg, _ = load_run_config(path)
     assert cfg.pair.s_classical == pytest.approx(0.9791, abs=1e-3)
+
+
+def test_load_run_config_experiment_defaults_are_homexperimentconfig_defaults(tmp_path):
+    cfg, _ = load_run_config(write_config(tmp_path))
+    assert cfg.experiment == HomExperimentConfig(n_pulses=20000)
 
 
 def test_load_run_config_takes_integral_floats_as_ints(tmp_path):
@@ -629,18 +634,58 @@ def test_cli_s_classical_out_of_range_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("emitter_a, message", [
+    # a valid X whose beat sin^2 underflows to zero everywhere on the pair's grid
+    ({"charge": "X", "fss_uev": 1e-300}, "intensity must have positive area"),
+    # lifetimes whose grid would need more than 2^20 samples to resolve the faster one
+    ({"t1_ps": 128.0 * 3000}, "t1_ps values must lie within a factor 2560"),
+], ids=["underflow", "ratio_cap"])
 @pytest.mark.parametrize("command, code", [("overlap", 2), ("simulate", 2),
                                            ("predict-delay", 0)])
 def test_cli_unbuildable_profile_fails_only_the_commands_that_read_s(tmp_path, capsys,
-                                                                     command, code):
-    # valid emitters whose beating profile underflows to zero everywhere;
+                                                                     command, code,
+                                                                     emitter_a, message):
     # predict-delay reads no profile, and simulate fails before making --out
-    path = write_computed_s_config(tmp_path, t1_ps=1e-300, charge="X", fss_uev=1e300)
+    path = write_computed_s_config(tmp_path, **emitter_a)
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == code
     assert out.exists() == (code == 0)
     if code:
-        assert "positive area" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("s_classical", [None, 1, 0.986])
+def test_cli_simulate_upper_bound_is_s(tmp_path, capsys, s_classical):
+    # the remote bound min(s, sqrt(m_a m_b)) at m = 1; an integer s stays an integer
+    path = write_computed_s_config(tmp_path)
+    if s_classical is not None:
+        cfg = json.loads(path.read_text())
+        cfg["pair"]["s_classical"] = s_classical
+        path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    report = json.loads((out / "overlap.json").read_text())
+    assert summary["upper_bound"] == report["upper_bound"] == report["s_classical"]
+    assert report["upper_bound"] == remote_upper_bound(report["s_classical"], 1.0, 1.0)
+    if s_classical == 1:
+        assert '"upper_bound": 1\n' in (out / "overlap.json").read_text()
+
+
+@pytest.mark.parametrize("exc, code, line", [(MemoryError(), 2, "error: MemoryError"),
+                                             (ArithmeticError(), 3,
+                                              "numerical failure: ArithmeticError")])
+def test_cli_error_without_text_prints_its_type(tmp_path, capsys, monkeypatch, exc, code,
+                                                line):
+    import remotehom.cli_io as cli
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_run_config", fail)
+    assert main(["overlap", "--config", str(write_config(tmp_path))]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
 
 
 def test_cli_huge_wandering_simulates_to_zero_overlap_and_an_overflowing_one_exits_2(

@@ -21,7 +21,6 @@ from remotehom.units_core import (
     lifetime_to_rate,
     make_rng,
     read_csv_columns,
-    uniform_grid,
     write_csv_columns,
 )
 
@@ -136,25 +135,6 @@ def test_make_rng_seed_changes_stream():
     a = make_rng(1, 0).uniform(size=16)
     b = make_rng(2, 0).uniform(size=16)
     assert not np.array_equal(a, b)
-
-
-def test_uniform_grid_spacing_and_bounds():
-    g = uniform_grid(2.5, 501)
-    assert g[0] == 0.0
-    assert g[-1] == pytest.approx(2.5, rel=1e-15)
-    assert len(g) == 501
-    dt = np.diff(g)
-    np.testing.assert_allclose(dt, dt[0], rtol=1e-12)
-
-
-def test_uniform_grid_validation():
-    with pytest.raises(ValueError):
-        uniform_grid(-1.0, 4096)
-    with pytest.raises(ValueError):
-        uniform_grid(1.0, 1)
-    for t_max in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite t_max"):
-            uniform_grid(t_max, 4096)
 
 
 def test_read_csv_columns_skips_comments_and_extra_cells(tmp_path):

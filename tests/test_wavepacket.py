@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from remotehom.units_core import HBAR_UEV_NS, EnergySplitting, Rate, uniform_grid
+from remotehom.units_core import HBAR_UEV_NS, EnergySplitting, Rate
 from remotehom.wavepacket import (
     Charge,
     EmitterParams,
-    GridSpanError,
     WavepacketProfile,
     classical_overlap,
     default_grid,
@@ -17,7 +16,7 @@ from remotehom.wavepacket import (
     read_lifetime_csv,
 )
 
-from reference import closed_form_temporal_overlap
+from reference import beating_overlap_quadrature, closed_form_temporal_overlap
 
 
 def beating_params(t1_ps: float, fss_uev: float, theta: float = 0.0) -> EmitterParams:
@@ -26,12 +25,12 @@ def beating_params(t1_ps: float, fss_uev: float, theta: float = 0.0) -> EmitterP
 
 
 def test_mono_profile_normalized():
-    p = emission_profile(EmitterParams(200.0), uniform_grid(10.0, 4096))
+    p = emission_profile(EmitterParams(200.0), np.linspace(0.0, 10.0, 4096))
     assert np.trapezoid(p.f**2, p.t_grid) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_mono_profile_decay_constant():
-    p = emission_profile(EmitterParams(200.0), uniform_grid(10.0, 100001))
+    p = emission_profile(EmitterParams(200.0), np.linspace(0.0, 10.0, 100001))
     i0 = np.interp(0.0, p.t_grid, p.f**2)
     i1 = np.interp(0.2, p.t_grid, p.f**2)
     assert i1 / i0 == pytest.approx(math.exp(-1.0), rel=1e-6)
@@ -66,7 +65,7 @@ def test_quadrature_matches_closed_form_random_pairs():
     rng = np.random.default_rng(21)
     for _ in range(100):
         t1a, t1b = rng.uniform(50.0, 600.0, size=2)
-        g = uniform_grid(20.0 * max(t1a, t1b) / 1000.0, 65536)
+        g = np.linspace(0.0, 20.0 * max(t1a, t1b) / 1000.0, 65536)
         s_grid = classical_overlap(
             emission_profile(EmitterParams(t1a), g),
             emission_profile(EmitterParams(t1b), g),
@@ -76,7 +75,7 @@ def test_quadrature_matches_closed_form_random_pairs():
 
 
 def test_beating_first_zero_position():
-    p = emission_profile(beating_params(162.0, 6.3), uniform_grid(1.62, 65536))
+    p = emission_profile(beating_params(162.0, 6.3), np.linspace(0.0, 1.62, 65536))
     inten = p.f**2
     # first interior minimum after the first beat maximum; the window
     # covers one full beat period (~656 ps of the 1.62 ns grid)
@@ -94,7 +93,7 @@ def test_beating_small_fss_limit_shape():
     # mono-exponential: sin^2(wt) ~ (wt)^2 and the w^2 cancels under
     # normalization while the t^2 envelope survives. Only fss = 0
     # exactly selects the mono-exponential branch.
-    g = uniform_grid(1.62, 8192)
+    g = np.linspace(0.0, 1.62, 8192)
     p_beat = emission_profile(beating_params(162.0, 1e-6), g)
     t1 = 0.162
     limit_intensity = g**2 * np.exp(-g / t1) / (2.0 * t1**3)
@@ -103,7 +102,7 @@ def test_beating_small_fss_limit_shape():
 
 
 def test_beating_zero_fss_allowed():
-    g = uniform_grid(1.62, 4096)
+    g = np.linspace(0.0, 1.62, 4096)
     p = emission_profile(beating_params(162.0, 0.0), g)
     q = emission_profile(EmitterParams(162.0), g)
     np.testing.assert_array_equal(p.f, q.f)
@@ -158,15 +157,15 @@ def test_overlap_in_unit_interval_random():
 
 
 def test_theta_never_enters_normalized_profile():
-    g = uniform_grid(1.62, 4096)
+    g = np.linspace(0.0, 1.62, 4096)
     p0 = emission_profile(beating_params(162.0, 6.3, theta=0.1), g)
     p1 = emission_profile(beating_params(162.0, 6.3, theta=1.3), g)
     np.testing.assert_array_equal(p0.f, p1.f)
 
 
 def test_overlap_rejects_mismatched_grids():
-    p = emission_profile(EmitterParams(240.0), uniform_grid(2.4, 4096))
-    q = emission_profile(EmitterParams(212.0), uniform_grid(2.4, 6000))
+    p = emission_profile(EmitterParams(240.0), np.linspace(0.0, 2.4, 4096))
+    q = emission_profile(EmitterParams(212.0), np.linspace(0.0, 2.4, 6000))
     with pytest.raises(ValueError, match="default_grid"):
         classical_overlap(p, q)
 
@@ -184,46 +183,67 @@ def test_overlap_on_one_grid_array_equals_overlap_on_an_equal_copy():
         classical_overlap(p, shifted)
 
 
-def test_short_grid_raises():
-    with pytest.raises(GridSpanError):
-        emission_profile(EmitterParams(500.0), uniform_grid(1.0, 2048))
+def test_default_grid_keeps_4096_samples_up_to_a_lifetime_ratio_of_10():
+    for t1 in [(162.0,), (162.0, 128.0), (240.0, 212.0), (1280.0, 128.0), (128.0, 1280.0)]:
+        g = default_grid(*t1)
+        np.testing.assert_array_equal(g, np.linspace(0.0, 10.0 * max(t1) / 1000.0, 4096))
+        assert g[0] == 0.0 and np.ptp(np.diff(g)) <= 1e-12 * g[-1]
+    # past a ratio of 10 the faster emitter keeps 40.96 samples per lifetime
+    assert default_grid(128.0, 12800.0).size == 40960
+    assert default_grid(128.0, 2560.0 * 128.0).size == 2**20
 
 
-def test_marginal_grid_warns():
-    # above the 5-lifetime hard floor but below the 10-lifetime default
-    with pytest.warns(UserWarning) as record:
-        emission_profile(EmitterParams(200.0), uniform_grid(1.5, 4096))
-    assert record[0].filename == __file__  # the warning names the caller's line
+def test_default_grid_rejects_lifetimes_beyond_the_sample_cap():
+    for t1 in [(128.0, 2561.0 * 128.0), (3000.0, 1.0), (1e-300, 1e300)]:
+        with pytest.raises(ValueError, match="t1_ps values must lie within a factor 2560"):
+            default_grid(*t1)
+
+
+RATIOS = np.geomspace(1.0, 2560.0, 9)
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_mono_overlap_on_default_grid_matches_closed_form_up_to_the_cap(ratio):
+    t1a, t1b = 128.0, 128.0 * ratio
+    g = default_grid(t1a, t1b)
+    s = classical_overlap(emission_profile(EmitterParams(t1a), g),
+                          emission_profile(EmitterParams(t1b), g))
+    s_cf = closed_form_temporal_overlap(Rate(1000 / t1a), Rate(1000 / t1b))
+    assert s == pytest.approx(s_cf, rel=1e-4)
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_beating_overlap_on_default_grid_matches_quadrature_up_to_the_cap(ratio):
+    # the slower X beats slower in proportion, so the oracle's pieces stay few
+    a, b = (128.0, 6.7), (128.0 * ratio, 6.3 / ratio)
+    g = default_grid(a[0], b[0])
+    s = classical_overlap(emission_profile(beating_params(*a), g),
+                          emission_profile(beating_params(*b), g))
+    assert s == pytest.approx(beating_overlap_quadrature(a, b, float(g[-1])), rel=1e-4)
 
 
 def test_profile_decays_to_zero_where_t_over_t1_overflows():
-    # the fast profile on the slow one's grid: t / T1 passes the largest float
-    grid = default_grid(1e-149, 1e159)
+    # the fast profile on a grid spanning 1e157 ns: t / T1 passes the largest float
+    grid = np.linspace(0.0, 1e157, 4096)
     f = emission_profile(EmitterParams(1e-149), grid).f
     assert f[0] > 0.0 and not f[1:].any()
 
 
 def test_beat_phase_that_overflows_raises():
     with pytest.raises(ValueError, match="fss_uev"):
-        emission_profile(beating_params(60.0, 1e261), default_grid(60.0, 1e50))
+        emission_profile(beating_params(60.0, 1e261), np.linspace(0.0, 1e48, 4096))
 
 
 def test_profile_rejects_negative_amplitude():
-    t = uniform_grid(1.0, 16)
+    t = np.linspace(0.0, 1.0, 16)
     f = np.full(16, 1.0)
     f[3] = -0.1
     with pytest.raises(ValueError):
         WavepacketProfile(t, f)
 
 
-def test_profile_rejects_non_uniform_grid():
-    t = np.array([0.0, 0.1, 0.25, 0.3])
-    with pytest.raises(ValueError):
-        WavepacketProfile(t, np.full(4, 1.0))
-
-
 def test_profile_rejects_bad_normalization():
-    t = uniform_grid(1.0, 64)
+    t = np.linspace(0.0, 1.0, 64)
     with pytest.raises(ValueError):
         WavepacketProfile(t, np.full(64, 3.0))
 
