@@ -387,7 +387,10 @@ def overlap_report(pair: SourcePair, cfg_hash: str) -> dict:
 def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     """Analytic predictions, both-polarization Monte Carlo, visibility
     estimate and bound check; writes all artifacts into config.outputs."""
-    pair = config.pair  # s is read first: a pair whose s fails leaves no output directory
+    pair = config.pair
+    # s and the profiles, which the delay shape reuses, are read first: a pair
+    # that cannot build them leaves no output directory, even with s given
+    pair.profiles
     # the remote bound min(s, sqrt(m_a m_b)) with perfect single-source overlaps m = 1
     bound = pair.s_classical
     report = dict(overlap_report(pair, cfg_hash), upper_bound=bound)

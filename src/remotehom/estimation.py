@@ -122,18 +122,19 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
     """Minimize the (optionally inverse-variance weighted) sum of squares.
 
     Non-convergence is reported through `converged=False`, not raised; a
-    numerically rank-deficient Jacobian raises RankDeficiencyError.
+    numerically rank-deficient Jacobian raises RankDeficiencyError. The
+    loop's arithmetic is pinned bit for bit by the plain reference loop in
+    `tests/reference.py`.
     """
     y = np.asarray(y, dtype=float)
     p = np.asarray(init, dtype=float).copy()
     n_par = p.size
+    w = None  # unweighted: multiplying by ones would change no bit, so skip it
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)
         if np.any(sigma <= 0):
             raise ValueError("all provided uncertainties must be > 0")
         w = 1.0 / sigma
-    else:
-        w = np.ones_like(y)
     lo = np.full(n_par, -np.inf)
     hi = np.full(n_par, np.inf)
     if bounds is not None:
@@ -142,31 +143,39 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
             hi[j] = np.inf if b is None else b
     if np.any(p < lo) or np.any(p > hi):
         raise ValueError("initial guess must lie within the bounds")
+    box = list(zip(lo.tolist(), hi.tolist()))
 
     def residual(pv: np.ndarray) -> np.ndarray:
-        return (y - np.asarray(model.fn(pv, x), dtype=float)) * w
+        rv = y - model.fn(pv, x)
+        return rv if w is None else rv * w
 
     def jac(pv: np.ndarray) -> np.ndarray:
-        return np.asarray(model.jac(pv, x), dtype=float) * w[:, None]
+        jm = np.asarray(model.jac(pv, x), dtype=float)
+        return jm if w is None else jm * w[:, None]
 
-    def judge(pv: np.ndarray, rv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Jacobian, gradient J^T r, free-parameter mask and convergence at pv."""
+    def judge(pv: np.ndarray, rv: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray | slice, bool]:
+        """Jacobian, gradient J^T r, free-parameter selector and convergence at pv."""
         jm = jac(pv)
-        if not np.all(np.isfinite(jm)):
+        if not np.isfinite(jm).all():
             raise RankDeficiencyError("Jacobian contains non-finite entries")
         g = jm.T @ rv
         # a parameter on its bound whose gradient points out of the box is
         # held: g points along -grad(ssr)/2, so at a lower bound only g > 0
-        # is usable
-        free = ~(((pv <= lo) & (g < 0)) | ((pv >= hi) & (g > 0)))
-        g_free = np.where(free, g, 0.0)  # the held components cannot move
-        g_inf = float(np.max(np.abs(g_free))) if g.size else 0.0
+        # is usable; a few Python floats compare faster than numpy arrays
+        held = [(q <= a and d < 0) or (q >= b and d > 0)
+                for q, d, (a, b) in zip(pv.tolist(), g.tolist(), box)]
+        if any(held):
+            free, g_free = ~np.array(held), np.where(held, 0.0, g)  # held ones cannot move
+        else:  # the common case: a slice selects every parameter without a copy
+            free, g_free = slice(None), g
+        g_inf = float(np.abs(g_free).max()) if g.size else 0.0
         if g_inf <= GTOL:
             return jm, g, free, True
-        col = np.linalg.norm(jm, axis=0)
-        denom = col * np.linalg.norm(rv)
+        col = np.sqrt(np.add.reduce(jm * jm, axis=0))  # np.linalg.norm's arithmetic
+        denom = col * math.sqrt(rv.dot(rv))
         scaled = np.abs(g_free) / np.where(denom > 0, denom, 1.0)
-        return jm, g, free, float(np.max(scaled)) <= GTOL
+        return jm, g, free, float(scaled.max()) <= GTOL
 
     # a trial step can overflow the model; its non-finite cost is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -185,14 +194,15 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
             # still move, and stall along the bound
             jf = jm[:, free]
             a = jf.T @ jf  # one operand: numpy's symmetric product, as for jm.T @ jm
+            damp = np.diag(np.diag(a))
             step = np.zeros(n_par)
             accepted = False
             for _ in range(60):
                 try:
-                    step[free] = np.linalg.solve(a + lam * np.diag(np.diag(a)), g[free])
+                    step[free] = np.linalg.solve(a + lam * damp, g[free])
                 except np.linalg.LinAlgError as exc:
                     raise RankDeficiencyError("singular Jacobian in normal equations") from exc
-                trial = np.clip(p + step, lo, hi)
+                trial = np.minimum(np.maximum(p + step, lo), hi)
                 r_trial = residual(trial)
                 ssr_trial = float(r_trial @ r_trial)
                 # ulp-level non-increases are accepted so the iterate can keep
@@ -235,6 +245,14 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
 # ---------------------------------------------------------------------------
 # Models
 
+def _columns(n: int, *columns) -> np.ndarray:
+    """A Jacobian as one C-contiguous (n, k) array; a scalar fills its column."""
+    out = np.empty((n, len(columns)))
+    for j, col in enumerate(columns):
+        out[:, j] = col
+    return out
+
+
 def mono_exp_model() -> FitModel:
     """y = amplitude * exp(-t / t1_ps) + background, t in ps."""
 
@@ -245,7 +263,7 @@ def mono_exp_model() -> FitModel:
     def jac(p, t):
         amp, t1, bg = p
         e = np.exp(-t / t1)
-        return np.stack([e, amp * e * t / t1**2, np.ones_like(t)], axis=1)
+        return _columns(t.size, e, amp * e * t / t1**2, 1.0)
 
     return FitModel(("amplitude", "t1_ps", "background"), fn, jac)
 
@@ -275,7 +293,7 @@ def fss_beating_model() -> FitModel:
         d_t1 = amp * base * (dt / t1) / t1  # no t1**2: it overflows for a runaway t1
         d_fss = amp * sin2u * dt / (2.0 * HBAR_UEV_PS) * e
         d_t0 = amp * e * (s2 / t1 - sin2u * fss / (2.0 * HBAR_UEV_PS))
-        return np.stack([base, d_t1, d_fss, d_t0, np.ones_like(t)], axis=1)
+        return _columns(t.size, base, d_t1, d_fss, d_t0, 1.0)
 
     return FitModel(("amplitude", "t1_ps", "fss_uev", "t0_ps", "background"), fn, jac)
 
@@ -296,8 +314,7 @@ def lorentzian_dip_model() -> FitModel:
         d_c = -depth * 2.0 * d * hw**2 / den**2
         d_fwhm = -depth * hw * d * d / den**2
         d_depth = -(hw**2) / den
-        d_base = np.ones_like(x)
-        return np.stack([d_c, d_fwhm, d_depth, d_base], axis=1)
+        return _columns(x.size, d_c, d_fwhm, d_depth, 1.0)
 
     return FitModel(("center_nm", "fwhm_nm", "depth", "baseline"), fn, jac)
 
@@ -335,7 +352,7 @@ def delay_visibility_model(gamma: Rate) -> FitModel:
         d_dw_u = np.where(is_filt, 0.0, d_dw_common)
         d_growth_d_tau = -delay * np.exp(-delay / tau) / tau**2
         d_tau = -g * big_g * 2.0 * dw * dw * d_growth_d_tau / den**2
-        return np.stack([d_gs, d_dw_f, d_dw_u, d_tau], axis=1)
+        return _columns(delay.size, d_gs, d_dw_f, d_dw_u, d_tau)
 
     return FitModel(("gamma_star", "delta_omega_filtered", "delta_omega_unfiltered",
                      "tau_c_ns"), fn, jac)

@@ -8,17 +8,20 @@ derivative that every analytic Jacobian in `remotehom.estimation` must match,
 `csv_float_columns` the `csv` module and `float()` reading of a CSV that
 `read_csv_columns` must reproduce, and `dense_delay_bin_probs` the full
 (2W + 1) x (n_bins + 1) delay table whose rows the banded
-`_delay_bin_probs` must hold.
+`_delay_bin_probs` must hold, and `least_squares` the plain
+Levenberg-Marquardt loop whose every result bit the package's leaner
+`estimation.least_squares` must reproduce.
 """
 
 import csv
 import math
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
+from remotehom.estimation import GTOL, MAX_ITER, FitModel, FitResult, RankDeficiencyError
 from remotehom.units_core import Rate
 
 
@@ -116,3 +119,120 @@ def beating_overlap_quadrature(a: tuple[float, float], b: tuple[float, float],
     nb = integral(lambda t: math.sin(wb * t) ** 2 * math.exp(-gb * t))
     c = integral(lambda t: abs(math.sin(wa * t) * math.sin(wb * t)) * math.exp(-0.5 * (ga + gb) * t))
     return c * c / (na * nb)
+
+
+def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
+                  sigma: Optional[np.ndarray] = None,
+                  bounds: Optional[Sequence[tuple[Optional[float], Optional[float]]]] = None
+                  ) -> FitResult:
+    """Minimize the (optionally inverse-variance weighted) sum of squares.
+
+    Non-convergence is reported through `converged=False`, not raised; a
+    numerically rank-deficient Jacobian raises RankDeficiencyError.
+    """
+    y = np.asarray(y, dtype=float)
+    p = np.asarray(init, dtype=float).copy()
+    n_par = p.size
+    if sigma is not None:
+        sigma = np.asarray(sigma, dtype=float)
+        if np.any(sigma <= 0):
+            raise ValueError("all provided uncertainties must be > 0")
+        w = 1.0 / sigma
+    else:
+        w = np.ones_like(y)
+    lo = np.full(n_par, -np.inf)
+    hi = np.full(n_par, np.inf)
+    if bounds is not None:
+        for j, (a, b) in enumerate(bounds):
+            lo[j] = -np.inf if a is None else a
+            hi[j] = np.inf if b is None else b
+    if np.any(p < lo) or np.any(p > hi):
+        raise ValueError("initial guess must lie within the bounds")
+
+    def residual(pv: np.ndarray) -> np.ndarray:
+        return (y - np.asarray(model.fn(pv, x), dtype=float)) * w
+
+    def jac(pv: np.ndarray) -> np.ndarray:
+        return np.asarray(model.jac(pv, x), dtype=float) * w[:, None]
+
+    def judge(pv: np.ndarray, rv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """Jacobian, gradient J^T r, free-parameter mask and convergence at pv."""
+        jm = jac(pv)
+        if not np.all(np.isfinite(jm)):
+            raise RankDeficiencyError("Jacobian contains non-finite entries")
+        g = jm.T @ rv
+        # a parameter on its bound whose gradient points out of the box is
+        # held: g points along -grad(ssr)/2, so at a lower bound only g > 0
+        # is usable
+        free = ~(((pv <= lo) & (g < 0)) | ((pv >= hi) & (g > 0)))
+        g_free = np.where(free, g, 0.0)  # the held components cannot move
+        g_inf = float(np.max(np.abs(g_free))) if g.size else 0.0
+        if g_inf <= GTOL:
+            return jm, g, free, True
+        col = np.linalg.norm(jm, axis=0)
+        denom = col * np.linalg.norm(rv)
+        scaled = np.abs(g_free) / np.where(denom > 0, denom, 1.0)
+        return jm, g, free, float(np.max(scaled)) <= GTOL
+
+    # a trial step can overflow the model; its non-finite cost is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = residual(p)
+        ssr = float(r @ r)
+        # near-zero initial damping: the first step is effectively Gauss-Newton,
+        # so a quadratic residual surface converges immediately; rejections
+        # escalate the damping fast enough for hostile starts
+        lam = 1e-8
+        for n_iter in range(1, MAX_ITER + 1):
+            jm, g, free, converged = judge(p, r)
+            if converged:
+                break
+            # the step is solved over the free parameters only: a full step
+            # clipped afterwards would move the free ones as if a held one could
+            # still move, and stall along the bound
+            jf = jm[:, free]
+            a = jf.T @ jf  # one operand: numpy's symmetric product, as for jm.T @ jm
+            step = np.zeros(n_par)
+            accepted = False
+            for _ in range(60):
+                try:
+                    step[free] = np.linalg.solve(a + lam * np.diag(np.diag(a)), g[free])
+                except np.linalg.LinAlgError as exc:
+                    raise RankDeficiencyError("singular Jacobian in normal equations") from exc
+                trial = np.clip(p + step, lo, hi)
+                r_trial = residual(trial)
+                ssr_trial = float(r_trial @ r_trial)
+                # ulp-level non-increases are accepted so the iterate can keep
+                # polishing the gradient once the cost has hit float precision
+                if math.isfinite(ssr_trial) and ssr_trial <= ssr * (1.0 + 1e-13) \
+                        and (ssr_trial < ssr or bool(np.any(trial != p))):
+                    p, r, ssr = trial, r_trial, ssr_trial
+                    lam = max(lam / 3.0, 1e-12)
+                    accepted = True
+                    break
+                lam = max(lam * 10.0, 1e-4)
+                if lam > 1e13:
+                    break
+            if not accepted:  # stalled damping: p is the iterate just judged
+                break
+        else:  # MAX_ITER steps taken: judge the last one
+            jm, _, _, converged = judge(p, r)
+
+    a = jm.T @ jm
+    try:
+        cov = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError("singular Jacobian at the optimum") from exc
+    if not np.all(np.isfinite(cov)):  # a numerically singular a inverts to inf or nan
+        raise RankDeficiencyError("singular Jacobian at the optimum")
+    if sigma is None:
+        dof = max(y.size - n_par, 1)
+        cov = cov * (ssr / dof)
+    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    return FitResult(
+        params=dict(zip(model.names, map(float, p))),
+        sigmas=dict(zip(model.names, map(float, sig))),
+        covariance=cov,
+        residual_norm=math.sqrt(ssr),
+        converged=converged,
+        n_iter=n_iter,
+    )

@@ -654,6 +654,19 @@ def test_cli_unbuildable_profile_fails_only_the_commands_that_read_s(tmp_path, c
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+def test_cli_simulate_with_a_given_s_checks_the_grid_before_making_out(tmp_path, capsys):
+    # with s given only the delay shape reads the profiles; simulate reads them
+    # before it writes anything, so an over-cap lifetime ratio leaves no --out
+    cfg = json.loads(write_config(tmp_path).read_text())
+    cfg["pair"]["a"]["t1_ps"] = 384000.0
+    path = tmp_path / "ratio_over.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert "t1_ps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("s_classical", [None, 1, 0.986])
 def test_cli_simulate_upper_bound_is_s(tmp_path, capsys, s_classical):
     # the remote bound min(s, sqrt(m_a m_b)) at m = 1; an integer s stays an integer

@@ -9,6 +9,7 @@ import pytest
 from remotehom.units_core import Rate
 from remotehom.wavepacket import read_lifetime_csv
 from remotehom.spectral_noise import DelayVisibilitySeries, visibility_vs_delay
+from remotehom import estimation
 from remotehom.estimation import (
     FitModel,
     FitResult,
@@ -26,6 +27,7 @@ from remotehom.estimation import (
     read_reflectivity_csv,
 )
 
+import reference
 from reference import finite_difference_jacobian
 
 HBAR_UEV_PS = 658.2119
@@ -522,3 +524,117 @@ def test_delay_fit_rejects_mixed_zero_sigmas():
                                    np.full(3, 0.01), filtered=False)
     with pytest.raises(ValueError):
         fit_delay_visibility(filt, unfilt, GAMMA_IA)
+
+
+# --- bit identity against the reference loop --------------------------------
+
+def fingerprint(outcome) -> tuple:
+    """Every bit of a FitResult, or the type and message of an exception."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return (repr(outcome.params), repr(outcome.sigmas), outcome.covariance.tobytes(),
+            repr(outcome.residual_norm), outcome.converged, outcome.n_iter)
+
+
+@pytest.fixture
+def checked_fits(monkeypatch) -> list:
+    """Route the fits' least_squares calls through both loops: each call must
+    give the same fingerprint from the package and from `reference`. Returns
+    the list of fingerprints, one per call."""
+    seen = []
+
+    def checked(*args, **kwargs):
+        outcomes = []
+        for engine in (least_squares, reference.least_squares):
+            try:
+                outcomes.append(engine(*args, **kwargs))
+            except Exception as exc:  # compared below, then re-raised
+                outcomes.append(exc)
+        new, ref = map(fingerprint, outcomes)
+        assert new == ref, (len(seen), new[:2], ref[:2])
+        seen.append(new)
+        if isinstance(outcomes[0], Exception):
+            raise outcomes[0]
+        return outcomes[0]
+
+    monkeypatch.setattr(estimation, "least_squares", checked)
+    return seen
+
+
+def oracle_mono(i: int) -> None:
+    rng = np.random.default_rng([27, 0, i])
+    t = np.arange(0.0, 2000.0, 4.0)
+    bg = float(rng.choice([0.0, rng.uniform(0.5, 30.0)]))
+    mean = mono_exp_model().fn([rng.uniform(300.0, 40000.0), rng.uniform(60.0, 400.0), bg], t)
+    trace = LifetimeTrace(t, rng.poisson(mean).astype(float), bg * float(rng.integers(0, 2)))
+    fit_lifetime(trace, LifetimeModel.MONO_EXP)
+
+
+def oracle_fss(i: int) -> None:
+    fit_lifetime(seeded_beating_trace(1000 + i)[0], LifetimeModel.FSS_BEATING)
+
+
+def oracle_dip(i: int) -> None:
+    rng = np.random.default_rng([27, 1, i])
+    center = rng.uniform(924.6, 925.0)
+    fwhm = center / rng.uniform(500.0, 5000.0)
+    x = np.linspace(-1.0, 1.0, int(rng.integers(50, 401))) * rng.uniform(4.0, 10.0) * fwhm + center
+    truth = [center, fwhm, rng.uniform(0.05, 0.9), rng.uniform(0.9, 1.0)]
+    noise = truth[2] * rng.uniform(0.005, 0.1)
+    y = lorentzian_dip_model().fn(truth, x) + rng.normal(0.0, noise, x.size)
+    fit_reflectivity(x, y)
+
+
+def oracle_delay(i: int, weighted: bool) -> None:
+    rng = np.random.default_rng([27, 2 + weighted, i])
+    gs = float(rng.choice([0.0, rng.uniform(0.01, 0.3)]))
+    series = synthetic_delay_series(gs, rng.uniform(0.5, 6.0), rng.uniform(0.5, 6.0),
+                                    rng.uniform(300.0, 3000.0), noise=rng.uniform(0.003, 0.03),
+                                    seed=i)
+    if not weighted:
+        series = [DelayVisibilitySeries(s.delay_ns, s.visibility, np.zeros(len(s)),
+                                        filtered=s.filtered) for s in series]
+    fit_delay_visibility(*series, GAMMA_IA)
+
+
+@pytest.mark.parametrize("fit", [oracle_mono, oracle_fss, oracle_dip,
+                                 lambda i: oracle_delay(i, True),
+                                 lambda i: oracle_delay(i, False)],
+                         ids=["mono", "fss", "dip", "delay_weighted", "delay_unweighted"])
+def test_least_squares_reproduces_the_reference_loop_bit_for_bit(checked_fits, fit):
+    for i in range(200):
+        try:
+            fit(i)
+        except (ArithmeticError, np.linalg.LinAlgError):  # checked like any result
+            pass
+    assert len(checked_fits) == 200
+
+
+def test_least_squares_reproduces_the_reference_loop_on_bounds_and_hostile_traces(
+        checked_fits, tmp_path):
+    # the delay series whose gamma_star is held on its bound, mono fits held
+    # under upper bounds, then a slice of the hostile-trace fuzz: rank
+    # deficiency and MAX_ITER
+    from test_cli_io import _BOUND_DELAY_SERIES
+    series = []
+    for name, rows in _BOUND_DELAY_SERIES.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("delay_ns,visibility,sigma_v\n" + rows)
+        series.append(DelayVisibilitySeries.from_csv(path, filtered=name == "filtered"))
+    fit_delay_visibility(*series, Rate(1000.0 / 141.25780437760147))
+    assert "'gamma_star': 0.0," in checked_fits[0][0] and checked_fits[0][4]
+    # no fit sets an upper bound, so call the loop directly
+    t = np.arange(0.0, 2000.0, 4.0)
+    for i in range(40):
+        rng = np.random.default_rng([27, 4, i])
+        counts = rng.poisson(mono_exp_model().fn([1e4, 160.0, 5.0], t)).astype(float)
+        bounds = [(0.0, None), (1e-6, rng.uniform(120.0, 200.0)), (0.0, rng.uniform(3.0, 7.0))]
+        estimation.least_squares(mono_exp_model(), t, counts, [8e3, 100.0, 1.0], bounds=bounds)
+    for i in range(300):
+        try:
+            fit_lifetime(hostile_trace(i), (LifetimeModel.MONO_EXP, LifetimeModel.FSS_BEATING)[i % 2])
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError):
+            pass
+    assert {(RankDeficiencyError, "singular Jacobian in normal equations"),
+            (RankDeficiencyError, "singular Jacobian at the optimum")} <= set(checked_fits)
+    assert any(f[4:] == (False, estimation.MAX_ITER) for f in checked_fits[1:])
