@@ -58,7 +58,6 @@ from .estimation import (
     FitResult,
     LifetimeModel,
     LifetimeTrace,
-    RankDeficiencyError,
     fit_delay_visibility,
     fit_lifetime,
     fit_reflectivity,
@@ -596,11 +595,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (FilterRegimeError, RankDeficiencyError, np.linalg.LinAlgError,
-            ArithmeticError) as exc:
+    except (FilterRegimeError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError, MemoryError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -123,20 +123,6 @@ class CoincidenceHistogram:
     counts: np.ndarray
     polarization: Polarization
 
-    def __post_init__(self) -> None:
-        c = np.asarray(self.bin_centers, dtype=float)
-        n = np.asarray(self.counts)
-        object.__setattr__(self, "bin_centers", c)
-        object.__setattr__(self, "counts", n)
-        if c.ndim != 1 or c.shape != n.shape or c.size < 1:
-            raise ValueError("bin_centers and counts must be matching 1-d arrays")
-        if c.size > 1:
-            d = np.diff(c)
-            if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
-                raise ValueError("bins must be uniform")
-        if np.any(n < 0):
-            raise ValueError("counts must be non-negative")
-
 
 @dataclass(frozen=True)
 class VisibilityEstimate:

@@ -137,11 +137,8 @@ def mwo_no_dephasing(gamma_i: Rate, gamma_j: Rate, delta: Frequency) -> float:
     M = 4 g_i g_j / [ (g_i + g_j)^2 + delta^2 ]. Symmetric in the rates
     and even in the detuning.
     """
-    gi, gj = gamma_i.value, gamma_j.value
-    if gi <= 0 or gj <= 0:
-        raise ValueError("both radiative rates must be > 0")
     return _scale_free(lambda gi, gj, d: (4.0 * gi * gj, (gi + gj) ** 2 + d ** 2),
-                       gi, gj, delta.value)
+                       gamma_i.value, gamma_j.value, delta.value)
 
 
 def mwo_with_dephasing(pair: SourcePair, detuning: Optional[float] = None) -> float:
@@ -164,15 +161,13 @@ def voigt(x: float, lorentz_hwhm: Rate, gauss_sigma: Rate) -> float:
 
     The convolution of a Lorentzian of HWHM `lorentz_hwhm` with a Gaussian
     of std `gauss_sigma` (scipy's `voigt_profile`), which reduces to either
-    limit when one width is zero. Raises ValueError when both widths are zero.
+    limit when one width is zero.
     """
     # imported on first use: scipy.special is about half of a fresh CLI start,
     # and the fits, match-pairs and an unfiltered predict-delay never call it
     from scipy.special import voigt_profile
 
     gl, sig = lorentz_hwhm.value, gauss_sigma.value
-    if gl == 0.0 and sig == 0.0:
-        raise ValueError("Voigt profile needs at least one non-zero width")
     # scipy loses precision on widths below about 1e-154 and returns 0 above 1e154:
     # there, V(x; sig, gl) = V(x/L; sig/L, gl/L) / L with L the larger width
     scale = 1.0 if 1e-150 < max(gl, sig) < 1e150 else max(gl, sig)
@@ -220,8 +215,6 @@ def filtered_wandering(sigma: Rate, filter_hwhm: Rate) -> tuple[float, Rate]:
     gives t_bar = 1 - u + 3 u^2 and the width sigma (1 - u), to O(u^2).
     """
     sig, hw = sigma.value, filter_hwhm.value
-    if hw <= 0:
-        raise ValueError("filter half width must be > 0")
     if sig == 0.0:
         return 1.0, Rate(0.0)
     a = hw / (sig * math.sqrt(2.0))

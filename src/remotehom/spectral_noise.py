@@ -25,8 +25,6 @@ __all__ = [
     "DelayVisibilitySeries",
     "sample_frequency_path",
     "ou_path_uniform",
-    "visibility_vs_delay",
-    "intrinsic_visibility",
     "individual_indistinguishability",
 ]
 
@@ -85,43 +83,27 @@ def sample_frequency_path(p: WanderingProcess, times: Sequence[float] | np.ndarr
     return ou_path_uniform(p.sigma.value, lam, make_rng(p.seed, 0), t.size)
 
 
-def visibility_vs_delay(v0: float, delta_omega_r: float, tau_c_ns: float,
-                        delay_ns: float | np.ndarray) -> float | np.ndarray:
-    """Visibility between photons of one source separated by a delay.
-
-    V(d) = v0 / [ 1 + 2 dw_r^2 (1 - exp(-d / tau_c)) ], where dw_r is the
-    wandering width in units of the total homogeneous linewidth, elementwise
-    over an array of delays. Monotone non-increasing in the delay and dw_r.
-    """
-    if not 0.0 <= v0 <= 1.0:
-        raise ValueError(f"v0 must be in [0, 1], got {v0}")
-    d = np.asarray(delay_ns, dtype=float)
-    if delta_omega_r < 0 or tau_c_ns <= 0 or np.any(d < 0):
-        raise ValueError("need delta_omega_r >= 0, tau_c > 0, delay >= 0")
-    growth = 1.0 - np.exp(-d / tau_c_ns)
-    # np.float64 squares as a float does, but may overflow: then V is 0, or v0 at zero growth
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = v0 / (1.0 + 2.0 * np.float64(delta_omega_r) ** 2 * growth)
-    return np.where(growth > 0.0, v, v0)[()]
-
-
-def intrinsic_visibility(gamma: Rate, gamma_star: Rate) -> float:
-    """Zero-delay indistinguishability g / (g + g*) of a single source."""
-    if gamma.value <= 0:
-        raise ValueError("radiative rate must be > 0")
-    return gamma.value / (gamma.value + gamma_star.value)
-
-
 def individual_indistinguishability(params: EmitterParams,
                                     delay_ns: float | np.ndarray) -> float | np.ndarray:
-    """Single-source two-photon indistinguishability at a photon separation.
+    """Two-photon indistinguishability of one source at a photon separation (ns).
 
-    Combines the intrinsic value g/(g+g*) with the delay law, using
-    dw_r = delta_omega / (g + g*) and the source's own tau_c.
+    V(d) = v0 / [ 1 + 2 dw_r^2 (1 - exp(-d / tau_c)) ] with the intrinsic
+    value v0 = g / (g + g*), the wandering width in units of the total
+    homogeneous linewidth dw_r = delta_omega / (g + g*) and the source's own
+    tau_c, elementwise over an array of delays. Monotone non-increasing in
+    the delay and dw_r. Raises ValueError on a negative delay.
     """
-    v0 = intrinsic_visibility(params.gamma, params.gamma_star)
+    g = params.gamma.value
+    v0 = g / (g + params.gamma_star.value)
     dw_r = params.delta_omega.value / params.total_linewidth.value
-    return visibility_vs_delay(v0, dw_r, params.tau_c_ns, delay_ns)
+    d = np.asarray(delay_ns, dtype=float)
+    if np.any(d < 0):
+        raise ValueError("delay must be >= 0")
+    growth = 1.0 - np.exp(-d / params.tau_c_ns)
+    # np.float64 squares as a float does, but may overflow: then V is 0, or v0 at zero growth
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = v0 / (1.0 + 2.0 * np.float64(dw_r) ** 2 * growth)
+    return np.where(growth > 0.0, v, v0)[()]
 
 
 @dataclass(frozen=True)

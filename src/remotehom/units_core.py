@@ -100,8 +100,6 @@ def fwhm_pm_to_angular_rate(fwhm_pm: float, center: Wavelength) -> Rate:
     which is exact to first order for pm-scale widths at optical
     wavelengths.
     """
-    if fwhm_pm <= 0:
-        raise ValueError(f"FWHM must be > 0 pm, got {fwhm_pm}")
     dlam_nm = fwhm_pm * 1e-3
     return Rate(2.0 * math.pi * C_NM_PER_NS * dlam_nm / center.value**2)
 

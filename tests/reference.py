@@ -3,8 +3,10 @@
 None is needed at run time: `closed_form_temporal_overlap` is the
 closed form that `classical_overlap` must reproduce for mono-exponential
 profiles, `beating_overlap_quadrature` the piecewise adaptive quadrature it
-must reproduce for beating ones, `finite_difference_jacobian` the numerical
-derivative that every analytic Jacobian in `remotehom.estimation` must match,
+must reproduce for beating ones, `delay_law` the scalar delay law that
+`individual_indistinguishability` must reproduce, `finite_difference_jacobian`
+the numerical derivative that every analytic Jacobian in
+`remotehom.estimation` must match,
 `csv_float_columns` the `csv` module and `float()` reading of a CSV that
 `read_csv_columns` must reproduce, and `dense_delay_bin_probs` the full
 (2W + 1) x (n_bins + 1) delay table whose rows the banded
@@ -31,6 +33,11 @@ def closed_form_temporal_overlap(gamma_i: Rate, gamma_j: Rate) -> float:
     if gi <= 0 or gj <= 0:
         raise ValueError("both rates must be > 0")
     return 4.0 * gi * gj / (gi + gj) ** 2
+
+
+def delay_law(v0: float, dw_r: float, tau_c_ns: float, delay_ns: float) -> float:
+    """V(d) = v0 / [1 + 2 dw_r^2 (1 - exp(-d / tau_c))], one scalar delay, by `math`."""
+    return v0 / (1.0 + 2.0 * dw_r**2 * (1.0 - math.exp(-delay_ns / tau_c_ns)))
 
 
 def finite_difference_jacobian(fn: Callable, p: np.ndarray, x, rel_step: float = 1e-6) -> np.ndarray:

@@ -28,7 +28,7 @@ from remotehom.overlap_analytics import (
     remote_upper_bound,
     voigt,
 )
-from remotehom.spectral_noise import DelayVisibilitySeries, visibility_vs_delay
+from remotehom.spectral_noise import DelayVisibilitySeries, individual_indistinguishability
 from remotehom.hom_montecarlo import (
     HomExperimentConfig,
     Polarization,
@@ -246,7 +246,8 @@ def test_criterion_09_delay_law_round_trip():
     rng = np.random.default_rng(3)
     series = []
     for dw, filtered in ((dw_f, True), (dw_u, False)):
-        v = np.array([visibility_vs_delay(v0, dw / (g + gs), tau, d) for d in delays])
+        src = EmitterParams(162.0, gamma_star=Rate(gs), delta_omega=Rate(dw), tau_c_ns=tau)
+        v = individual_indistinguishability(src, delays)
         noisy = np.clip(v * (1.0 + rng.normal(0, 0.01, size=v.size)), 0.0, 1.0)
         series.append(DelayVisibilitySeries(delays, noisy, 0.01 * v, filtered=filtered))
     res = fit_delay_visibility(series[0], series[1], GAMMA_IA)

@@ -15,6 +15,7 @@ from remotehom.units_core import Rate, Wavelength
 from remotehom.wavepacket import Charge, WavepacketProfile
 from remotehom.overlap_analytics import mwo_voigt_averaged, remote_upper_bound
 from remotehom.hom_montecarlo import HomExperimentConfig, analytic_prediction
+from remotehom.estimation import RankDeficiencyError
 from remotehom.cli_io import (
     CatalogEntry,
     CavityParams,
@@ -687,7 +688,9 @@ def test_cli_simulate_upper_bound_is_s(tmp_path, capsys, s_classical):
 
 @pytest.mark.parametrize("exc, code, line", [(MemoryError(), 2, "error: MemoryError"),
                                              (ArithmeticError(), 3,
-                                              "numerical failure: ArithmeticError")])
+                                              "numerical failure: ArithmeticError"),
+                                             (RankDeficiencyError(), 3,
+                                              "numerical failure: RankDeficiencyError")])
 def test_cli_error_without_text_prints_its_type(tmp_path, capsys, monkeypatch, exc, code,
                                                 line):
     import remotehom.cli_io as cli
@@ -699,6 +702,35 @@ def test_cli_error_without_text_prints_its_type(tmp_path, capsys, monkeypatch, e
     assert main(["overlap", "--config", str(write_config(tmp_path))]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == line + "\n"
+
+
+def test_cli_config_that_is_not_json_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text("{")
+    assert main(["overlap", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("t1_ps", np.geomspace(5.6e-306, 1e-300, 40).tolist())
+def test_cli_lifetimes_near_the_floor_exit_0_or_2_and_keep_the_averaged_overlap(
+        tmp_path, capsys, t1_ps):
+    # both sources within a factor ~3 of the smallest t1_ps with a finite rate:
+    # their sums of rates and profile peaks need a fourfold headroom
+    cfg = {"pair": {"a": {"t1_ps": t1_ps}, "b": {"t1_ps": 1.27 * t1_ps}},
+           "experiment": {"n_pulses": 20000}, "seed": 7}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["overlap", "--config", str(path)])
+        out = capsys.readouterr().out
+        assert main(["predict-delay", "--config", str(path), "--out", str(tmp_path)]) == code
+    assert code == (0 if math.isfinite(4000.0 / t1_ps) else 2)
+    if code == 0:
+        summary = json.loads(out)
+        assert summary["m_averaged"] == pytest.approx(summary["s_classical"] ** 2, rel=1e-12)
 
 
 def test_cli_huge_wandering_simulates_to_zero_overlap_and_an_overflowing_one_exits_2(

@@ -111,6 +111,13 @@ def extreme_config(**a) -> dict:
             "experiment": {"n_pulses": 20000}, "seed": 7}
 
 
+def floor_config(t1_ps: float) -> dict:
+    """A minimal config with lifetimes t1_ps and 1.27 t1_ps: near the floor of t1_ps,
+    where `extreme_config`'s b at 128 ps would exceed the 2,560 lifetime-ratio cap."""
+    return {"pair": {"a": {"t1_ps": t1_ps}, "b": {"t1_ps": 1.27 * t1_ps}},
+            "experiment": {"n_pulses": 20000}, "seed": 7}
+
+
 SANE_SOURCE = st.fixed_dictionaries({
     "emitter": _emitter(),
     "cavity": st.fixed_dictionaries({"x_c_nm": st.floats(924.5, 925.2), "q": st.floats(1e3, 4e3)},
@@ -166,6 +173,8 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 @given(cfg=configs(), fwhm=FILTER_OVERRIDE)
 @example(cfg=extreme_config(t1_ps=1e-320), fwhm=None)
 @example(cfg=extreme_config(t1_ps=1e308), fwhm=None)
+@example(cfg=floor_config(7e-306), fwhm=None)
+@example(cfg=floor_config(1.2e-305), fwhm=None)
 def test_overlap_exit_code_contract(cfg, fwhm):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"
@@ -193,6 +202,8 @@ def test_predict_delay_exit_code_contract(cfg, fwhm, source):
 @PROPERTY
 @given(cfg=configs(), fwhm=FILTER_OVERRIDE)
 @example(cfg=extreme_config(delta_omega_ns_inv=1e200), fwhm=None)
+@example(cfg=floor_config(7e-306), fwhm=None)
+@example(cfg=floor_config(1.2e-305), fwhm=None)
 def test_simulate_exit_code_contract(cfg, fwhm):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from remotehom.units_core import Rate
-from remotehom.wavepacket import read_lifetime_csv
-from remotehom.spectral_noise import DelayVisibilitySeries, visibility_vs_delay
+from remotehom.wavepacket import EmitterParams, read_lifetime_csv
+from remotehom.spectral_noise import DelayVisibilitySeries, individual_indistinguishability
 from remotehom import estimation
 from remotehom.estimation import (
     FitModel,
@@ -448,12 +448,11 @@ GAMMA_IA = Rate(1000.0 / 162.0)
 
 def synthetic_delay_series(gs, dw_f, dw_u, tau_c, noise=0.01, seed=0):
     delays = np.array([12.2, 40.0, 120.0, 300.0, 525.0, 1200.0, 3000.0])
-    g = GAMMA_IA.value
-    v0 = g / (g + gs)
     rng = np.random.default_rng(seed)
     out = []
     for dw, filtered in ((dw_f, True), (dw_u, False)):
-        v = np.array([visibility_vs_delay(v0, dw / (g + gs), tau_c, d) for d in delays])
+        src = EmitterParams(162.0, gamma_star=Rate(gs), delta_omega=Rate(dw), tau_c_ns=tau_c)
+        v = individual_indistinguishability(src, delays)
         v_noisy = np.clip(v * (1.0 + rng.normal(0, noise, size=v.size)), 0.0, 1.0)
         out.append(DelayVisibilitySeries(delays, v_noisy, noise * v,
                                          filtered=filtered))

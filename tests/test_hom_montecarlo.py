@@ -512,13 +512,6 @@ def test_config_rejects_non_finite(name, bad):
         HomExperimentConfig(n_pulses=1000, **{name: bad})
 
 
-def test_histogram_validation():
-    with pytest.raises(ValueError):
-        CoincidenceHistogram(np.array([0.0, 1.0, 2.5]), np.array([1, 2, 3]), PAR)
-    with pytest.raises(ValueError):
-        CoincidenceHistogram(np.array([0.0, 1.0]), np.array([1, -2]), PAR)
-
-
 def test_write_histogram_csv(tmp_path):
     h = CoincidenceHistogram(np.array([-0.5, 0.5]), np.array([3, 7]), PAR)
     path = tmp_path / "hist.csv"

@@ -13,11 +13,10 @@ from remotehom.spectral_noise import (
     DelayVisibilitySeries,
     WanderingProcess,
     individual_indistinguishability,
-    intrinsic_visibility,
     ou_path_uniform,
     sample_frequency_path,
-    visibility_vs_delay,
 )
+from reference import delay_law
 
 
 # --- OU path sampling -------------------------------------------------------
@@ -112,85 +111,82 @@ def test_process_validation():
 
 # --- delay law --------------------------------------------------------------
 
+def source(t1_ps: float = 162.0, gamma_star: float = 0.17, delta_omega: float = 4.6,
+           tau_c_ns: float = 1420.0) -> EmitterParams:
+    return EmitterParams(t1_ps, gamma_star=Rate(gamma_star), delta_omega=Rate(delta_omega),
+                         tau_c_ns=tau_c_ns)
+
+
 def test_visibility_at_zero_delay_is_v0():
-    assert visibility_vs_delay(0.87, 1.3, 500.0, 0.0) == pytest.approx(0.87)
+    # the intrinsic value g / (g + g*), with g = 1000 / 200 = 5 exactly
+    assert individual_indistinguishability(source(200.0, 0.0, 6.0), 0.0) == 1.0
+    assert individual_indistinguishability(source(200.0, 5.0, 6.0), 0.0) == 0.5
 
 
 def test_visibility_long_delay_saturation():
-    v = visibility_vs_delay(0.9, 0.5, 100.0, 1e9)
-    assert v == pytest.approx(0.9 / 1.5, rel=1e-9)
+    # g = 10, g* = 10/9: v0 = 0.9 and dw_r = 0.5, so V -> 0.9 / 1.5
+    v = individual_indistinguishability(source(100.0, 10.0 / 9.0, 0.5 * (10.0 + 10.0 / 9.0),
+                                               100.0), 1e9)
     assert v == pytest.approx(0.6, rel=1e-9)
 
 
 def test_visibility_filtered_endpoint_configuration():
-    v0 = intrinsic_visibility(Rate(1000 / 162), Rate(0.17))
-    assert v0 == pytest.approx(0.9732, abs=1e-4)
-    v = visibility_vs_delay(v0, 4.6 / (1000 / 162 + 0.17), 1420.0, 525.0)
-    assert v == pytest.approx(0.734, abs=0.01)
+    assert individual_indistinguishability(source(), 0.0) == pytest.approx(0.9732, abs=1e-4)
+    assert individual_indistinguishability(source(), 525.0) == pytest.approx(0.734, abs=0.01)
+
+
+def test_individual_indistinguishability_wiring():
+    src = source()
+    g, total = src.gamma.value, src.total_linewidth.value
+    for d in [0.0, 12.2, 525.0, 3.0 * src.tau_c_ns]:
+        assert individual_indistinguishability(src, d) == pytest.approx(
+            delay_law(g / total, 4.6 / total, 1420.0, d), rel=1e-12)
 
 
 def test_visibility_monotone_in_delay_and_wandering():
     delays = np.linspace(0.0, 5000.0, 40)
-    vals = [visibility_vs_delay(0.95, 0.8, 700.0, d) for d in delays]
+    vals = [individual_indistinguishability(source(delta_omega=4.0, tau_c_ns=700.0), d)
+            for d in delays]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
-    ratios = np.linspace(0.0, 3.0, 40)
-    vals_r = [visibility_vs_delay(0.95, r, 700.0, 300.0) for r in ratios]
-    assert all(a >= b for a, b in zip(vals_r, vals_r[1:]))
+    widths = np.linspace(0.0, 18.0, 40)
+    vals_w = [individual_indistinguishability(source(delta_omega=w, tau_c_ns=700.0), 300.0)
+              for w in widths]
+    assert all(a >= b for a, b in zip(vals_w, vals_w[1:]))
 
 
 def test_visibility_no_wandering_is_flat():
-    for d in [0.0, 12.2, 525.0, 1e6]:
-        assert visibility_vs_delay(0.91, 0.0, 1400.0, d) == pytest.approx(0.91)
+    v0 = individual_indistinguishability(source(delta_omega=0.0), 0.0)
+    for d in [12.2, 525.0, 1e6]:
+        assert individual_indistinguishability(source(delta_omega=0.0), d) == v0
 
 
 def test_visibility_takes_its_limit_where_the_squared_width_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v = visibility_vs_delay(0.9, 1e200, 1400.0, np.array([0.0, 1e-9, 12.2]))
-        assert v.tolist() == [0.9, 0.0, 0.0]
-        assert visibility_vs_delay(0.9, 1e200, 1400.0, 0.0) == 0.9
-        assert visibility_vs_delay(0.9, math.inf, 1400.0, 12.2) == 0.0
+        wide = source(delta_omega=1e200)
+        v0 = individual_indistinguishability(wide, 0.0)
+        v = individual_indistinguishability(wide, np.array([0.0, 1e-9, 12.2]))
+        assert v.tolist() == [v0, 0.0, 0.0]
+        # dw_r itself overflows: 1e307 rad/ns over a linewidth of 1e-304
+        assert individual_indistinguishability(source(1e307, 0.0, 1e307), 12.2) == 0.0
+        assert individual_indistinguishability(source(1e307, 0.0, 1e307), 0.0) == 1.0
 
 
 def test_visibility_validation():
-    with pytest.raises(ValueError):
-        visibility_vs_delay(1.2, 0.5, 100.0, 10.0)
-    with pytest.raises(ValueError):
-        visibility_vs_delay(0.9, -0.5, 100.0, 10.0)
-    with pytest.raises(ValueError):
-        visibility_vs_delay(0.9, 0.5, 100.0, -10.0)
-    with pytest.raises(ValueError):
-        visibility_vs_delay(0.9, 0.5, 100.0, np.array([0.0, 12.2, -10.0]))
-
-
-def test_intrinsic_visibility_cases():
-    assert intrinsic_visibility(Rate(5.0), Rate(0.0)) == 1.0
-    assert intrinsic_visibility(Rate(5.0), Rate(5.0)) == pytest.approx(0.5)
-    assert intrinsic_visibility(Rate(1000 / 162), Rate(0.17)) == pytest.approx(0.9732, abs=1e-4)
-    with pytest.raises(ValueError):
-        intrinsic_visibility(Rate(0.0), Rate(1.0))
-
-
-def test_individual_indistinguishability_wiring():
-    src = EmitterParams(162.0, gamma_star=Rate(0.17), delta_omega=Rate(4.6),
-                        tau_c_ns=1420.0)
-    direct = visibility_vs_delay(
-        intrinsic_visibility(src.gamma, src.gamma_star),
-        4.6 / src.total_linewidth.value, 1420.0, 525.0)
-    assert individual_indistinguishability(src, 525.0) == pytest.approx(direct, rel=1e-12)
+    with pytest.raises(ValueError, match="delay"):
+        individual_indistinguishability(source(), -10.0)
+    with pytest.raises(ValueError, match="delay"):
+        individual_indistinguishability(source(), np.array([0.0, 12.2, -10.0]))
 
 
 def test_delay_law_on_an_array_equals_the_scalar_calls_bit_for_bit():
-    src = EmitterParams(162.0, gamma_star=Rate(0.17), delta_omega=Rate(4.6),
-                        tau_c_ns=1420.0)
+    src = source()
     delays = np.linspace(0.0, 3.0 * src.tau_c_ns, 201)
     curve = individual_indistinguishability(src, delays)
     assert curve.shape == delays.shape
     scalars = [individual_indistinguishability(src, float(d)) for d in delays]
     assert all(isinstance(v, float) for v in scalars)
     np.testing.assert_array_equal(curve, scalars)
-    np.testing.assert_array_equal(visibility_vs_delay(0.95, 0.8, 700.0, delays),
-                                  [visibility_vs_delay(0.95, 0.8, 700.0, d) for d in delays])
 
 
 # --- Monte-Carlo bridge: OU paths feeding the overlap formula ----------------
@@ -248,7 +244,7 @@ def test_mc_overlap_matches_delay_law_literally(dw_r, delay_frac):
     sigma = dw_r * gamma
     mc, se = _mc_pair_visibility(sigma, tau_c, delay_frac * tau_c, gamma,
                                  seed=int(7000 * dw_r + 17 * delay_frac))
-    law = visibility_vs_delay(1.0, dw_r, tau_c, delay_frac * tau_c)
+    law = delay_law(1.0, dw_r, tau_c, delay_frac * tau_c)
     assert abs(mc - law) <= 3.0 * se
 
 

@@ -72,11 +72,6 @@ def test_fwhm_pm_conversion_linearization():
     assert r.value == pytest.approx(lo - hi, rel=1e-3)
 
 
-def test_fwhm_pm_rejects_non_positive():
-    with pytest.raises(ValueError):
-        fwhm_pm_to_angular_rate(0.0, Wavelength(924.8))
-
-
 def test_rate_validation():
     with pytest.raises(ValueError):
         Rate(-1.0)
