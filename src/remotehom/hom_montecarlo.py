@@ -32,7 +32,11 @@ sidebands scale m by (1 - p_a)(1 - p_b) instead of a per-pulse draw that
 would enter only that pulse's acceptance, and sources sharing tau_c get
 one OU path for the detuning, since the difference of two independent OU
 paths with one tau_c is an OU path of std hypot(dw_a, dw_b). Unequal tau_c
-draw two.
+draw two. A shard does its per-pulse float work (the emission draws, the
+detuning paths, m, the acceptance probability and its uniform draws) in
+place in one workspace of two shard-long rows of its own, so it makes no
+temporary arrays of that size (but the one scratch array of each OU
+scan), which would be freed and faulted in again shard after shard.
 
 Determinism: the pulse train is cut into fixed-size shards, and the
 shards of all polarizations of a run share one thread pool; every random
@@ -231,21 +235,20 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
     on_b = _blink_chain(make_rng(seed, *key, _P_BLINK_B), n_shard,
                         cfg.blink_on_prob, T, cfg.blink_dwell_ns)
 
+    # the shard's per-pulse floats are drawn and computed in place in these two
+    # rows (an OU path adds its scan's one scratch array), not in temporaries
+    # that would be freed and faulted in again shard after shard
+    rows = np.empty((2, n_shard))
+
     def bernoulli(purpose: int, p: float) -> np.ndarray | bool:
         # random() lies in [0, 1), so p = 0 and p = 1 settle every pulse without
         # a draw; each purpose has its own stream, so no other draw moves
         if p <= 0.0 or p >= 1.0:
             return p >= 1.0
-        return make_rng(seed, *key, purpose).random(n_shard) < p
+        return make_rng(seed, *key, purpose).random(n_shard, out=rows[0]) < p
 
     present_a = on_a & bernoulli(_P_EMIT_A, pair.a.brightness)
     present_b = on_b & bernoulli(_P_EMIT_B, pair.b.brightness)
-
-    def ou(purpose: int, sigma: float, tau_c_ns: float) -> np.ndarray | float:
-        if sigma == 0.0:
-            return 0.0
-        return ou_path_uniform(sigma, math.exp(-T / tau_c_ns),
-                               make_rng(seed, *key, purpose), n_shard)
 
     # cross-source pairs at offset k, index k + W: same-pulse pairs build the
     # central peak, pairs offset by whole periods the side peaks
@@ -263,17 +266,29 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
         # the overlap m varies pulse to pulse with the correlated wandering,
         # so acceptance stays a per-pulse Bernoulli here
         a, b = pair.a, pair.b
-        delta = pair.mean_detuning.value
         if a.tau_c_ns == b.tau_c_ns:
             # two independent AR(1) paths with one lambda differ by one AR(1)
             # path of std hypot(dw_a, dw_b): draw only that one
-            delta = delta + ou(_P_FREQ_A, pair.combined_wandering.value, a.tau_c_ns)
+            terms = [(np.add, _P_FREQ_A, pair.combined_wandering.value, a.tau_c_ns)]
         else:
-            delta = (delta + ou(_P_FREQ_A, a.delta_omega.value, a.tau_c_ns)
-                     - ou(_P_FREQ_B, b.delta_omega.value, b.tau_c_ns))
-        m = (1.0 - a.sideband_fraction) * (1.0 - b.sideband_fraction) \
-            * mwo_with_dephasing(pair, delta)
-        n_peak[W] = np.count_nonzero(both & (rng_accept.random(n_shard) < 0.5 * (1.0 - m)))
+            terms = [(np.add, _P_FREQ_A, a.delta_omega.value, a.tau_c_ns),
+                     (np.subtract, _P_FREQ_B, b.delta_omega.value, b.tau_c_ns)]
+        # the detuning mean + path_a - path_b builds up in row 0, each path is
+        # drawn into row 1, then m and the acceptance probability take row 1 and
+        # the uniform draws row 0; a source without wandering adds a scalar 0.0
+        delta = pair.mean_detuning.value
+        for op, purpose, sigma, tau_c_ns in terms:
+            path = 0.0 if sigma == 0.0 else ou_path_uniform(
+                sigma, math.exp(-T / tau_c_ns), make_rng(seed, *key, purpose), n_shard,
+                out=rows[1])
+            delta = op(delta, path, out=rows[0] if np.ndim(delta) or np.ndim(path) else None)
+        out = rows[1] if np.ndim(delta) else None
+        m = np.multiply((1.0 - a.sideband_fraction) * (1.0 - b.sideband_fraction),
+                        mwo_with_dephasing(pair, delta, out=out), out=out)
+        p = np.multiply(0.5, np.subtract(1.0, m, out=out), out=out)
+        accept = np.less(rng_accept.random(n_shard, out=rows[0]), p)
+        accept &= both
+        n_peak[W] = np.count_nonzero(accept)
     else:
         n_peak[W] = rng_accept.binomial(n_pairs[W], 0.5)
     # side peaks: no interference, drawn in the order +1, -1, +2, -2, ...

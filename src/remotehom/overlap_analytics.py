@@ -117,18 +117,20 @@ def make_source_pair(a: EmitterParams, b: EmitterParams,
     return SourcePair(a=a, b=b, mean_detuning=mean_detuning, s_given=s_classical, filter=filt)
 
 
-def _scale_free(ratio: Callable, *rates):
+def _scale_free(ratio: Callable, *rates, out: Optional[np.ndarray] = None):
     """num / den for `(num, den) = ratio(*rates)`, both of degree 2 in the rates. Where den is
-    not a normal float, both come from the rates over the largest of them: the same quotient."""
+    not a normal float, both come from the rates over the largest of them: the same quotient.
+    With `out`, `ratio(*rates, out=out)` builds den in `out` and the quotient goes there too;
+    `out` must share no memory with the rates, which that re-evaluation reads again."""
     rates = [np.asarray(r, dtype=float)[()] for r in rates]  # a scalar squares as a float does
     with np.errstate(over="ignore", invalid="ignore"):
-        num, den = ratio(*rates)
+        num, den = ratio(*rates) if out is None else ratio(*rates, out=out)
         redo = ~((den >= np.finfo(float).tiny) & (den < np.inf))
         if redo.any():
             largest = np.max(np.abs(np.broadcast_arrays(*rates)), axis=0)
             num, den = [np.where(redo, x_1, x) for x_1, x in
                         zip(ratio(*(r / largest for r in rates)), (num, den))]
-        return num / den
+        return num / den if out is None else np.divide(num, den, out=out)
 
 
 def mwo_no_dephasing(gamma_i: Rate, gamma_j: Rate, delta: Frequency) -> float:
@@ -141,19 +143,31 @@ def mwo_no_dephasing(gamma_i: Rate, gamma_j: Rate, delta: Frequency) -> float:
                        gamma_i.value, gamma_j.value, delta.value)
 
 
-def mwo_with_dephasing(pair: SourcePair, detuning: Optional[float] = None) -> float:
+def mwo_with_dephasing(pair: SourcePair, detuning: Optional[float] = None,
+                       out: Optional[np.ndarray] = None) -> float:
     """Dephasing-broadened overlap at `detuning` (rad/ns), by default the
     pair's mean detuning; an array of detunings gives one overlap each.
 
     M = s * (G_i + G_j)(g_i + g_j) / [ (G_i + G_j)^2 + 4 delta^2 ]
     with G = g + g* the total homogeneous linewidth of each source.
+    Given `out`, a float64 array the shape of an array `detuning`, the
+    denominator is built and divided in `out`, which is returned: no
+    temporary array of that size is made. `out` must not share memory
+    with `detuning`, which a non-normal denominator reads again.
     """
     gi, gj = pair.a.gamma.value, pair.b.gamma.value
     Gi, Gj = pair.a.total_linewidth.value, pair.b.total_linewidth.value
     d = pair.mean_detuning.value if detuning is None else detuning
-    return _scale_free(lambda Gi, Gj, gi, gj, d: (pair.s_classical * (Gi + Gj) * (gi + gj),
-                                                  (Gi + Gj) ** 2 + 4.0 * d ** 2),
-                       Gi, Gj, gi, gj, d)
+
+    def ratio(Gi, Gj, gi, gj, d, out=None):
+        # ** squares an array as np.square does and a scalar by pow(), so either keeps
+        # its bits; *= and += work in place on an array and rebind a scalar
+        den = d ** 2 if out is None else np.square(d, out=out)
+        den *= 4.0
+        den += (Gi + Gj) ** 2
+        return pair.s_classical * (Gi + Gj) * (gi + gj), den
+
+    return _scale_free(ratio, Gi, Gj, gi, gj, d, out=out)
 
 
 def voigt(x: float, lorentz_hwhm: Rate, gauss_sigma: Rate) -> float:

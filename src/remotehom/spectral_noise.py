@@ -43,23 +43,28 @@ class WanderingProcess:
 
 
 def ou_path_uniform(sigma: float, lam: float, rng: np.random.Generator,
-                    n: int) -> np.ndarray:
+                    n: int, out: np.ndarray | None = None) -> np.ndarray:
     """x_0 .. x_{n-1} of x_{k+1} = lam x_k + sigma sqrt(1-lam^2) eps_k, as a numpy scan.
 
     x_0 is drawn from the stationary N(0, sigma^2), then the n - 1 drive
-    terms eps_k, all from `rng`. With lam x_0 folded into the first drive
-    term, the passes s = 1, 2, 4, ... add lam^s times the partial sums s
-    steps back. They stop once lam^s underflows to 0, after which every
-    pass would add exact zeros.
+    terms eps_k, all from `rng`, straight into the path. With lam x_0
+    folded into the first drive term, the passes s = 1, 2, 4, ... add
+    lam^s times the partial sums s steps back, each product formed in one
+    scratch array. They stop once lam^s underflows to 0, after which every
+    pass would add exact zeros. The path goes to `out`, a contiguous
+    float64 array of n elements, or else to a new array, and is returned;
+    the draws and bits are the same either way. `out` is overwritten, so
+    it must not share memory with an array the caller still reads.
     """
-    path = np.empty(n)
+    path = np.empty(n) if out is None else out
     path[0] = sigma * rng.standard_normal()
-    out = path[1:]
-    out[:] = sigma * math.sqrt(1.0 - lam * lam) * rng.standard_normal(n - 1)
-    out[:1] += lam * path[0]
+    drive = rng.standard_normal(n - 1, out=path[1:])
+    drive *= sigma * math.sqrt(1.0 - lam * lam)
+    drive[:1] += lam * path[0]
+    scratch = np.empty(max(drive.size - 1, 0))
     s, factor = 1, lam
-    while s < out.size and factor > 0.0:
-        out[s:] += factor * out[:-s]
+    while s < drive.size and factor > 0.0:
+        drive[s:] += np.multiply(factor, drive[:-s], out=scratch[:drive.size - s])
         s, factor = 2 * s, factor * factor
     return path
 

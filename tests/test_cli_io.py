@@ -910,6 +910,33 @@ def test_cli_empty_perpendicular_peak_exits_3(tmp_path, capsys):
     assert not (out / "visibility.json").exists()
 
 
+def test_cli_sources_never_on_exit_3(tmp_path, capsys):
+    # blink_on_prob 0: both sources stay dark, so both central peaks are empty
+    path = write_config(tmp_path, experiment={"n_pulses": 20000, "blink_on_prob": 0.0})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: empty perpendicular central peak; cannot normalize\n"
+    assert not (out / "visibility.json").exists()
+
+
+@pytest.mark.parametrize("command", ["overlap", "simulate"])
+@pytest.mark.parametrize("where", ["config", "override"])
+def test_cli_zero_filter_fwhm_exits_2(tmp_path, capsys, command, where):
+    if where == "config":
+        path = write_config(tmp_path, filter={"center_nm": 924.847, "fwhm_pm": 0.0})
+        extra = []
+    else:
+        path, extra = write_config(tmp_path), ["--filter-fwhm-pm", "0"]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: filter FWHM must be > 0 pm, got 0.0\n"
+    assert not out.exists()
+
+
 def test_cli_fit_lifetime_nan_count_exits_2(tmp_path, capsys):
     data = tmp_path / "trace.csv"
     rows = [f"{10.0 * i!r},{1e4 * math.exp(-10.0 * i / 162.0)!r}" for i in range(160)]

@@ -176,9 +176,11 @@ def spy_ou_paths(monkeypatch) -> list:
 
     calls = []
 
-    def spy(sigma, lam, rng, n):
-        path = ou_path_uniform(sigma, lam, rng, n)
-        calls.append((sigma, lam, path))  # shards may call from worker threads
+    def spy(sigma, lam, rng, n, out=None):
+        path = ou_path_uniform(sigma, lam, rng, n, out=out)
+        # a copy: the shard reuses its workspace row once the path is read;
+        # shards may call from worker threads
+        calls.append((sigma, lam, path.copy()))
         return path
 
     monkeypatch.setattr(hm, "ou_path_uniform", spy)
@@ -274,6 +276,18 @@ def test_blink_chain_with_a_state_that_almost_never_switches(p_on):
     assert chain.all() or not chain.any()
 
 
+@pytest.mark.parametrize("p_on", [0.0, 1.0])
+def test_blink_chain_that_never_switches_draws_nothing(p_on):
+    from remotehom.hom_montecarlo import _blink_chain
+
+    rng = np.random.default_rng(121)
+    state = rng.bit_generator.state
+    chain = _blink_chain(rng, 5000, p_on, 12.2, 100.0)
+    assert chain.shape == (5000,) and chain.dtype == bool
+    assert chain.all() if p_on else not chain.any()
+    assert rng.bit_generator.state == state
+
+
 def test_simulation_deterministic_and_worker_invariant():
     pair = quiet_pair(162.0, 128.0)
     cfg = quiet_config(200_000, blink_on_prob=0.9, blink_dwell_ns=100.0, g2=0.01)
@@ -347,16 +361,63 @@ def test_simulated_counts_are_pinned_at_every_worker_count():
                                     brightness=0.8))
     cfg = HomExperimentConfig(n_pulses=150_000, g2=0.02, blink_on_prob=0.9,
                               blink_dwell_ns=100.0)
+    assert counts_digests(pair, cfg) == \
+        ["be9326abaea501af5aa7efb692417d985f59bb9c8418270e5922f36932c84d8c"] * 3
+
+
+def counts_digests(pair: SourcePair, cfg: HomExperimentConfig) -> list[str]:
+    """sha256 of both polarizations' counts at seed 2021, at 1, 2 and 4 workers."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # shards and the shape job interleave more often
     try:
-        digests = [hashlib.sha256(b"".join(np.asarray(h.counts, "<i8").tobytes() for h in
-                                           simulate_histograms(pair, cfg, (PAR, PERP), 2021,
-                                                               workers=workers))).hexdigest()
-                   for workers in (1, 2, 4)]
+        return [hashlib.sha256(b"".join(np.asarray(h.counts, "<i8").tobytes() for h in
+                                        simulate_histograms(pair, cfg, (PAR, PERP), 2021,
+                                                            workers=workers))).hexdigest()
+                for workers in (1, 2, 4)]
     finally:
         sys.setswitchinterval(interval)
-    assert digests == ["be9326abaea501af5aa7efb692417d985f59bb9c8418270e5922f36932c84d8c"] * 3
+
+
+def pinned_pair(dw_a: float, tau_c_a: float, dw_b: float, tau_c_b: float,
+                filtered: bool) -> SourcePair:
+    filt = FilterParams(Wavelength(924.8), 20.0) if filtered else None
+    sources = [EmitterParams(t1, gamma_star=Rate(gs), delta_omega=Rate(dw), tau_c_ns=tau_c,
+                             brightness=0.8)
+               for t1, gs, dw, tau_c in ((162.0, 0.17, dw_a, tau_c_a),
+                                         (128.0, 0.03, dw_b, tau_c_b))]
+    if filtered:
+        sources = [apply_filter(src, filt)[0] for src in sources]
+    return SourcePair(*sources, mean_detuning=Frequency(1.0), filter=filt)
+
+
+# pinned_pair's arguments, the pulse count and the counts_digests value
+_PINNED_BRANCHES = {
+    # two OU paths, one per source
+    "unequal_tau_c": ((4.7, 50.0, 2.12, 20.0, False), 140_000,
+        "579729b5ef1872c66d05694abf9dcbaed3f81188d80603ffd053e021af8eb22a"),
+    # a still source adds a scalar 0.0 before the other's path, or subtracts it after
+    "a_still_unequal_tau_c": ((0.0, 50.0, 2.12, 20.0, False), 140_000,
+        "d2c6f02f707b8b515e90fff278ccae260b66257b0493e505a0fad9ba28f14884"),
+    "b_still_unequal_tau_c": ((4.7, 50.0, 0.0, 20.0, False), 140_000,
+        "bdb13d588290b6fb65c355ba2a809fdbdb2f6912d84eaab068c83caa72c2e551"),
+    # no wandering at all: one scalar m for every pulse
+    "both_still": ((0.0, 50.0, 0.0, 50.0, False), 140_000,
+        "e2d58e6f0157d50a1f018e29bbf1b50f17a90d3a214300804449c0f84a46683b"),
+    "filtered": ((4.7, 50.0, 2.12, 50.0, True), 140_000,
+        "7bbc39b6b850b95bdd6e811377a1e50d43f8249c8090b8b559750b8c58b944a8"),
+    # the last shard holds one pulse: its OU path has no drive terms
+    "one_pulse_shard": ((4.7, 50.0, 2.12, 50.0, False), 65_537,
+        "7b4dbfda4be3da64d904b3c58b29e29faf2d84607b86376c24f4e813dcdeabf8"),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_PINNED_BRANCHES))
+def test_every_parallel_branch_is_pinned_at_every_worker_count(branch):
+    # each way a parallel shard can build its detuning, and a filtered pair
+    pair_args, n_pulses, digest = _PINNED_BRANCHES[branch]
+    cfg = HomExperimentConfig(n_pulses=n_pulses, g2=0.02, blink_on_prob=0.9,
+                              blink_dwell_ns=100.0)
+    assert counts_digests(pinned_pair(*pair_args), cfg) == [digest] * 3
 
 
 def test_polarizations_draw_independent_streams():
