@@ -65,7 +65,6 @@ from .estimation import (
 )
 
 __all__ = [
-    "CavityParams",
     "CatalogEntry",
     "SourceCatalog",
     "RunConfig",
@@ -84,31 +83,12 @@ __all__ = [
 # Domain types
 
 @dataclass(frozen=True)
-class CavityParams:
-    """Micropillar cavity mode: center, quality factor, QD-cavity detuning."""
-
-    x_c: Wavelength
-    q: float
-    detuning_pm: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.q > 0:
-            raise ValueError(f"quality factor must be > 0, got {self.q}")
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
+    """A catalog source as `match_pairs` reads it; `load_catalog` checks it."""
+
     label: str
     emitter: EmitterParams
-    cavity: CavityParams
     tuning_range_nm: tuple[float, float]
-    peak_brightness: float = 1.0
-
-    def __post_init__(self) -> None:
-        lo, hi = self.tuning_range_nm
-        if not (0.0 < lo < hi and 0.0 <= self.peak_brightness <= 1.0):
-            raise ValueError(f"{self.label}: need 0 < min < max of tuning_range_nm and "
-                             f"peak_brightness in [0, 1], got {lo}, {hi}, {self.peak_brightness}")
 
     @property
     def sample(self) -> str:
@@ -224,7 +204,6 @@ def emitter_from_dict(d: dict, context: str = "emitter") -> EmitterParams:
         delta_omega=Rate(vals["delta_omega_ns_inv"]),
         tau_c_ns=vals["tau_c_ns"],
         fss=EnergySplitting(vals["fss_uev"]),
-        theta_rad=vals["theta_rad"],
         charge=charge,
         brightness=vals["brightness"],
         sideband_fraction=vals["sideband_fraction"],
@@ -296,14 +275,16 @@ def load_catalog(path: str | Path) -> tuple[SourceCatalog, str]:
         if len(vals["tuning_range_nm"]) != 2:
             raise ValueError(f"{ctx}.tuning_range_nm: expected [min, max], "
                              f"got {vals['tuning_range_nm']!r}")
-        entries.append(CatalogEntry(
-            label=vals["label"],
-            emitter=emitter_from_dict(vals["emitter"], f"{ctx}.emitter"),
-            cavity=CavityParams(Wavelength(cav["x_c_nm"]), cav["q"], cav["detuning_pm"]),
-            tuning_range_nm=tuple(_decode(x, float, f"{ctx}.tuning_range_nm")
-                                  for x in vals["tuning_range_nm"]),
-            peak_brightness=vals["peak_brightness"],
-        ))
+        emitter = emitter_from_dict(vals["emitter"], f"{ctx}.emitter")
+        Wavelength(cav["x_c_nm"])  # checked, like q and the brightness, then dropped
+        if not cav["q"] > 0:
+            raise ValueError(f"quality factor must be > 0, got {cav['q']}")
+        lo, hi = (_decode(x, float, f"{ctx}.tuning_range_nm") for x in vals["tuning_range_nm"])
+        brightness = vals["peak_brightness"]
+        if not (0.0 < lo < hi and 0.0 <= brightness <= 1.0):
+            raise ValueError(f"{vals['label']}: need 0 < min < max of tuning_range_nm and "
+                             f"peak_brightness in [0, 1], got {lo}, {hi}, {brightness}")
+        entries.append(CatalogEntry(vals["label"], emitter, (lo, hi)))
     return SourceCatalog(tuple(entries)), config_hash(raw)
 
 
@@ -338,7 +319,11 @@ def demo_catalog() -> SourceCatalog:
     with fine-structure beating, measured noise parameters) and the LA
     pairs (trions); tuning ranges are chosen to respect the documented
     constraints (II_A cannot tune below 924.847 nm, its brightest point)
-    and to produce exactly the four realizable cross-sample pairs.
+    and to produce exactly the four realizable cross-sample pairs. Each
+    source's micropillar cavity (mode in nm, Q, QD-cavity detuning in pm)
+    and peak brightness, which no command reads: I_A 924.734, 2,900, 113,
+    0.124; I_B 924.95, 2,800, 50, 0.10; II_A 924.817, 1,700, 30, 0.185;
+    II_B 924.96, 1,900, 40, 0.12; II_C 924.75, 2,100, 50, 0.11.
     """
 
     def emitter(t1, gs, dw, fss=0.0, charge="CX", wl=924.9, p_sb=0.05):
@@ -350,20 +335,12 @@ def demo_catalog() -> SourceCatalog:
 
     entries = (
         CatalogEntry("I_A", emitter(162.0, 0.17, 4.7, fss=6.3, charge="X", wl=924.847),
-                     CavityParams(Wavelength(924.734), 2900.0, 113.0),
-                     (924.60, 925.00), 0.124),
-        CatalogEntry("I_B", emitter(240.0, 0.10, 3.0, wl=925.00),
-                     CavityParams(Wavelength(924.95), 2800.0, 50.0),
-                     (924.90, 925.15), 0.10),
+                     (924.60, 925.00)),
+        CatalogEntry("I_B", emitter(240.0, 0.10, 3.0, wl=925.00), (924.90, 925.15)),
         CatalogEntry("II_A", emitter(128.0, 0.03, 2.12, fss=6.7, charge="X", wl=924.847),
-                     CavityParams(Wavelength(924.817), 1700.0, 30.0),
-                     (924.847, 924.88), 0.185),
-        CatalogEntry("II_B", emitter(212.0, 0.10, 3.0, wl=925.00),
-                     CavityParams(Wavelength(924.96), 1900.0, 40.0),
-                     (924.92, 925.20), 0.12),
-        CatalogEntry("II_C", emitter(219.0, 0.10, 3.0, wl=924.80),
-                     CavityParams(Wavelength(924.75), 2100.0, 50.0),
-                     (924.65, 924.84), 0.11),
+                     (924.847, 924.88)),
+        CatalogEntry("II_B", emitter(212.0, 0.10, 3.0, wl=925.00), (924.92, 925.20)),
+        CatalogEntry("II_C", emitter(219.0, 0.10, 3.0, wl=924.80), (924.65, 924.84)),
     )
     return SourceCatalog(entries)
 

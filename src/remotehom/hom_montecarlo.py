@@ -19,39 +19,41 @@ bin probabilities are computed once per run (the cross-correlation of
 the two emission profiles, smoothed by the detector jitter, shifted by
 the peak's offset) and stored as a band: the bins that hold the peak's
 support, every other bin having probability exactly 0, so memory grows
-linearly in the number of peaks. The shape is the thread pool's first
-job. A shard meanwhile counts the coincidences of each peak: a
-per-pulse Bernoulli for the parallel central peak, where the
-wandering-correlated m changes from pulse to pulse, and binomial counts
-everywhere else. Each peak's histogram is then one multinomial draw of
-its count over its band, which draws what a draw over the whole row
-would, since a bin of probability 0 takes no draw; the shard waits for
-the shape only there. A shard draws only what can change a result: a
-brightness of 1 settles every pulse without a draw, the phonon
+linearly in the number of peaks. The shape is built first, on the
+calling thread, since two threads overlap little of a shard's short
+numpy calls. A shard counts the coincidences of each peak: a per-pulse
+Bernoulli for the parallel central peak, where the wandering-correlated
+m changes from pulse to pulse, and binomial counts everywhere else. Each
+peak's histogram is then one multinomial draw of its count over its
+band, which draws what a draw over the whole row would, since a bin of
+probability 0 takes no draw. A shard draws only what can change a
+result: a brightness of 1 settles every pulse without a draw, the phonon
 sidebands scale m by (1 - p_a)(1 - p_b) instead of a per-pulse draw that
 would enter only that pulse's acceptance, and sources sharing tau_c get
 one OU path for the detuning, since the difference of two independent OU
-paths with one tau_c is an OU path of std hypot(dw_a, dw_b). Unequal tau_c
-draw two. A shard does its per-pulse float work (the emission draws, the
-detuning paths, m, the acceptance probability and its uniform draws) in
-place in one workspace of two shard-long rows of its own, so it makes no
-temporary arrays of that size (but the one scratch array of each OU
-scan), which would be freed and faulted in again shard after shard.
+paths with one tau_c is an OU path of std hypot(dw_a, dw_b). Unequal
+tau_c draw two. A shard does its per-pulse float work (the emission
+draws, the detuning paths, m, the acceptance probability and its uniform
+draws) in place in one workspace of two shard-long rows of its own, so
+it makes no temporary arrays of that size (but the one scratch array of
+each OU scan), which would be freed and faulted in again shard after
+shard.
 
 Determinism: the pulse train is cut into fixed-size shards, and the
-shards of all polarizations of a run share one thread pool; every random
-stream is keyed by (seed, polarization, shard index, purpose), so merged
-histograms are bit-identical for any worker count or execution order.
-Wandering and blinking restart from their stationary distributions at
-shard boundaries, and photon pairings never cross a shard boundary
-(both effects are negligible at the default shard size of 65536 pulses
-against correlation times of microseconds or less).
+shards of all polarizations of a run share one thread pool (none at one
+worker or one shard per polarization); every random stream is keyed by
+(seed, polarization, shard index, purpose), so merged histograms are
+bit-identical for any worker count or execution order. Wandering and
+blinking restart from their stationary distributions at shard
+boundaries, and photon pairings never cross a shard boundary (both
+effects are negligible at the default shard size of 65536 pulses against
+correlation times of microseconds or less).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -223,9 +225,9 @@ def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig
 
 
 def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarization,
-                    seed: int, shard: int, n_shard: int, shape: Future) -> np.ndarray:
-    """Coincidence counts of one shard over each peak's band of the delay shape
-    `shape` (a future of `_delay_bin_probs`), read only for the time draws."""
+                    seed: int, shard: int, n_shard: int, probs: np.ndarray) -> np.ndarray:
+    """Coincidence counts of one shard over each peak's band, whose bin
+    probabilities are the rows `probs` of `_delay_bin_probs`."""
     key = (0 if pol is Polarization.PARALLEL else 1, shard)
     T = cfg.rep_period_ns
     W = cfg.window_peaks
@@ -302,34 +304,37 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
 
     # a binomial with p = 0 draws nothing, so drawing over a band leaves this
     # stream where the dense row would
-    return make_rng(seed, *key, _P_TIMES).multinomial(n_peak, shape.result()[2])[:, :-1]
+    return make_rng(seed, *key, _P_TIMES).multinomial(n_peak, probs)[:, :-1]
 
 
 def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
                         pols: Sequence[Polarization], seed: int,
                         workers: int = 1) -> list[CoincidenceHistogram]:
-    """One coincidence histogram per polarization in `pols`; the shards of all
-    of them share one pool of `workers` threads (ValueError below 1), queued in
-    the order of `pols`, behind the delay shape, so each shard counts its
-    coincidences while the shape is built and waits for it only at its time draws.
+    """One coincidence histogram per polarization in `pols`. The delay shape is
+    built first, then the shards of all polarizations run in the order of
+    `pols`: on one pool of `workers` threads (ValueError below 1) when there
+    are several workers and several shards per polarization, else in turn.
     Deterministic per (pair, cfg, pol, seed): `workers` never changes a result."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    edges, starts, probs = _delay_bin_probs(pair, cfg)
     n_shards = (cfg.n_pulses + SHARD_SIZE - 1) // SHARD_SIZE
     jobs = [(k, shard) for k in range(len(pols)) for shard in range(n_shards)]
+
+    def run(job: tuple[int, int]) -> np.ndarray:
+        k, shard = job
+        n_shard = min(SHARD_SIZE, cfg.n_pulses - shard * SHARD_SIZE)
+        return _simulate_shard(pair, cfg, pols[k], seed, shard, n_shard, probs)
+
     bands: list = [0] * len(pols)  # per polarization, its shards' band counts summed
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # threads start on submit
-        # first in the FIFO queue, so a pool thread takes it before any shard waits on it
-        shape = pool.submit(_delay_bin_probs, pair, cfg)
-
-        def run(job: tuple[int, int]) -> np.ndarray:
-            k, shard = job
-            n_shard = min(SHARD_SIZE, cfg.n_pulses - shard * SHARD_SIZE)
-            return _simulate_shard(pair, cfg, pols[k], seed, shard, n_shard, shape)
-
-        # one shard per polarization: two short shards in threads only contend for the GIL
-        results = pool.map(run, jobs) if workers > 1 and n_shards > 1 else map(run, jobs)
-        for (k, _), counts in zip(jobs, results):
-            bands[k] += counts
-    edges, starts, probs = shape.result()
+    # one shard per polarization: two short shards in threads only contend for the GIL
+    if workers > 1 and n_shards > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for (k, _), counts in zip(jobs, pool.map(run, jobs)):
+                bands[k] += counts
+    else:
+        for job in jobs:
+            bands[job[0]] += run(job)
     centers = 0.5 * (edges[:-1] + edges[1:])
     columns = starts[:, None] + np.arange(probs.shape[1] - 1)
     hists = []

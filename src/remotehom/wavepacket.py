@@ -54,7 +54,6 @@ class EmitterParams:
     delta_omega      : std. dev. of the slow frequency wandering (rad/ns)
     tau_c_ns         : wandering correlation time (ns), > 0
     fss              : fine-structure splitting (ueV)
-    theta_rad        : dipole angle w.r.t. the analysis axis (rad); validated, unused
     charge           : X (beating decay) or CX (mono-exponential decay)
     brightness       : emission probability per excitation pulse, in [0, 1]
     sideband_fraction: fraction of emission in the incoherent sideband, in [0, 1]
@@ -65,7 +64,6 @@ class EmitterParams:
     delta_omega: Rate = Rate(0.0)
     tau_c_ns: float = 1400.0
     fss: EnergySplitting = EnergySplitting(0.0)
-    theta_rad: float = 0.0
     charge: Charge = Charge.CX
     brightness: float = 1.0
     sideband_fraction: float = 0.05
@@ -87,8 +85,6 @@ class EmitterParams:
         if not math.isfinite(16.0 * self.delta_omega.value):
             raise ValueError("delta_omega must give a finite 16-width detuning span, "
                              f"got {self.delta_omega.value}")
-        if not math.isfinite(self.theta_rad):
-            raise ValueError(f"theta_rad must be finite, got {self.theta_rad}")
         for name in ("brightness", "sideband_fraction"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -165,8 +161,9 @@ def emission_profile(params: EmitterParams, grid: np.ndarray) -> WavepacketProfi
     The intensity is exp(-t / T1), zero before t = 0. A neutral exciton (X)
     with fss > 0 beats: the decay is multiplied by sin^2(fss * t / (2 hbar)).
     A trion (CX) ignores its fss, and an X with fss = 0 decays like a CX.
-    The overall sin^2(2 theta) projection factor cancels under
-    normalization, so theta never enters. This is the ideal trace with no
+    The dipole angle enters only as an overall sin^2(2 theta) factor,
+    which cancels under normalization, so it is no parameter (a config's
+    `theta_rad` is checked and dropped). This is the ideal trace with no
     detector response, so overlaps of measured traces come out higher:
     0.979 ideal vs 0.986 measured for the (162 ps, 6.3 ueV) x
     (128 ps, 6.7 ueV) pair.

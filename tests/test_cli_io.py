@@ -11,14 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from remotehom.units_core import Rate, Wavelength
 from remotehom.wavepacket import Charge, WavepacketProfile
 from remotehom.overlap_analytics import mwo_voigt_averaged, remote_upper_bound
 from remotehom.hom_montecarlo import HomExperimentConfig, analytic_prediction
 from remotehom.estimation import RankDeficiencyError
 from remotehom.cli_io import (
     CatalogEntry,
-    CavityParams,
     SourceCatalog,
     config_hash,
     demo_catalog,
@@ -53,11 +51,6 @@ def write_config(tmp_path: Path, **overrides) -> Path:
 
 # --- value types ------------------------------------------------------------
 
-def test_cavity_params_rejects_non_positive_q():
-    with pytest.raises(ValueError):
-        CavityParams(Wavelength(924.7), 0.0, 0.0)
-
-
 def demo_source(label: str) -> CatalogEntry:
     return next(s for s in demo_catalog().sources if s.label == label)
 
@@ -74,10 +67,12 @@ def test_catalog_rejects_duplicate_labels():
         SourceCatalog((e, e))
 
 
-def test_catalog_rejects_inverted_range():
-    e = demo_source("I_A")
-    with pytest.raises(ValueError):
-        CatalogEntry(e.label, e.emitter, e.cavity, (925.0, 924.6), e.peak_brightness)
+def test_catalog_rejects_inverted_range(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"sources": [dict(_SOURCE, tuning_range_nm=[925.0, 924.6])]}))
+    with pytest.raises(ValueError, match=r"^I_A: need 0 < min < max of tuning_range_nm and "
+                                         r"peak_brightness in \[0, 1\], got 925.0, 924.6, 1.0$"):
+        load_catalog(path)
 
 
 # --- config hashing and parsing ---------------------------------------------
@@ -196,7 +191,7 @@ def test_load_run_config_rejects_unknown_section_keys(tmp_path):
 
 def entry(label, lo, hi):
     base = demo_source("I_A")
-    return CatalogEntry(label, base.emitter, base.cavity, (lo, hi), 0.1)
+    return CatalogEntry(label, base.emitter, (lo, hi))
 
 
 def test_match_pairs_intersection_interval():
@@ -253,9 +248,63 @@ def test_load_catalog_round_trip(tmp_path):
     catalog, h = load_catalog(path)
     entries = {s.label: s for s in catalog.sources}
     assert len(catalog.sources) == len(entries) == 2
-    assert entries["I_A"].cavity.q == 2900.0
-    assert entries["II_A"].peak_brightness == 1.0
+    # the cavity and the peak brightness are checked and dropped: no command reads them
+    assert entries["I_A"] == CatalogEntry("I_A", emitter_from_dict({"t1_ps": 162.0}),
+                                          (924.6, 925.0))
+    assert entries["II_A"].tuning_range_nm == (924.847, 924.88)
     assert len(h) == 64
+
+
+# a catalog holding every key a source may carry; its config_hash and the bytes
+# of its and the demo catalog's pairs.json, recorded before the unread keys
+# were dropped from the catalog types
+_FULL_CATALOG = {"sources": [
+    {"label": "I_A", "emitter": {"t1_ps": 162.0, "theta_rad": 0.3},
+     "cavity": {"x_c_nm": 924.734, "q": 2900.0, "detuning_pm": 113.0},
+     "tuning_range_nm": [924.6, 925.0], "peak_brightness": 0.124},
+    {"label": "II_A", "emitter": {"t1_ps": 128.0},
+     "cavity": {"x_c_nm": 924.817, "q": 1700.0}, "tuning_range_nm": [924.847, 924.88]},
+    {"label": "II_B", "emitter": {"t1_ps": 212.0},
+     "cavity": {"x_c_nm": 924.96, "q": 1900.0, "detuning_pm": 40.0},
+     "tuning_range_nm": [924.92, 925.2], "peak_brightness": 0.12}]}
+
+
+def test_catalog_config_hash_and_pairs_json_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(_FULL_CATALOG))
+    assert load_catalog(path)[1] == \
+        "d0ed71ba9db3c9034881913c10c74e54e3ec5b2bcaf8b6fec5e16431531ad806"
+    for argv, digest in (
+            ([], "e0afde8ed9e356d069aac67ce0d40d931ad4b80aa287bde892b7169d9d51dc40"),
+            (["--config", str(path)],
+             "32dc4beefc869519c821a06a886e6e682f5032199a0d67167a303a95c1ce5a84")):
+        out = tmp_path / f"out{len(argv)}"
+        assert main(["match-pairs", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "pairs.json").read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("keys, value, error", [
+    (("cavity", "q"), 0.0, "quality factor must be > 0, got 0.0"),
+    (("cavity", "x_c_nm"), -1.0, "wavelength must be > 0 nm, got -1.0"),
+    (("peak_brightness",), 7.0, "I_A: need 0 < min < max of tuning_range_nm and "
+                                "peak_brightness in [0, 1], got 924.6, 925.0, 7.0"),
+    (("emitter", "theta_rad"), math.nan,
+     "sources[0].emitter.theta_rad: expected a finite number, got nan"),
+    (("emitter", "theta_rad"), math.inf,
+     "sources[0].emitter.theta_rad: expected a finite number, got inf"),
+])
+def test_cli_unread_catalog_keys_are_still_checked(tmp_path, capsys, keys, value, error):
+    doc = copy.deepcopy(_FULL_CATALOG)
+    parent = doc["sources"][0]
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))  # a non-finite number is written as NaN / Infinity
+    assert main(["match-pairs", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "o").exists()
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -361,6 +410,32 @@ def test_cli_simulate_readme_perpendicular_histogram_bytes_are_pinned(tmp_path, 
     capsys.readouterr()
     digest = hashlib.sha256((out / "histogram_perp.csv").read_bytes()).hexdigest()
     assert digest == "b8ed1836bc39a7756f035cccc18c9010b6f0f57bb2462941f070f44b2da8db3d"
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_artifact_digests_are_pinned():
+    # every category of bench/bench_artifacts.py (the benchmark's simulate ops at 1,
+    # 2 and 4 workers, its overlap/predict-delay and fit ops, 300 random delay
+    # shapes) and its profile-build counts, as recorded in bench/ARTIFACT_DIGESTS.json
+    # with the numpy and the machine type that it names
+    import platform
+    import subprocess
+    import sys
+
+    import remotehom
+
+    pinned = json.loads((_ROOT / "bench" / "ARTIFACT_DIGESTS.json").read_text())
+    if (np.__version__, platform.machine()) != (pinned["numpy"], pinned["machine"]):
+        pytest.skip(f"digests taken with numpy {pinned['numpy']} on {pinned['machine']}")
+    src = Path(remotehom.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, str(_ROOT / "bench" / "bench_artifacts.py"),
+                           "--src", str(src)], capture_output=True, text=True, check=True)
+    (tree,) = json.loads(proc.stdout)["trees"].values()
+    assert {name: c["sha256"] for name, c in tree["categories"].items()} == \
+        pinned["categories"]
+    assert tree["profile_builds"] == pinned["profile_builds"]
 
 
 def test_cli_match_pairs_demo(tmp_path, capsys):

@@ -224,7 +224,7 @@ def test_unequal_tau_c_draws_two_paths_and_matches_analytic_prediction(monkeypat
 
 @pytest.mark.parametrize("workers", [0, -1])
 def test_fewer_than_one_worker_raises(workers):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
         simulate_histogram(quiet_pair(), quiet_config(1000), PAR, seed=1, workers=workers)
 
 
@@ -298,7 +298,8 @@ def test_simulation_deterministic_and_worker_invariant():
     assert not np.array_equal(h1.counts, h3.counts)
 
 
-def test_delay_shape_computed_once_per_run(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_delay_shape_computed_once_per_run(monkeypatch, workers):
     import remotehom.hom_montecarlo as hm
 
     calls = []
@@ -310,8 +311,20 @@ def test_delay_shape_computed_once_per_run(monkeypatch):
     monkeypatch.setattr(hm, "_delay_bin_probs", spy)
     pair = quiet_pair(162.0, 128.0)
     cfg = quiet_config(70_000, g2=0.01)
-    simulate_histograms(pair, cfg, (PAR, PERP), seed=115, workers=2)
+    simulate_histograms(pair, cfg, (PAR, PERP), seed=115, workers=workers)
     assert calls == [(pair, cfg)]
+
+
+@pytest.mark.parametrize("workers, n_pulses", [(1, 3 * 65536), (2, 65536)])
+def test_no_thread_pool_at_one_worker_or_one_shard(monkeypatch, workers, n_pulses):
+    import remotehom.hom_montecarlo as hm
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(hm, "ThreadPoolExecutor", no_pool)
+    simulate_histograms(quiet_pair(162.0, 128.0, s_given=0.97), quiet_config(n_pulses, g2=0.01),
+                        (PAR, PERP), seed=116, workers=workers)
 
 
 @pytest.mark.parametrize("filtered", [False, True])
@@ -353,8 +366,8 @@ def test_banded_delay_rows_do_not_grow_with_the_window():
 
 def test_simulated_counts_are_pinned_at_every_worker_count():
     # sha256 of both polarizations' counts (little-endian int64) as computed
-    # by the dense delay table: the banded rows and the shape built in the
-    # pool leave every draw where it was
+    # by the dense delay table: the banded rows, and building the shape in the
+    # pool or before the shards, leave every draw where it was
     pair = SourcePair(EmitterParams(162.0, gamma_star=Rate(0.17), delta_omega=Rate(4.7),
                                     brightness=0.8),
                       EmitterParams(128.0, gamma_star=Rate(0.03), delta_omega=Rate(2.12),
@@ -368,7 +381,7 @@ def test_simulated_counts_are_pinned_at_every_worker_count():
 def counts_digests(pair: SourcePair, cfg: HomExperimentConfig) -> list[str]:
     """sha256 of both polarizations' counts at seed 2021, at 1, 2 and 4 workers."""
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # shards and the shape job interleave more often
+    sys.setswitchinterval(1e-5)  # the pool's shards interleave more often
     try:
         return [hashlib.sha256(b"".join(np.asarray(h.counts, "<i8").tobytes() for h in
                                         simulate_histograms(pair, cfg, (PAR, PERP), 2021,
