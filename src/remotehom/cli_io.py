@@ -364,20 +364,18 @@ def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     """Analytic predictions, both-polarization Monte Carlo, visibility
     estimate and bound check; writes all artifacts into config.outputs."""
     pair = config.pair
-    # s and the profiles, which the delay shape reuses, are read first: a pair
-    # that cannot build them leaves no output directory, even with s given
-    pair.profiles
     # the remote bound min(s, sqrt(m_a m_b)) with perfect single-source overlaps m = 1
     bound = pair.s_classical
     report = dict(overlap_report(pair, cfg_hash), upper_bound=bound)
-    out = config.outputs
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "overlap.json").write_text(json_text(report))
 
     # parallel first: its shards are the long ones, so they head the queue
     h_par, h_perp = simulate_histograms(pair, config.experiment,
                                         (Polarization.PARALLEL, Polarization.PERPENDICULAR),
                                         config.seed, workers=config.workers)
+    # only now: a pair whose profiles or delay shape cannot be built leaves no --out
+    out = config.outputs
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "overlap.json").write_text(json_text(report))
     write_histogram_csv((h_par, h_perp), (out / "histogram_par.csv", out / "histogram_perp.csv"),
                         config_hash=cfg_hash)
 

@@ -34,10 +34,10 @@ one OU path for the detuning, since the difference of two independent OU
 paths with one tau_c is an OU path of std hypot(dw_a, dw_b). Unequal
 tau_c draw two. A shard does its per-pulse float work (the emission
 draws, the detuning paths, m, the acceptance probability and its uniform
-draws) in place in one workspace of two shard-long rows of its own, so
-it makes no temporary arrays of that size (but the one scratch array of
-each OU scan), which would be freed and faulted in again shard after
-shard.
+draws) in place in one workspace of two shard-long rows of its own
+(every pair's detuning in row 0), so it makes no temporary arrays of
+that size (but the one scratch array of each OU scan), which would be
+freed and faulted in again shard after shard.
 
 Determinism: the pulse train is cut into fixed-size shards, and the
 shards of all polarizations of a run share one thread pool (none at one
@@ -79,6 +79,7 @@ __all__ = [
 ]
 
 SHARD_SIZE = 65536
+_MAX_DELAY_FFT = 1 << 24  # delay-shape FFT cap, what T1 0.01 ps needs at 12 ps jitter
 
 
 class Polarization(Enum):
@@ -196,7 +197,7 @@ def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig
     piecewise-linear CDF), so the difference density is the cross-correlation
     of the two profiles' cell masses on the pair's shared grid, smoothed by
     the two detectors' Gaussian jitter (combined width sigma * sqrt(2)),
-    applied as its transfer function exp(-2 (pi sigma f)^2).
+    applied as its transfer function exp(-2 (pi sigma f)^2) on at most _MAX_DELAY_FFT points.
     """
     half_span = (cfg.window_peaks + 0.5) * cfg.rep_period_ns
     n_bins = max(1, int(round(2.0 * half_span / (cfg.bin_width_ps / 1000.0))))
@@ -205,8 +206,11 @@ def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig
     grid = pair.profiles[0].t_grid
     dt = float(grid[1] - grid[0])
     sig = math.sqrt(2.0) * cfg.jitter_sigma_ps / 1000.0
-    lag0 = m_a.size - 1 + int(math.ceil(8.0 * sig / dt))  # lags -lag0 .. lag0, in units of dt
+    lag0 = m_a.size - 1 + math.ceil(min(8.0 * sig / dt, _MAX_DELAY_FFT))  # lags -lag0 .. lag0
     n_fft = 1 << (2 * lag0).bit_length()
+    if n_fft > _MAX_DELAY_FFT:  # min() sends an infinite lag count here too
+        raise ValueError(f"jitter_sigma_ps {cfg.jitter_sigma_ps!r} against t1_ps {pair.a.t1_ps!r} "
+                         f"and {pair.b.t1_ps!r} needs a delay shape of more than 2^24 FFT points")
     spec = np.fft.rfft(m_b, n_fft) * np.conj(np.fft.rfft(m_a, n_fft)) \
         * np.exp(-2.0 * (math.pi * sig * np.fft.rfftfreq(n_fft, dt)) ** 2)
     dens = np.roll(np.fft.irfft(spec, n_fft), lag0)[:2 * lag0 + 1]
@@ -275,19 +279,17 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
         else:
             terms = [(np.add, _P_FREQ_A, a.delta_omega.value, a.tau_c_ns),
                      (np.subtract, _P_FREQ_B, b.delta_omega.value, b.tau_c_ns)]
-        # the detuning mean + path_a - path_b builds up in row 0, each path is
-        # drawn into row 1, then m and the acceptance probability take row 1 and
-        # the uniform draws row 0; a source without wandering adds a scalar 0.0
-        delta = pair.mean_detuning.value
+        # row 0 builds up mean + path_a - path_b from paths drawn into row 1, then m and
+        # the acceptance probability take row 1 and the uniform draws row 0
+        rows[0].fill(pair.mean_detuning.value)
         for op, purpose, sigma, tau_c_ns in terms:
-            path = 0.0 if sigma == 0.0 else ou_path_uniform(
-                sigma, math.exp(-T / tau_c_ns), make_rng(seed, *key, purpose), n_shard,
-                out=rows[1])
-            delta = op(delta, path, out=rows[0] if np.ndim(delta) or np.ndim(path) else None)
-        out = rows[1] if np.ndim(delta) else None
+            if sigma != 0.0:
+                op(rows[0], ou_path_uniform(sigma, math.exp(-T / tau_c_ns),
+                                            make_rng(seed, *key, purpose), n_shard, out=rows[1]),
+                   out=rows[0])
         m = np.multiply((1.0 - a.sideband_fraction) * (1.0 - b.sideband_fraction),
-                        mwo_with_dephasing(pair, delta, out=out), out=out)
-        p = np.multiply(0.5, np.subtract(1.0, m, out=out), out=out)
+                        mwo_with_dephasing(pair, rows[0], out=rows[1]), out=rows[1])
+        p = np.multiply(0.5, np.subtract(1.0, m, out=m), out=m)
         accept = np.less(rng_accept.random(n_shard, out=rows[0]), p)
         accept &= both
         n_peak[W] = np.count_nonzero(accept)

@@ -120,17 +120,17 @@ def make_source_pair(a: EmitterParams, b: EmitterParams,
 def _scale_free(ratio: Callable, *rates, out: Optional[np.ndarray] = None):
     """num / den for `(num, den) = ratio(*rates)`, both of degree 2 in the rates. Where den is
     not a normal float, both come from the rates over the largest of them: the same quotient.
-    With `out`, `ratio(*rates, out=out)` builds den in `out` and the quotient goes there too;
+    `ratio(*rates, out=out)` builds den in `out`, if given, and the quotient goes there too;
     `out` must share no memory with the rates, which that re-evaluation reads again."""
-    rates = [np.asarray(r, dtype=float)[()] for r in rates]  # a scalar squares as a float does
+    rates = [np.asarray(r, dtype=float)[()] for r in rates]  # a float64 ** overflows to inf
     with np.errstate(over="ignore", invalid="ignore"):
-        num, den = ratio(*rates) if out is None else ratio(*rates, out=out)
+        num, den = ratio(*rates, out=out)
         redo = ~((den >= np.finfo(float).tiny) & (den < np.inf))
         if redo.any():
             largest = np.max(np.abs(np.broadcast_arrays(*rates)), axis=0)
             num, den = [np.where(redo, x_1, x) for x_1, x in
                         zip(ratio(*(r / largest for r in rates)), (num, den))]
-        return num / den if out is None else np.divide(num, den, out=out)
+        return np.divide(num, den, out=out)
 
 
 def mwo_no_dephasing(gamma_i: Rate, gamma_j: Rate, delta: Frequency) -> float:
@@ -139,7 +139,7 @@ def mwo_no_dephasing(gamma_i: Rate, gamma_j: Rate, delta: Frequency) -> float:
     M = 4 g_i g_j / [ (g_i + g_j)^2 + delta^2 ]. Symmetric in the rates
     and even in the detuning.
     """
-    return _scale_free(lambda gi, gj, d: (4.0 * gi * gj, (gi + gj) ** 2 + d ** 2),
+    return _scale_free(lambda gi, gj, d, out=None: (4.0 * gi * gj, (gi + gj) ** 2 + d * d),
                        gamma_i.value, gamma_j.value, delta.value)
 
 
@@ -160,9 +160,9 @@ def mwo_with_dephasing(pair: SourcePair, detuning: Optional[float] = None,
     d = pair.mean_detuning.value if detuning is None else detuning
 
     def ratio(Gi, Gj, gi, gj, d, out=None):
-        # ** squares an array as np.square does and a scalar by pow(), so either keeps
-        # its bits; *= and += work in place on an array and rebind a scalar
-        den = d ** 2 if out is None else np.square(d, out=out)
+        # d * d rounds a scalar as an array (d ** 2 calls pow() on a scalar only);
+        # *= and += work in place on an array and rebind a scalar
+        den = np.multiply(d, d, out=out)
         den *= 4.0
         den += (Gi + Gj) ** 2
         return pair.s_classical * (Gi + Gj) * (gi + gj), den

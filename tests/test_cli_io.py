@@ -743,6 +743,27 @@ def test_cli_simulate_with_a_given_s_checks_the_grid_before_making_out(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t1_ps, jitter_sigma_ps", [
+    (1e-304, 12.0),  # the lag count 8 sigma sqrt(2) / dt overflows to inf
+    (162.0, 1e300),  # so it does from the jitter side
+    (1e-3, 12.0),  # 2^27 FFT points, about 2 GB of buffers
+])
+def test_cli_simulate_caps_the_delay_shape_before_making_out(tmp_path, capsys,
+                                                             t1_ps, jitter_sigma_ps):
+    cfg = json.loads(write_config(tmp_path).read_text())
+    cfg["pair"]["a"]["t1_ps"] = cfg["pair"]["b"]["t1_ps"] = t1_ps
+    cfg["experiment"]["jitter_sigma_ps"] = jitter_sigma_ps
+    path = tmp_path / "wide_shape.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: jitter_sigma_ps {jitter_sigma_ps!r} against t1_ps {t1_ps!r} "
+                            f"and {t1_ps!r} needs a delay shape of more than 2^24 FFT points\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("s_classical", [None, 1, 0.986])
 def test_cli_simulate_upper_bound_is_s(tmp_path, capsys, s_classical):
     # the remote bound min(s, sqrt(m_a m_b)) at m = 1; an integer s stays an integer

@@ -2,11 +2,13 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from remotehom.cli_io import overlap_report
 from remotehom.units_core import EnergySplitting, Frequency, Rate, Wavelength
 from remotehom.wavepacket import Charge, EmitterParams, WavepacketProfile, classical_overlap
 from remotehom.overlap_analytics import (
@@ -118,8 +120,24 @@ def test_dephasing_at_an_array_of_detunings_is_elementwise():
     m = mwo_with_dephasing(p, deltas)
     assert m.shape == deltas.shape
     for d, m_d in zip(deltas, m):
-        assert m_d == pytest.approx(mwo_with_dephasing(p, float(d)), rel=1e-15)
+        assert m_d == mwo_with_dephasing(p, float(d))
     assert mwo_with_dephasing(p, None) == mwo_with_dephasing(p, 1.5) == mwo_with_dephasing(p)
+
+
+def test_dephasing_has_the_same_bits_for_a_scalar_and_an_array_detuning():
+    # detunings whose scalar d ** 2 (pow) and d * d differ in the last bit on x86-64:
+    # the first three of the 159 among these draws, then all that this platform's pow gives
+    draws = np.random.default_rng(0).normal(0.0, 10.0, 200000)
+    deltas = [-1.523386358242358, -0.22567563312705183, -6.242140872163027,
+              *(float(d) for d in draws if d ** 2 != d * d)]
+    p = pair_with(gamma_star=(0.17, 0.03), s=0.97)
+    for d in deltas:
+        m = mwo_with_dephasing(p, np.array([d]))[0]
+        assert mwo_with_dephasing(p, d) == m
+        # the overlap command's m_dephasing, at the pair's mean detuning d
+        assert overlap_report(replace(p, mean_detuning=Frequency(d)), "")["m_dephasing"] == m
+        assert mwo_no_dephasing(GAMMA_A, GAMMA_B, Frequency(d)) == 4.0 * GAMMA_A.value * \
+            GAMMA_B.value / ((GAMMA_A.value + GAMMA_B.value) ** 2 + d * d)
 
 
 def test_overlaps_take_their_limit_where_a_square_overflows():

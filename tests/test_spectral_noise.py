@@ -265,6 +265,18 @@ def test_series_validation():
                               np.array([0.01, 0.01]))
 
 
+@pytest.mark.parametrize("delays, vis, sigma, message", [
+    # one series is one row of delays, even where all three arrays share a 2-D shape
+    ([[0.0, 1.0], [2.0, 3.0]], [[0.9, 0.8], [0.7, 0.6]], [[0.01, 0.01]] * 2, "must match"),
+    ([0.0, 1.0, 2.0], [0.9, 0.8], [0.01, 0.01], "must match"),
+    # a negative first delay followed by increasing positive ones
+    ([-1.0, 2.0, 3.0], [0.9, 0.8, 0.7], [0.01] * 3, "non-negative"),
+])
+def test_series_rejects_bad_shapes_and_a_negative_first_delay(delays, vis, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        DelayVisibilitySeries(np.array(delays), np.array(vis), np.array(sigma))
+
+
 @pytest.mark.parametrize("which", range(3))
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_series_rejects_non_finite(which, bad):
