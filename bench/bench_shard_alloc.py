@@ -127,10 +127,11 @@ def main(argv: list[str] | None = None) -> int:
     result = {"host": {"vcpus": os.cpu_count(), "python": platform.python_version()},
               "seed": SEED, "ops": args.ops, "pairs": args.pairs, "trees": trees}
     if len(srcs) == 2:
+        # a change relative to 0 (say, no minor faults on the first tree) is null
         result["second_vs_first"] = {
             key: {"second_lower": sum(b[key] < a[key] for a, b in zip(*runs)),
-                  "median_rel_change": round(statistics.median(b[key] / a[key] - 1.0
-                                                               for a, b in zip(*runs)), 4)}
+                  "median_rel_change": None if any(a[key] == 0 for a in runs[0]) else
+                  round(statistics.median(b[key] / a[key] - 1.0 for a, b in zip(*runs)), 4)}
             for key in runs[0][0]}
     print(json.dumps(result, indent=1))
     return 0

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -379,14 +380,17 @@ def test_simulated_counts_are_pinned_at_every_worker_count():
 
 
 def counts_digests(pair: SourcePair, cfg: HomExperimentConfig) -> list[str]:
-    """sha256 of both polarizations' counts at seed 2021, at 1, 2 and 4 workers."""
+    """sha256 of both polarizations' counts at seed 2021, at 1, 2 and 4 workers, with
+    every warning an error."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # the pool's shards interleave more often
     try:
-        return [hashlib.sha256(b"".join(np.asarray(h.counts, "<i8").tobytes() for h in
-                                        simulate_histograms(pair, cfg, (PAR, PERP), 2021,
-                                                            workers=workers))).hexdigest()
-                for workers in (1, 2, 4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return [hashlib.sha256(b"".join(np.asarray(h.counts, "<i8").tobytes() for h in
+                                            simulate_histograms(pair, cfg, (PAR, PERP), 2021,
+                                                                workers=workers))).hexdigest()
+                    for workers in (1, 2, 4)]
     finally:
         sys.setswitchinterval(interval)
 

@@ -195,10 +195,14 @@ def test_voigt_keeps_its_value_where_scipy_underflows():
         1.0 / (1e300 * math.sqrt(2.0 * math.pi)), rel=1e-15)
     assert voigt(0.0, Rate(1e-160), Rate(0.0)) == pytest.approx(1.0 / (math.pi * 1e-160),
                                                                 rel=1e-15)
-    # no wandering: the averaged overlap is s times the dephasing form (module docstring)
+    # no wandering: the averaged overlap is s times the dephasing form (module docstring);
+    # every overlap `overlap` prints takes these rates without a warning
     huge = pair_with(t1=(1e-200, 2e-200), detuning=1e203, s=0.9)
-    assert mwo_voigt_averaged(huge) == pytest.approx(0.9 * mwo_with_dephasing(huge), rel=1e-12)
-    assert mwo_voigt_averaged(huge) > 0.29
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = overlap_report(huge, "")
+    assert report["m_averaged"] == pytest.approx(0.9 * report["m_dephasing"], rel=1e-12)
+    assert report["m_averaged"] > 0.29
 
 
 def _voigt_quadrature(x: float, gl: float, sig: float) -> float:
