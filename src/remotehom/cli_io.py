@@ -19,6 +19,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -559,10 +560,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# encoded here: out of memory, formatting or printing a message may fail in turn
+_OUT_OF_MEMORY = b"error: MemoryError\n"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one `remotehom` command and return its exit code (0, 2 or 3).
 
-    May be called any number of times in one process.
+    May be called any number of times in one process. Error lines go to
+    `sys.stderr`, but the out-of-memory line goes straight to file descriptor 2.
     """
     try:
         args = build_parser().parse_args(argv)
@@ -570,10 +576,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
+    except MemoryError:
+        os.write(2, _OUT_OF_MEMORY)
+        return 2
     except (FilterRegimeError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
-    except (OSError, KeyError, TypeError, ValueError, MemoryError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

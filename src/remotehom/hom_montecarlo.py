@@ -41,7 +41,12 @@ freed and faulted in again shard after shard.
 
 Determinism: the pulse train is cut into fixed-size shards, and the
 shards of all polarizations of a run share one thread pool (none at one
-worker or one shard per polarization); every random stream is keyed by
+worker or one shard per polarization). The process keeps one pool per
+worker count from its first use to its exit, so a study's runs start no
+threads of their own; a child of `os.fork` drops the parent's pools, whose
+threads it does not have, and builds its own. Python 3.12 and later warn
+when a process with live threads calls `os.fork`; `subprocess` does not
+fork that way and does not warn. Every random stream is keyed by
 (seed, polarization, shard index, purpose), so merged histograms are
 bit-identical for any worker count or execution order. Wandering and
 blinking restart from their stationary distributions at shard
@@ -52,8 +57,10 @@ correlation times of microseconds or less).
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -183,6 +190,19 @@ def _blink_chain(rng: np.random.Generator, n: int, p_on: float,
     return np.concatenate(pieces)[:n]
 
 
+@functools.lru_cache(maxsize=1)
+def _binning(window_peaks: int, rep_period_ns: float,
+             bin_width_ps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The histogram's bin edges and centers (ns), read-only: a study's runs
+    share one binning, so the last one is kept."""
+    half_span = (window_peaks + 0.5) * rep_period_ns
+    n_bins = max(1, int(round(2.0 * half_span / (bin_width_ps / 1000.0))))
+    edges = np.linspace(-half_span, half_span, n_bins + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    edges.flags.writeable = centers.flags.writeable = False
+    return edges, centers
+
+
 def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Histogram bin edges and, for each peak offset k in [-W, W], the band of
@@ -199,9 +219,8 @@ def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig
     the two detectors' Gaussian jitter (combined width sigma * sqrt(2)),
     applied as its transfer function exp(-2 (pi sigma f)^2) on at most _MAX_DELAY_FFT points.
     """
-    half_span = (cfg.window_peaks + 0.5) * cfg.rep_period_ns
-    n_bins = max(1, int(round(2.0 * half_span / (cfg.bin_width_ps / 1000.0))))
-    edges = np.linspace(-half_span, half_span, n_bins + 1)
+    edges, _ = _binning(cfg.window_peaks, cfg.rep_period_ns, cfg.bin_width_ps)
+    n_bins = edges.size - 1
     m_a, m_b = (np.diff(p.intensity_cdf()) for p in pair.profiles)
     grid = pair.profiles[0].t_grid
     dt = float(grid[1] - grid[0])
@@ -309,17 +328,29 @@ def _simulate_shard(pair: SourcePair, cfg: HomExperimentConfig, pol: Polarizatio
     return make_rng(seed, *key, _P_TIMES).multinomial(n_peak, probs)[:, :-1]
 
 
+# one thread pool per worker count, kept for the life of the process; a forked
+# child holds copies without their threads, where a shard would wait forever
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_POOLS.clear)
+
+
 def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
                         pols: Sequence[Polarization], seed: int,
                         workers: int = 1) -> list[CoincidenceHistogram]:
     """One coincidence histogram per polarization in `pols`. The delay shape is
     built first, then the shards of all polarizations run in the order of
-    `pols`: on one pool of `workers` threads (ValueError below 1) when there
-    are several workers and several shards per polarization, else in turn.
-    Deterministic per (pair, cfg, pol, seed): `workers` never changes a result."""
+    `pols`: on the process's pool of `workers` threads (ValueError below 1) when
+    there are several workers and several shards per polarization, else in turn.
+    That pool is built on first use and kept until the process exits; a child
+    of `os.fork` builds its own (Python 3.12 and later warn of a fork while its
+    threads live; `subprocess` does not). A shard that raises cancels the shards
+    not yet started and is raised once the running ones have finished. The
+    histograms share the binning's read-only `bin_centers`. Deterministic per
+    (pair, cfg, pol, seed): `workers` never changes a result."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    edges, starts, probs = _delay_bin_probs(pair, cfg)
+    _, starts, probs = _delay_bin_probs(pair, cfg)
     n_shards = (cfg.n_pulses + SHARD_SIZE - 1) // SHARD_SIZE
     jobs = [(k, shard) for k in range(len(pols)) for shard in range(n_shards)]
 
@@ -331,13 +362,20 @@ def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
     bands: list = [0] * len(pols)  # per polarization, its shards' band counts summed
     # one shard per polarization: two short shards in threads only contend for the GIL
     if workers > 1 and n_shards > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for (k, _), counts in zip(jobs, pool.map(run, jobs)):
-                bands[k] += counts
+        pool = _POOLS.get(workers) or _POOLS.setdefault(workers, ThreadPoolExecutor(workers))
+        futures = [pool.submit(run, job) for job in jobs]
+        try:
+            for (k, _), future in zip(jobs, futures):
+                bands[k] += future.result()
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
     else:
         for job in jobs:
             bands[job[0]] += run(job)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    centers = _binning(cfg.window_peaks, cfg.rep_period_ns, cfg.bin_width_ps)[1]
     columns = starts[:, None] + np.arange(probs.shape[1] - 1)
     hists = []
     for band, pol in zip(bands, pols):
@@ -391,21 +429,30 @@ def analytic_prediction(pair: SourcePair) -> float:
             * mwo_voigt_averaged(pair))
 
 
+# the last read-only bin-center array written and its text: a study's runs
+# share one binning (`_binning`), whose centers are then formatted once
+_centers_text: tuple[np.ndarray | None, list[str] | None] = (None, None)
+
+
 def write_histogram_csv(h: CoincidenceHistogram | Sequence[CoincidenceHistogram],
                         path: str | Path | Sequence[str | Path],
                         config_hash: str) -> None:
     """Write `bin_center_ns, counts` rows, tagged with the producing config.
 
     Given a sequence of histograms and one path each, writes each file and
-    formats a bin-center array that several of them share once.
+    formats a bin-center array that several of them share once; the text of
+    the last read-only one is kept for the next call that writes it.
     """
+    global _centers_text
     hists, paths = ((h,), (path,)) if isinstance(h, CoincidenceHistogram) else (h, path)
-    centers = text = None
+    centers, text = _centers_text
     for hist, p in zip(hists, paths):
         if hist.bin_centers is not centers:  # not the last file's array: format it
             centers = text = hist.bin_centers
         text = write_csv_columns(p, ("bin_center_ns", "counts"), (text, hist.counts),
                                  comment=f"config_hash={config_hash}")[0]
+        if not centers.flags.writeable and centers.base is None:  # not a view either
+            _centers_text = centers, text
 
 
 def write_visibility_json(est: VisibilityEstimate, path: str | Path,

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -398,6 +399,94 @@ def test_cli_simulate_byte_identical_across_worker_counts(tmp_path, capsys):
     assert sorted(outs[0]) == ["histogram_par.csv", "histogram_perp.csv", "overlap.json",
                                "visibility.json"]
     assert outs[1] == outs[0]
+
+
+def test_cli_simulate_runs_share_their_shard_threads(tmp_path, capsys, monkeypatch):
+    # two runs in one process shard on one pool's threads and write what a fresh
+    # process writes
+    import threading
+    import remotehom.hom_montecarlo as hm
+
+    threads = []  # the Thread objects, kept so that none is recycled
+    shard = hm._simulate_shard
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        return shard(*args)
+
+    monkeypatch.setattr(hm, "_simulate_shard", spy)
+    path = write_config(tmp_path)
+    argv = ["simulate", "--config", str(path), "--pulses", "200000", "--workers", "2"]
+    runs = []
+    for name in ("a", "b"):
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        runs.append(take_artifacts(tmp_path / name))
+    assert len(threads) == 2 * 2 * 4  # two runs of four shards per polarization
+    assert len(set(threads)) <= 2 and threading.main_thread() not in threads
+    proc = run_fresh("-m", "remotehom.cli_io", *argv, "--out", str(tmp_path / "fresh"))
+    assert proc.returncode == 0
+    assert runs[0] == runs[1] == take_artifacts(tmp_path / "fresh")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
+def test_cli_simulate_runs_in_a_forked_child_of_a_process_with_shard_threads(tmp_path):
+    # the child holds copies of the parent's pools without their threads; the
+    # alarm ends a child that waits on them (Python 3.12 and later warn of a fork
+    # with live threads)
+    parent, child = tmp_path / "parent", tmp_path / "child"
+    script = ("import os, signal, sys, warnings\n"
+              "from remotehom.cli_io import main\n"
+              "argv = sys.argv[1:]\n"
+              f"assert main([*argv, '--out', {str(parent)!r}]) == 0\n"
+              "sys.stdout.flush()\n"
+              "warnings.filterwarnings('ignore', category=DeprecationWarning)\n"
+              "if os.fork() == 0:\n"
+              "    signal.alarm(60)\n"
+              f"    code = main([*argv, '--out', {str(child)!r}])\n"
+              "    sys.stdout.flush()\n"
+              "    os._exit(code)\n"
+              "sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))\n")
+    proc = run_fresh("-W", "error", "-c", script, "simulate", "--config",
+                     str(write_config(tmp_path)), "--pulses", "200000", "--workers", "2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert take_artifacts(child) == take_artifacts(parent)
+
+
+def test_cli_simulate_formats_a_shared_binning_once(tmp_path, capsys, monkeypatch):
+    # a second run on the same binning reuses the text of its bin centers
+    import builtins
+    import remotehom.units_core as uc
+
+    path = write_config(tmp_path)
+    argv = ["simulate", "--config", str(path), "--pulses", "20000"]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    formatted = []
+
+    def spy(value):
+        formatted.append(type(value))
+        return builtins.repr(value)
+
+    monkeypatch.setattr(uc, "repr", spy, raising=False)
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    assert int in formatted and float not in formatted  # the counts, not the centers
+    assert take_artifacts(tmp_path / "b") == take_artifacts(tmp_path / "a")
+
+
+def test_cli_seed_0_is_a_seed(tmp_path, capsys):
+    # seed 0 from the config and from --seed: both resolve to one config
+    path = write_config(tmp_path, seed=0)
+    other = tmp_path / "seed7.json"
+    other.write_text(path.read_text().replace('"seed": 0', '"seed": 7'))
+    runs = []
+    for config, extra in ((path, []), (other, ["--seed", "0"])):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out), *extra]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "visibility.json").read_text())["seed"] == 0
+        runs.append(take_artifacts(out))
+    assert runs[0] == runs[1]
 
 
 # the minimal run.json of the README, verbatim
@@ -811,8 +900,9 @@ def test_cli_simulate_upper_bound_is_s(tmp_path, capsys, s_classical):
                                               "numerical failure: ArithmeticError"),
                                              (RankDeficiencyError(), 3,
                                               "numerical failure: RankDeficiencyError")])
-def test_cli_error_without_text_prints_its_type(tmp_path, capsys, monkeypatch, exc, code,
+def test_cli_error_without_text_prints_its_type(tmp_path, capfd, monkeypatch, exc, code,
                                                 line):
+    # capfd: the out-of-memory line is written to file descriptor 2, not sys.stderr
     import remotehom.cli_io as cli
 
     def fail(*args, **kwargs):
@@ -820,8 +910,28 @@ def test_cli_error_without_text_prints_its_type(tmp_path, capsys, monkeypatch, e
 
     monkeypatch.setattr(cli, "load_run_config", fail)
     assert main(["overlap", "--config", str(write_config(tmp_path))]) == code
-    captured = capsys.readouterr()
+    captured = capfd.readouterr()
     assert captured.out == "" and captured.err == line + "\n"
+
+
+def test_cli_out_of_memory_line_takes_no_memory(tmp_path, capfd, monkeypatch):
+    # out of memory, a write to sys.stderr may itself raise MemoryError
+    import remotehom.cli_io as cli
+
+    class Exhausted:
+        def write(self, text):
+            raise MemoryError
+
+        flush = write
+
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_run_config", fail)
+    monkeypatch.setattr(sys, "stderr", Exhausted())
+    assert main(["overlap", "--config", str(write_config(tmp_path))]) == 2
+    monkeypatch.undo()
+    assert capfd.readouterr() == ("", "error: MemoryError\n")
 
 
 def test_cli_config_that_is_not_json_exits_2_with_one_line(tmp_path, capsys):
@@ -995,6 +1105,19 @@ def test_cli_largest_runs_fit_in_3_gb(tmp_path, key, value):
         for name in ("histogram_par.csv", "histogram_perp.csv"):
             lines = (out / name).read_text().splitlines()
             assert lines[1] == "bin_center_ns,counts" and len(lines[2:]) == 488_244
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+@pytest.mark.parametrize("key, value", [("window_peaks", 1000), ("t1_ps", 327680.0)])
+def test_cli_out_of_memory_exits_2_with_one_line(tmp_path, key, value):
+    # the largest runs above, in 400 MB: the handler must not need memory of its own
+    cfg = defaults_run()
+    (cfg["experiment"] if key == "window_peaks" else cfg["pair"]["a"])[key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_fresh("-W", "error", "-c", _MAIN_IN_3GB.replace("3072000000", "400000000"),
+                     "simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stderr) == (2, "error: MemoryError\n")
 
 
 def test_cli_sub_linewidth_filter_exits_3(tmp_path, capsys):

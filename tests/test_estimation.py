@@ -1,6 +1,7 @@
 """Least-squares engine and the lifetime / reflectivity / delay fits."""
 
 import math
+import platform
 import warnings
 
 import numpy as np
@@ -513,6 +514,40 @@ def test_delay_fit_outlier_inflation_changes_weight():
     err_plain = abs(plain.params["delta_omega_unfiltered"] - 4.7)
     err_inflated = abs(inflated.params["delta_omega_unfiltered"] - 4.7)
     assert err_inflated < err_plain
+
+
+# the numpy and machine type the result bits below were taken with: the fit's
+# np.exp and solve may differ in the last bits on another build
+_FIT_BITS_ON = ("2.4.6", "x86_64")
+
+
+def test_delay_fit_starts_from_the_last_visibility_of_each_series(monkeypatch):
+    # each series' last two visibilities differ, so a wandering width guessed from
+    # any point but the last starts elsewhere and ends in other bits
+    delays = np.array([12.2, 40.0, 120.0, 300.0, 525.0, 1200.0, 3000.0])
+    series = [DelayVisibilitySeries(delays, np.array(v), np.full(7, 0.01), filtered=filtered)
+              for v, filtered in (([0.93, 0.90, 0.84, 0.75, 0.69, 0.62, 0.60], True),
+                                  ([0.92, 0.86, 0.74, 0.62, 0.55, 0.50, 0.49], False))]
+    starts = []
+
+    def spy(model, x, y, init, **kwargs):
+        starts.append(repr(list(init)))
+        return least_squares(model, x, y, init, **kwargs)
+
+    monkeypatch.setattr(estimation, "least_squares", spy)
+    res = fit_delay_visibility(*series, GAMMA_IA)
+    assert starts == ["[0.4646223284216112, 3.4807143507571734, 4.447493656315478, 1000.0]"]
+    assert res.converged and res.n_iter == 10
+    if (np.__version__, platform.machine()) != _FIT_BITS_ON:
+        pytest.skip(f"result bits taken with numpy {_FIT_BITS_ON[0]} on {_FIT_BITS_ON[1]}")
+    assert repr(res.params) == (
+        "{'gamma_star': 0.3572926665004905, 'delta_omega_filtered': 3.372935177735858, "
+        "'delta_omega_unfiltered': 4.547067611500496, 'tau_c_ns': 398.58101455150376, "
+        "'v0': 0.9452855383240703}")
+    assert repr(res.sigmas) == (
+        "{'gamma_star': 0.04471548490670245, 'delta_omega_filtered': 0.050539645627052404, "
+        "'delta_omega_unfiltered': 0.0662795861704885, 'tau_c_ns': 24.530885564017183, "
+        "'v0': 0.0064729013293692425}")
 
 
 def test_delay_fit_rejects_mixed_zero_sigmas():

@@ -320,12 +320,67 @@ def test_delay_shape_computed_once_per_run(monkeypatch, workers):
 def test_no_thread_pool_at_one_worker_or_one_shard(monkeypatch, workers, n_pulses):
     import remotehom.hom_montecarlo as hm
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was built")
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread pool was built")
 
-    monkeypatch.setattr(hm, "ThreadPoolExecutor", no_pool)
+        def submit(self, *args, **kwargs):
+            raise AssertionError("a thread pool was used")
+
+    monkeypatch.setattr(hm, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setitem(hm._POOLS, workers, object.__new__(NoPool))  # a kept pool, too
     simulate_histograms(quiet_pair(162.0, 128.0, s_given=0.97), quiet_config(n_pulses, g2=0.01),
                         (PAR, PERP), seed=116, workers=workers)
+
+
+def test_a_failed_shard_raises_once_no_shard_runs(monkeypatch):
+    # the pool outlives the run, so the run itself waits for its running shards
+    import threading
+    import time
+    import remotehom.hom_montecarlo as hm
+
+    lock = threading.Lock()
+    state = {"started": 0, "running": 0}
+    shard_fn = hm._simulate_shard
+
+    def failing(pair, cfg, pol, seed, shard, *rest):
+        with lock:
+            state["started"] += 1
+            state["running"] += 1
+        try:
+            if (pol, shard) == (PAR, 0):
+                raise RuntimeError("shard failed")
+            time.sleep(0.05)
+            return shard_fn(pair, cfg, pol, seed, shard, *rest)
+        finally:
+            with lock:
+                state["running"] -= 1
+
+    monkeypatch.setattr(hm, "_simulate_shard", failing)
+    pair, cfg = quiet_pair(162.0, 128.0), quiet_config(4 * 65536)
+    with pytest.raises(RuntimeError, match="shard failed"):
+        simulate_histograms(pair, cfg, (PAR, PERP), seed=120, workers=2)
+    started = state["started"]
+    assert state["running"] == 0
+    time.sleep(0.2)
+    assert state["started"] == started  # the shards not started were cancelled
+    monkeypatch.setattr(hm, "_simulate_shard", shard_fn)  # the pool still serves
+    hists = simulate_histograms(pair, cfg, (PAR, PERP), seed=120, workers=2)
+    for h, ref in zip(hists, simulate_histograms(pair, cfg, (PAR, PERP), seed=120)):
+        np.testing.assert_array_equal(h.counts, ref.counts)
+
+
+def test_binning_is_kept_read_only():
+    import remotehom.hom_montecarlo as hm
+
+    cfg = quiet_config(1000, window_peaks=2, bin_width_ps=20.0)
+    h = simulate_histogram(quiet_pair(), cfg, PAR, seed=1)
+    edges, centers = hm._binning(2, cfg.rep_period_ns, 20.0)
+    assert h.bin_centers is centers and _delay_bin_probs(quiet_pair(), cfg)[0] is edges
+    assert centers.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
+    for a in (edges, centers):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 @pytest.mark.parametrize("filtered", [False, True])
