@@ -47,7 +47,12 @@ def main() -> int:
     parser.add_argument("--seeds", default="2001-2010", help="first-last, inclusive")
     parser.add_argument("--seconds", type=float, default=15.0)
     args = parser.parse_args()
-    first, last = map(int, args.seeds.split("-"))
+    try:
+        first, last = map(int, args.seeds.split("-"))
+    except ValueError:
+        parser.error(f"--seeds {args.seeds}: expected first-last")
+    if last <= first:  # quartiles need two runs a side
+        parser.error(f"--seeds {args.seeds}: need at least two seeds")
     runs = []
     for i, seed in enumerate(range(first, last + 1)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

@@ -110,6 +110,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ops", type=int, default=24)
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    for name in ("pairs", "ops"):  # no run to take a median of
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} {getattr(args, name)}: need at least one")
     if args.child is not None:
         print(json.dumps(in_process(args.child.resolve(), args.ops)))
         return 0

@@ -88,7 +88,6 @@ class CatalogEntry:
     """A catalog source as `match_pairs` reads it; `load_catalog` checks it."""
 
     label: str
-    emitter: EmitterParams
     tuning_range_nm: tuple[float, float]
 
     @property
@@ -276,8 +275,8 @@ def load_catalog(path: str | Path) -> tuple[SourceCatalog, str]:
         if len(vals["tuning_range_nm"]) != 2:
             raise ValueError(f"{ctx}.tuning_range_nm: expected [min, max], "
                              f"got {vals['tuning_range_nm']!r}")
-        emitter = emitter_from_dict(vals["emitter"], f"{ctx}.emitter")
-        Wavelength(cav["x_c_nm"])  # checked, like q and the brightness, then dropped
+        emitter_from_dict(vals["emitter"], f"{ctx}.emitter")
+        Wavelength(cav["x_c_nm"])  # checked, like the emitter, q and brightness, then dropped
         if not cav["q"] > 0:
             raise ValueError(f"quality factor must be > 0, got {cav['q']}")
         lo, hi = (_decode(x, float, f"{ctx}.tuning_range_nm") for x in vals["tuning_range_nm"])
@@ -285,7 +284,9 @@ def load_catalog(path: str | Path) -> tuple[SourceCatalog, str]:
         if not (0.0 < lo < hi and 0.0 <= brightness <= 1.0):
             raise ValueError(f"{vals['label']}: need 0 < min < max of tuning_range_nm and "
                              f"peak_brightness in [0, 1], got {lo}, {hi}, {brightness}")
-        entries.append(CatalogEntry(vals["label"], emitter, (lo, hi)))
+        if not np.isfinite((hi - lo) * 1e3):  # pairs.json's width_pm
+            raise ValueError(f"{ctx}.tuning_range_nm: the width of [{lo}, {hi}] overflows in pm")
+        entries.append(CatalogEntry(vals["label"], (lo, hi)))
     return SourceCatalog(tuple(entries)), config_hash(raw)
 
 
@@ -316,32 +317,27 @@ def match_pairs(catalog: SourceCatalog) -> list[tuple[str, str, tuple[float, flo
 def demo_catalog() -> SourceCatalog:
     """The five-source demo catalog: two sources on sample I, three on II.
 
-    Emitter numbers follow the characterized resonant pair (X excitons
-    with fine-structure beating, measured noise parameters) and the LA
-    pairs (trions); tuning ranges are chosen to respect the documented
-    constraints (II_A cannot tune below 924.847 nm, its brightest point)
-    and to produce exactly the four realizable cross-sample pairs. Each
-    source's micropillar cavity (mode in nm, Q, QD-cavity detuning in pm)
-    and peak brightness, which no command reads: I_A 924.734, 2,900, 113,
-    0.124; I_B 924.95, 2,800, 50, 0.10; II_A 924.817, 1,700, 30, 0.185;
-    II_B 924.96, 1,900, 40, 0.12; II_C 924.75, 2,100, 50, 0.11.
+    Tuning ranges are chosen to respect the documented constraints (II_A
+    cannot tune below 924.847 nm, its brightest point) and to produce
+    exactly the four realizable cross-sample pairs. Each source's emitter,
+    micropillar cavity and peak brightness, which no command reads:
+    emitters (T1 in ps, gamma* and delta-omega in ns^-1, FSS in ueV, charge,
+    wavelength in nm; sideband fraction 0.05 and tau_c 1400 ns throughout)
+    follow the characterized resonant pair (X excitons with fine-structure
+    beating, measured noise parameters) and the LA pairs (trions): I_A 162,
+    0.17, 4.7, 6.3, X, 924.847; I_B 240, 0.10, 3.0, 0, CX, 925.00; II_A 128,
+    0.03, 2.12, 6.7, X, 924.847; II_B 212, 0.10, 3.0, 0, CX, 925.00; II_C
+    219, 0.10, 3.0, 0, CX, 924.80. Cavities (mode in nm, Q, QD-cavity
+    detuning in pm) and peak brightness: I_A 924.734, 2,900, 113, 0.124;
+    I_B 924.95, 2,800, 50, 0.10; II_A 924.817, 1,700, 30, 0.185; II_B
+    924.96, 1,900, 40, 0.12; II_C 924.75, 2,100, 50, 0.11.
     """
-
-    def emitter(t1, gs, dw, fss=0.0, charge="CX", wl=924.9, p_sb=0.05):
-        return emitter_from_dict({
-            "t1_ps": t1, "gamma_star_ns_inv": gs, "delta_omega_ns_inv": dw,
-            "fss_uev": fss, "charge": charge, "wavelength_nm": wl,
-            "sideband_fraction": p_sb,
-        })
-
     entries = (
-        CatalogEntry("I_A", emitter(162.0, 0.17, 4.7, fss=6.3, charge="X", wl=924.847),
-                     (924.60, 925.00)),
-        CatalogEntry("I_B", emitter(240.0, 0.10, 3.0, wl=925.00), (924.90, 925.15)),
-        CatalogEntry("II_A", emitter(128.0, 0.03, 2.12, fss=6.7, charge="X", wl=924.847),
-                     (924.847, 924.88)),
-        CatalogEntry("II_B", emitter(212.0, 0.10, 3.0, wl=925.00), (924.92, 925.20)),
-        CatalogEntry("II_C", emitter(219.0, 0.10, 3.0, wl=924.80), (924.65, 924.84)),
+        CatalogEntry("I_A", (924.60, 925.00)),
+        CatalogEntry("I_B", (924.90, 925.15)),
+        CatalogEntry("II_A", (924.847, 924.88)),
+        CatalogEntry("II_B", (924.92, 925.20)),
+        CatalogEntry("II_C", (924.65, 924.84)),
     )
     return SourceCatalog(entries)
 
@@ -377,8 +373,8 @@ def run_pipeline(config: RunConfig, cfg_hash: str) -> dict:
     out = config.outputs
     out.mkdir(parents=True, exist_ok=True)
     (out / "overlap.json").write_text(json_text(report))
-    write_histogram_csv((h_par, h_perp), (out / "histogram_par.csv", out / "histogram_perp.csv"),
-                        config_hash=cfg_hash)
+    write_histogram_csv(h_par, out / "histogram_par.csv", config_hash=cfg_hash)
+    write_histogram_csv(h_perp, out / "histogram_perp.csv", config_hash=cfg_hash)
 
     est = estimate_visibility(h_par, h_perp, config.experiment.rep_period_ns)
     write_visibility_json(est, out / "visibility.json", config_hash=cfg_hash,

@@ -46,7 +46,9 @@ worker count from its first use to its exit, so a study's runs start no
 threads of their own; a child of `os.fork` drops the parent's pools, whose
 threads it does not have, and builds its own. Python 3.12 and later warn
 when a process with live threads calls `os.fork`; `subprocess` does not
-fork that way and does not warn. Every random stream is keyed by
+fork that way and does not warn. The text of the last bin centers written
+is kept by their content, so a study's runs on one binning format those
+centers once. Every random stream is keyed by
 (seed, polarization, shard index, purpose), so merged histograms are
 bit-identical for any worker count or execution order. Wandering and
 blinking restart from their stationary distributions at shard
@@ -68,7 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .units_core import json_text, make_rng, write_csv_columns
+from .units_core import column_text, json_text, make_rng, write_csv_columns
 from .overlap_analytics import SourcePair, mwo_voigt_averaged, mwo_with_dephasing
 from .spectral_noise import ou_path_uniform
 
@@ -190,19 +192,6 @@ def _blink_chain(rng: np.random.Generator, n: int, p_on: float,
     return np.concatenate(pieces)[:n]
 
 
-@functools.lru_cache(maxsize=1)
-def _binning(window_peaks: int, rep_period_ns: float,
-             bin_width_ps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The histogram's bin edges and centers (ns), read-only: a study's runs
-    share one binning, so the last one is kept."""
-    half_span = (window_peaks + 0.5) * rep_period_ns
-    n_bins = max(1, int(round(2.0 * half_span / (bin_width_ps / 1000.0))))
-    edges = np.linspace(-half_span, half_span, n_bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    edges.flags.writeable = centers.flags.writeable = False
-    return edges, centers
-
-
 def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Histogram bin edges and, for each peak offset k in [-W, W], the band of
@@ -219,8 +208,9 @@ def _delay_bin_probs(pair: SourcePair, cfg: HomExperimentConfig
     the two detectors' Gaussian jitter (combined width sigma * sqrt(2)),
     applied as its transfer function exp(-2 (pi sigma f)^2) on at most _MAX_DELAY_FFT points.
     """
-    edges, _ = _binning(cfg.window_peaks, cfg.rep_period_ns, cfg.bin_width_ps)
-    n_bins = edges.size - 1
+    half_span = (cfg.window_peaks + 0.5) * cfg.rep_period_ns
+    n_bins = max(1, int(round(2.0 * half_span / (cfg.bin_width_ps / 1000.0))))
+    edges = np.linspace(-half_span, half_span, n_bins + 1)
     m_a, m_b = (np.diff(p.intensity_cdf()) for p in pair.profiles)
     grid = pair.profiles[0].t_grid
     dt = float(grid[1] - grid[0])
@@ -346,11 +336,11 @@ def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
     of `os.fork` builds its own (Python 3.12 and later warn of a fork while its
     threads live; `subprocess` does not). A shard that raises cancels the shards
     not yet started and is raised once the running ones have finished. The
-    histograms share the binning's read-only `bin_centers`. Deterministic per
+    histograms share one `bin_centers` array. Deterministic per
     (pair, cfg, pol, seed): `workers` never changes a result."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _, starts, probs = _delay_bin_probs(pair, cfg)
+    edges, starts, probs = _delay_bin_probs(pair, cfg)
     n_shards = (cfg.n_pulses + SHARD_SIZE - 1) // SHARD_SIZE
     jobs = [(k, shard) for k in range(len(pols)) for shard in range(n_shards)]
 
@@ -375,7 +365,7 @@ def simulate_histograms(pair: SourcePair, cfg: HomExperimentConfig,
     else:
         for job in jobs:
             bands[job[0]] += run(job)
-    centers = _binning(cfg.window_peaks, cfg.rep_period_ns, cfg.bin_width_ps)[1]
+    centers = 0.5 * (edges[:-1] + edges[1:])
     columns = starts[:, None] + np.arange(probs.shape[1] - 1)
     hists = []
     for band, pol in zip(bands, pols):
@@ -429,30 +419,18 @@ def analytic_prediction(pair: SourcePair) -> float:
             * mwo_voigt_averaged(pair))
 
 
-# the last read-only bin-center array written and its text: a study's runs
-# share one binning (`_binning`), whose centers are then formatted once
-_centers_text: tuple[np.ndarray | None, list[str] | None] = (None, None)
+@functools.lru_cache(maxsize=1)
+def _cached_text(dtype: np.dtype, data: bytes) -> list[str]:
+    # keyed by content, not identity: a study's runs on one binning format its
+    # centers once, and an array changed in place is formatted again
+    return column_text(np.frombuffer(data, dtype))
 
 
-def write_histogram_csv(h: CoincidenceHistogram | Sequence[CoincidenceHistogram],
-                        path: str | Path | Sequence[str | Path],
-                        config_hash: str) -> None:
-    """Write `bin_center_ns, counts` rows, tagged with the producing config.
-
-    Given a sequence of histograms and one path each, writes each file and
-    formats a bin-center array that several of them share once; the text of
-    the last read-only one is kept for the next call that writes it.
-    """
-    global _centers_text
-    hists, paths = ((h,), (path,)) if isinstance(h, CoincidenceHistogram) else (h, path)
-    centers, text = _centers_text
-    for hist, p in zip(hists, paths):
-        if hist.bin_centers is not centers:  # not the last file's array: format it
-            centers = text = hist.bin_centers
-        text = write_csv_columns(p, ("bin_center_ns", "counts"), (text, hist.counts),
-                                 comment=f"config_hash={config_hash}")[0]
-        if not centers.flags.writeable and centers.base is None:  # not a view either
-            _centers_text = centers, text
+def write_histogram_csv(h: CoincidenceHistogram, path: str | Path, config_hash: str) -> None:
+    """Write `bin_center_ns, counts` rows, tagged with the producing config."""
+    centers = _cached_text(h.bin_centers.dtype, h.bin_centers.tobytes())
+    write_csv_columns(path, ("bin_center_ns", "counts"), (centers, h.counts),
+                      comment=f"config_hash={config_hash}")
 
 
 def write_visibility_json(est: VisibilityEstimate, path: str | Path,

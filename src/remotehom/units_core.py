@@ -28,6 +28,7 @@ __all__ = [
     "fwhm_pm_to_angular_rate",
     "make_rng",
     "read_csv_columns",
+    "column_text",
     "write_csv_columns",
     "json_text",
 ]
@@ -153,25 +154,26 @@ def read_csv_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
     return tuple(data.T)
 
 
+def column_text(column: np.ndarray) -> list[str]:
+    """A column's CSV text: the repr of each value's Python scalar, so floats
+    read back bit for bit with :func:`read_csv_columns` and integers stay
+    integers."""
+    return list(map(repr, np.asarray(column).tolist()))
+
+
 def write_csv_columns(path: str | Path, names: Sequence[str],
-                      columns: Sequence[np.ndarray | list[str]],
-                      comment: str) -> list[list[str]]:
+                      columns: Sequence[np.ndarray | list[str]], comment: str) -> None:
     """Write `columns` under the header `names`, after a `# comment` line.
 
-    Each value is the repr of its Python scalar, so floats read back bit for
-    bit with :func:`read_csv_columns` and integer columns stay integers.
-    Returns each column's text, the list of those reprs, which a later call
-    may take in place of the column, so that files sharing a column format
-    it once.
+    A column is an array, written as its :func:`column_text`, or that text.
     """
-    texts = [c if isinstance(c, list) else list(map(repr, np.asarray(c).tolist()))
-             for c in columns]
+    texts = [c if isinstance(c, list) else column_text(c) for c in columns]
     lines = [f"# {comment}", ",".join(names)]
     lines += map(",".join, zip(*texts))
     Path(path).write_text("\n".join(lines) + "\n", newline="")
-    return texts
 
 
 def json_text(payload: dict) -> str:
-    """The canonical text of a JSON artifact: sorted keys, indent 2, final newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The canonical text of a JSON artifact: sorted keys, indent 2, final newline.
+    Raises ValueError on a NaN or infinite float, which JSON cannot hold."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

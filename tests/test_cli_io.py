@@ -214,8 +214,7 @@ def test_load_run_config_rejects_unknown_section_keys(tmp_path):
 # --- pair matching ----------------------------------------------------------
 
 def entry(label, lo, hi):
-    base = demo_source("I_A")
-    return CatalogEntry(label, base.emitter, (lo, hi))
+    return CatalogEntry(label, (lo, hi))
 
 
 def test_match_pairs_intersection_interval():
@@ -272,9 +271,8 @@ def test_load_catalog_round_trip(tmp_path):
     catalog, h = load_catalog(path)
     entries = {s.label: s for s in catalog.sources}
     assert len(catalog.sources) == len(entries) == 2
-    # the cavity and the peak brightness are checked and dropped: no command reads them
-    assert entries["I_A"] == CatalogEntry("I_A", emitter_from_dict({"t1_ps": 162.0}),
-                                          (924.6, 925.0))
+    # the emitter, cavity and peak brightness are checked and dropped: no command reads them
+    assert entries["I_A"] == CatalogEntry("I_A", (924.6, 925.0))
     assert entries["II_A"].tuning_range_nm == (924.847, 924.88)
     assert len(h) == 64
 
@@ -328,6 +326,20 @@ def test_cli_unread_catalog_keys_are_still_checked(tmp_path, capsys, keys, value
     path.write_text(json.dumps(doc))  # a non-finite number is written as NaN / Infinity
     assert main(["match-pairs", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_match_pairs_rejects_a_range_whose_width_overflows_in_pm(tmp_path, capsys):
+    # the two ranges overlap on [2.0, 1e308]: its width in pm is not a JSON number
+    doc = copy.deepcopy(_FULL_CATALOG)
+    doc["sources"][0]["tuning_range_nm"] = [1.0, 1e308]
+    doc["sources"][1]["tuning_range_nm"] = [2.0, 1.5e308]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    assert main(["match-pairs", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: sources[0].tuning_range_nm: the width of "
+                                 "[1.0, 1e+308] overflows in pm\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -544,6 +556,25 @@ def test_bench_artifact_digests_are_pinned():
     assert {name: c["sha256"] for name, c in tree["categories"].items()} == \
         pinned["categories"]
     assert tree["profile_builds"] == pinned["profile_builds"]
+
+
+@pytest.mark.parametrize("script, args, error", [
+    ("bench_pairs.py", ["--seeds", "5-5"], "--seeds 5-5: need at least two seeds"),
+    ("bench_pairs.py", ["--seeds", "10-1"], "--seeds 10-1: need at least two seeds"),
+    ("bench_shard_alloc.py", ["--pairs", "0"], "--pairs 0: need at least one"),
+    ("bench_shard_alloc.py", ["--ops", "0"], "--ops 0: need at least one"),
+])
+def test_bench_scripts_reject_too_few_runs_before_running(tmp_path, script, args, error):
+    # the checkouts do not exist, so a run that started would fail with a traceback
+    missing = tmp_path / "missing"
+    if script == "bench_pairs.py":
+        args += ["--parent", str(missing), "--change", str(missing), "--workload", "mc_simulate"]
+    else:
+        args += ["--src", str(missing)]
+    proc = subprocess.run([sys.executable, str(_ROOT / "bench" / script), *args],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: ") and proc.stderr.endswith(f"error: {error}\n")
 
 
 def test_cli_match_pairs_demo(tmp_path, capsys):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from remotehom.units_core import EnergySplitting, Frequency, Rate, Wavelength
+from remotehom.units_core import EnergySplitting, Frequency, Rate, Wavelength, read_csv_columns
 from remotehom.wavepacket import Charge, EmitterParams, default_grid, emission_profile
 from remotehom.overlap_analytics import FilterParams, SourcePair, apply_filter, mwo_voigt_averaged
 from remotehom.spectral_noise import ou_path_uniform
@@ -370,17 +370,20 @@ def test_a_failed_shard_raises_once_no_shard_runs(monkeypatch):
         np.testing.assert_array_equal(h.counts, ref.counts)
 
 
-def test_binning_is_kept_read_only():
-    import remotehom.hom_montecarlo as hm
-
-    cfg = quiet_config(1000, window_peaks=2, bin_width_ps=20.0)
-    h = simulate_histogram(quiet_pair(), cfg, PAR, seed=1)
-    edges, centers = hm._binning(2, cfg.rep_period_ns, 20.0)
-    assert h.bin_centers is centers and _delay_bin_probs(quiet_pair(), cfg)[0] is edges
-    assert centers.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
-    for a in (edges, centers):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0.0
+def test_bin_centers_changed_in_place_are_written_as_they_are_and_reach_no_later_run(tmp_path):
+    # the written text follows the array's values, and no later run shares the array
+    pair, cfg = quiet_pair(), quiet_config(1000, window_peaks=2, bin_width_ps=20.0)
+    h = simulate_histograms(pair, cfg, (PAR, PERP), seed=1)[0]
+    write_histogram_csv(h, tmp_path / "before.csv", config_hash="abc")
+    h.bin_centers.flags.writeable = True
+    h.bin_centers[:] += 1.0
+    write_histogram_csv(h, tmp_path / "after.csv", config_hash="abc")
+    written = read_csv_columns(tmp_path / "after.csv", ("bin_center_ns",))[0]
+    assert written.tobytes() == h.bin_centers.tobytes()
+    half_span = 2.5 * cfg.rep_period_ns
+    edges = np.linspace(-half_span, half_span, int(round(2.0 * half_span / 0.02)) + 1)
+    for later in simulate_histograms(pair, cfg, (PAR, PERP), seed=1):
+        assert later.bin_centers.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
 
 
 @pytest.mark.parametrize("filtered", [False, True])
@@ -656,15 +659,17 @@ def test_write_histogram_csv(tmp_path):
     assert lines[3] == "0.5,7"
 
 
-def test_write_histogram_csv_many_shares_the_center_text(tmp_path):
+def test_write_histogram_csv_follows_the_values_of_one_centers_array(tmp_path):
+    # two histograms on one writable centers array, changed in place between writes
     centers = np.linspace(-2.0, 2.0, 9) / 3.0
-    hists = [CoincidenceHistogram(centers, np.arange(9) * k, pol)
-             for k, pol in ((1, PAR), (5, PERP))]
-    paths = [tmp_path / "par.csv", tmp_path / "perp.csv"]
-    write_histogram_csv(hists, paths, config_hash="abc123")
-    for h, path in zip(hists, paths):
-        write_histogram_csv(h, tmp_path / "one.csv", config_hash="abc123")
-        assert path.read_bytes() == (tmp_path / "one.csv").read_bytes()
+    for k, pol in ((1, PAR), (5, PERP)):
+        h = CoincidenceHistogram(centers, np.arange(9) * k, pol)
+        path = tmp_path / f"{pol.value}.csv"
+        write_histogram_csv(h, path, config_hash="abc123")
+        expected = "# config_hash=abc123\nbin_center_ns,counts\n" + "".join(
+            "%r,%r\n" % row for row in zip(centers.tolist(), h.counts.tolist()))
+        assert path.read_text() == expected
+        centers *= 2.0
 
 
 def test_write_visibility_json(tmp_path):

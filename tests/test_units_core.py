@@ -17,7 +17,9 @@ from remotehom.units_core import (
     Frequency,
     Rate,
     Wavelength,
+    column_text,
     fwhm_pm_to_angular_rate,
+    json_text,
     lifetime_to_rate,
     make_rng,
     read_csv_columns,
@@ -259,8 +261,15 @@ def test_write_csv_columns_matches_the_percent_r_row_format(tmp_path):
     x = np.array([-0.0, 1e-05, 5e-324, 1e16, 0.1, -2.5e-300, 123456789.0])
     n = np.array([0, -1, 2**62, -(2**63), 7, 10**15, 3], dtype=np.int64)
     expected = "# c\nx,n\n" + "".join("%r,%r\n" % row for row in zip(x.tolist(), n.tolist()))
-    texts = write_csv_columns(tmp_path / "arrays.csv", ("x", "n"), (x, n), comment="c")
+    write_csv_columns(tmp_path / "arrays.csv", ("x", "n"), (x, n), comment="c")
     assert (tmp_path / "arrays.csv").read_text() == expected
-    # a column given as its returned text writes the same bytes
-    write_csv_columns(tmp_path / "text.csv", ("x", "n"), (texts[0], n), comment="c")
+    # a column given as its text writes the same bytes
+    write_csv_columns(tmp_path / "text.csv", ("x", "n"), (column_text(x), n), comment="c")
     assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_text_rejects_a_float_json_cannot_hold(value):
+    assert json_text({"v": 1.5}) == '{\n  "v": 1.5\n}\n'
+    with pytest.raises(ValueError):
+        json_text({"nested": [0.0, {"v": value}]})
