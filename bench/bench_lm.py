@@ -14,8 +14,10 @@ each read once before any timing. Each model's fit (`fit_lifetime`,
 command makes) runs over its inputs once untimed, then `ROUNDS` times
 timed, one call at a time; an input's time is its fastest call, which
 drops the bursts of a shared host. Stdout is JSON: per model, the median
-and quartiles of those times in ms, and the median, 90th percentile and
-maximum of the LM iterations.
+and quartiles of those times in ms; the median, 90th percentile and
+maximum of the LM iterations; and the median cost of one iteration in
+µs, each input's time divided by its iterations, which reads the
+engine's cost apart from how many iterations a fit takes.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ def main(argv: list[str] | None = None) -> int:
         result[fit] = {"median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
                        "inputs": len(fns), "n_iter_median": statistics.median(iterations),
                        "n_iter_p90": float(np.percentile(iterations, 90)),
-                       "n_iter_max": max(iterations)}
+                       "n_iter_max": max(iterations),
+                       "us_per_iter_median": round(statistics.median(
+                           1e3 * t / n for t, n in zip(times, iterations)), 2)}
     payload = {"src": str(args.src), "python": platform.python_version(),
                "numpy": np.__version__, "fits": result}
     print(json.dumps(payload, indent=1))

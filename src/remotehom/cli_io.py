@@ -19,6 +19,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -397,6 +398,10 @@ def _emit(payload: dict, out_dir: Optional[str], filename: str) -> None:
 
 
 def _emit_fit(result: FitResult, out_dir: Optional[str], filename: str) -> int:
+    # an overflowing fit (a sigma of inf, say) is a numerical failure, not bad input
+    if not all(map(math.isfinite, [*result.params.values(), *result.sigmas.values(),
+                                   result.residual_norm])):
+        raise FloatingPointError("fit result is not finite")
     _emit(result.to_dict(), out_dir, filename)
     if not result.converged:
         print("fit did not converge", file=sys.stderr)

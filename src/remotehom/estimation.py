@@ -105,11 +105,25 @@ class LifetimeModel(Enum):
 
 @dataclass(frozen=True)
 class FitModel:
-    """A parametric model: named parameters, prediction, analytic Jacobian."""
+    """A parametric model: named parameters and one evaluation function.
+
+    `evaluate(p, x)` returns the prediction at x and a Jacobian thunk: a
+    function of no arguments that returns the analytic Jacobian, shape
+    (points, parameters), from the intermediates of that same evaluation.
+    The fit loop evaluates each trial point once and calls the thunk only
+    for the points it accepts. `fn` and `jac` read either half alone.
+    """
 
     names: tuple[str, ...]
-    fn: Callable
-    jac: Callable
+    evaluate: Callable
+
+    def fn(self, p, x):
+        """The prediction at x."""
+        return self.evaluate(p, x)[0]
+
+    def jac(self, p, x):
+        """The analytic Jacobian at x."""
+        return self.evaluate(p, x)[1]()
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +136,23 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
     """Minimize the (optionally inverse-variance weighted) sum of squares.
 
     Non-convergence is reported through `converged=False`, not raised; a
-    numerically rank-deficient Jacobian raises RankDeficiencyError. The
+    numerically rank-deficient Jacobian raises RankDeficiencyError, and a
+    cost that is not finite at `init` raises FloatingPointError. The
     loop's arithmetic is pinned bit for bit by the plain reference loop in
     `tests/reference.py`.
     """
     y = np.asarray(y, dtype=float)
     p = np.asarray(init, dtype=float).copy()
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
+    if not np.isfinite(p).all():
+        raise ValueError("init must be finite")
     n_par = p.size
     w = None  # unweighted: multiplying by ones would change no bit, so skip it
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)
-        if np.any(sigma <= 0):
-            raise ValueError("all provided uncertainties must be > 0")
+        if not (sigma > 0).all():  # a NaN fails too
+            raise ValueError("every sigma must be > 0")
         w = 1.0 / sigma
     lo = np.full(n_par, -np.inf)
     hi = np.full(n_par, np.inf)
@@ -141,52 +160,69 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
         for j, (a, b) in enumerate(bounds):
             lo[j] = -np.inf if a is None else a
             hi[j] = np.inf if b is None else b
-    if np.any(p < lo) or np.any(p > hi):
+    if (p < lo).any() or (p > hi).any():
         raise ValueError("initial guess must lie within the bounds")
     box = list(zip(lo.tolist(), hi.tolist()))
 
-    def residual(pv: np.ndarray) -> np.ndarray:
-        rv = y - model.fn(pv, x)
-        return rv if w is None else rv * w
+    def evaluate(pv: np.ndarray) -> tuple[np.ndarray, Callable]:
+        """Residual at pv and the model's Jacobian thunk there."""
+        f, jac = model.evaluate(pv, x)
+        rv = y - f
+        return (rv if w is None else rv * w), jac
 
-    def jac(pv: np.ndarray) -> np.ndarray:
-        jm = np.asarray(model.jac(pv, x), dtype=float)
-        return jm if w is None else jm * w[:, None]
-
-    def judge(pv: np.ndarray, rv: np.ndarray
+    def judge(pv: np.ndarray, rv: np.ndarray, jac: Callable
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | slice, bool]:
         """Jacobian, gradient J^T r, free-parameter selector and convergence at pv."""
-        jm = jac(pv)
+        jm = np.asarray(jac(), dtype=float)
+        if w is not None:
+            jm = jm * w[:, None]
         if not np.isfinite(jm).all():
             raise RankDeficiencyError("Jacobian contains non-finite entries")
         g = jm.T @ rv
+        # the tests below run on a few Python floats, which compare faster
+        # than numpy arrays; `all` of `<=` fails on a NaN component, as the
+        # comparison of numpy's NaN-propagating max does
+        gl = g.tolist()
         # a parameter on its bound whose gradient points out of the box is
         # held: g points along -grad(ssr)/2, so at a lower bound only g > 0
-        # is usable; a few Python floats compare faster than numpy arrays
+        # is usable
         held = [(q <= a and d < 0) or (q >= b and d > 0)
-                for q, d, (a, b) in zip(pv.tolist(), g.tolist(), box)]
-        if any(held):
-            free, g_free = ~np.array(held), np.where(held, 0.0, g)  # held ones cannot move
+                for q, d, (a, b) in zip(pv.tolist(), gl, box)]
+        if any(held):  # held ones cannot move
+            free, gl = ~np.array(held), [0.0 if h else d for h, d in zip(held, gl)]
         else:  # the common case: a slice selects every parameter without a copy
-            free, g_free = slice(None), g
-        g_inf = float(np.abs(g_free).max()) if g.size else 0.0
-        if g_inf <= GTOL:
+            free = slice(None)
+        if all(abs(d) <= GTOL for d in gl):
             return jm, g, free, True
-        col = np.sqrt(np.add.reduce(jm * jm, axis=0))  # np.linalg.norm's arithmetic
-        denom = col * math.sqrt(rv.dot(rv))
-        scaled = np.abs(g_free) / np.where(denom > 0, denom, 1.0)
-        return jm, g, free, float(scaled.max()) <= GTOL
+        rn = math.sqrt(rv.dot(rv))
+        # no column norm exceeds the Frobenius norm of jm, so a component with
+        # |g| > GTOL |jm| |r| fails the cosine test below whatever the columns
+        # hold, and an iterate far from the optimum skips their sequential sums.
+        # The 1e-6 margin covers the rounding of both norms, which stays
+        # relative where that test can pass: some GTOL < |g| <= GTOL col |r|
+        # there, so col > 1 / |r| > 7e-155, the cost being finite
+        bound = GTOL * (1.0 + 1e-6) * math.sqrt(np.vdot(jm, jm)) * rn
+        if any(abs(d) > bound for d in gl):
+            return jm, g, free, False
+        col = np.sqrt(np.add.reduce(jm * jm, axis=0)).tolist()  # np.linalg.norm's arithmetic
+        return jm, g, free, all(abs(d) / (c * rn if c * rn > 0 else 1.0) <= GTOL
+                                for d, c in zip(gl, col))
 
-    # a trial step can overflow the model; its non-finite cost is rejected below
+    # a trial step can overflow the model, and its non-finite cost is rejected
+    # below; at the optimum, J^T J can overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        r = residual(p)
+        r, jac = evaluate(p)
         ssr = float(r @ r)
+        # an overflowing cost compares with no trial, and the cosine test would
+        # divide by an infinite |r| and pass
+        if not math.isfinite(ssr):
+            raise FloatingPointError("cost at the start point is not finite")
         # near-zero initial damping: the first step is effectively Gauss-Newton,
         # so a quadratic residual surface converges immediately; rejections
         # escalate the damping fast enough for hostile starts
         lam = 1e-8
         for n_iter in range(1, MAX_ITER + 1):
-            jm, g, free, converged = judge(p, r)
+            jm, g, free, converged = judge(p, r, jac)
             if converged:
                 break
             # the step is solved over the free parameters only: a full step
@@ -194,7 +230,8 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
             # still move, and stall along the bound
             jf = jm[:, free]
             a = jf.T @ jf  # one operand: numpy's symmetric product, as for jm.T @ jm
-            damp = np.diag(np.diag(a))
+            damp = np.zeros(a.shape)
+            damp.flat[::a.shape[0] + 1] = a.diagonal()
             step = np.zeros(n_par)
             accepted = False
             for _ in range(60):
@@ -203,13 +240,13 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
                 except np.linalg.LinAlgError as exc:
                     raise RankDeficiencyError("singular Jacobian in normal equations") from exc
                 trial = np.minimum(np.maximum(p + step, lo), hi)
-                r_trial = residual(trial)
+                r_trial, jac_trial = evaluate(trial)
                 ssr_trial = float(r_trial @ r_trial)
                 # ulp-level non-increases are accepted so the iterate can keep
                 # polishing the gradient once the cost has hit float precision
                 if math.isfinite(ssr_trial) and ssr_trial <= ssr * (1.0 + 1e-13) \
                         and (ssr_trial < ssr or bool(np.any(trial != p))):
-                    p, r, ssr = trial, r_trial, ssr_trial
+                    p, r, ssr, jac = trial, r_trial, ssr_trial, jac_trial
                     lam = max(lam / 3.0, 1e-12)
                     accepted = True
                     break
@@ -219,19 +256,19 @@ def least_squares(model: FitModel, x, y: np.ndarray, init: Sequence[float], *,
             if not accepted:  # stalled damping: p is the iterate just judged
                 break
         else:  # MAX_ITER steps taken: judge the last one
-            jm, _, _, converged = judge(p, r)
+            jm, _, _, converged = judge(p, r, jac)
 
-    a = jm.T @ jm
-    try:
-        cov = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("singular Jacobian at the optimum") from exc
-    if not np.all(np.isfinite(cov)):  # a numerically singular a inverts to inf or nan
-        raise RankDeficiencyError("singular Jacobian at the optimum")
-    if sigma is None:
-        dof = max(y.size - n_par, 1)
-        cov = cov * (ssr / dof)
-    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        a = jm.T @ jm  # may overflow: inv then raises, or returns non-finite entries
+        try:
+            cov = np.linalg.inv(a)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficiencyError("singular Jacobian at the optimum") from exc
+        if not np.isfinite(cov).all():  # a numerically singular a inverts to inf or nan
+            raise RankDeficiencyError("singular Jacobian at the optimum")
+        if sigma is None:
+            dof = max(y.size - n_par, 1)
+            cov = cov * (ssr / dof)
+    sig = np.sqrt(np.maximum(cov.diagonal(), 0.0))  # what np.clip(d, 0.0, None) computes
     return FitResult(
         params=dict(zip(model.names, map(float, p))),
         sigmas=dict(zip(model.names, map(float, sig))),
@@ -256,16 +293,12 @@ def _columns(n: int, *columns) -> np.ndarray:
 def mono_exp_model() -> FitModel:
     """y = amplitude * exp(-t / t1_ps) + background, t in ps."""
 
-    def fn(p, t):
-        amp, t1, bg = p
-        return amp * np.exp(-t / t1) + bg
-
-    def jac(p, t):
+    def evaluate(p, t):
         amp, t1, bg = p
         e = np.exp(-t / t1)
-        return _columns(t.size, e, amp * e * t / t1**2, 1.0)
+        return amp * e + bg, lambda: _columns(t.size, e, amp * e * t / t1**2, 1.0)
 
-    return FitModel(("amplitude", "t1_ps", "background"), fn, jac)
+    return FitModel(("amplitude", "t1_ps", "background"), evaluate)
 
 
 def fss_beating_model() -> FitModel:
@@ -275,48 +308,47 @@ def fss_beating_model() -> FitModel:
     separable from the amplitude and is therefore absorbed into it.
     """
 
-    def parts(p, t):
+    def evaluate(p, t):
         amp, t1, fss, t0, bg = p
         # dt = 0 before t0, where sin(u) = 0 zeroes the beat and every derivative
         dt = np.maximum(t - t0, 0.0)
         u = fss * dt / (2.0 * HBAR_UEV_PS)
-        return amp, t1, fss, bg, dt, u, np.exp(-dt / t1)
+        e = np.exp(-dt / t1)
+        s2 = np.sin(u) ** 2
 
-    def fn(p, t):
-        amp, t1, fss, bg, dt, u, e = parts(p, t)
-        return amp * np.sin(u) ** 2 * e + bg
+        def jac():
+            sin2u = np.sin(2.0 * u)
+            base = s2 * e
+            d_t1 = amp * base * (dt / t1) / t1  # no t1**2: it overflows for a runaway t1
+            d_fss = amp * sin2u * dt / (2.0 * HBAR_UEV_PS) * e
+            d_t0 = amp * e * (s2 / t1 - sin2u * fss / (2.0 * HBAR_UEV_PS))
+            return _columns(t.size, base, d_t1, d_fss, d_t0, 1.0)
 
-    def jac(p, t):
-        amp, t1, fss, bg, dt, u, e = parts(p, t)
-        s2, sin2u = np.sin(u) ** 2, np.sin(2.0 * u)
-        base = s2 * e
-        d_t1 = amp * base * (dt / t1) / t1  # no t1**2: it overflows for a runaway t1
-        d_fss = amp * sin2u * dt / (2.0 * HBAR_UEV_PS) * e
-        d_t0 = amp * e * (s2 / t1 - sin2u * fss / (2.0 * HBAR_UEV_PS))
-        return _columns(t.size, base, d_t1, d_fss, d_t0, 1.0)
+        return amp * s2 * e + bg, jac
 
-    return FitModel(("amplitude", "t1_ps", "fss_uev", "t0_ps", "background"), fn, jac)
+    return FitModel(("amplitude", "t1_ps", "fss_uev", "t0_ps", "background"), evaluate)
 
 
 def lorentzian_dip_model() -> FitModel:
     """Reflectivity dip: y = baseline - depth * hw^2 / ((x - center)^2 + hw^2)."""
 
-    def fn(p, x):
-        c, fwhm, depth, base = p
-        hw = fwhm / 2.0
-        return base - depth * hw**2 / ((x - c) ** 2 + hw**2)
-
-    def jac(p, x):
+    def evaluate(p, x):
         c, fwhm, depth, base = p
         hw = fwhm / 2.0
         d = x - c
-        den = d * d + hw * hw
-        d_c = -depth * 2.0 * d * hw**2 / den**2
-        d_fwhm = -depth * hw * d * d / den**2
-        d_depth = -(hw**2) / den
-        return _columns(x.size, d_c, d_fwhm, d_depth, 1.0)
+        dd = d * d
 
-    return FitModel(("center_nm", "fwhm_nm", "depth", "baseline"), fn, jac)
+        def jac():
+            den = dd + hw * hw  # the value squares hw by pow(), which may round apart
+            den2 = den**2
+            d_c = -depth * 2.0 * d * hw**2 / den2
+            d_fwhm = -depth * hw * d * d / den2
+            d_depth = -(hw**2) / den
+            return _columns(x.size, d_c, d_fwhm, d_depth, 1.0)
+
+        return base - depth * hw**2 / (dd + hw**2), jac
+
+    return FitModel(("center_nm", "fwhm_nm", "depth", "baseline"), evaluate)
 
 
 def delay_visibility_model(gamma: Rate) -> FitModel:
@@ -330,32 +362,30 @@ def delay_visibility_model(gamma: Rate) -> FitModel:
     if g <= 0:
         raise ValueError("radiative rate must be > 0")
 
-    def split(p, x):
+    def evaluate(p, x):
         gs, dw_f, dw_u, tau = p
         delay, is_filt = x
         dw = np.where(is_filt, dw_f, dw_u)
         big_g = g + gs
-        growth = 1.0 - np.exp(-delay / tau)
+        decay = np.exp(-delay / tau)
+        growth = 1.0 - decay
         var = 2.0 * dw * dw * growth
         den = big_g * big_g + var
-        return gs, dw, tau, delay, is_filt, big_g, growth, var, den
 
-    def fn(p, x):
-        *_, big_g, growth, var, den = split(p, x)
-        return g * big_g / den
+        def jac():
+            den2 = den**2
+            d_gs = g * (var - big_g * big_g) / den2
+            d_dw_common = -g * big_g * 4.0 * dw * growth / den2
+            d_dw_f = np.where(is_filt, d_dw_common, 0.0)
+            d_dw_u = np.where(is_filt, 0.0, d_dw_common)
+            d_growth_d_tau = -delay * decay / tau**2
+            d_tau = -g * big_g * 2.0 * dw * dw * d_growth_d_tau / den2
+            return _columns(delay.size, d_gs, d_dw_f, d_dw_u, d_tau)
 
-    def jac(p, x):
-        gs, dw, tau, delay, is_filt, big_g, growth, var, den = split(p, x)
-        d_gs = g * (var - big_g * big_g) / den**2
-        d_dw_common = -g * big_g * 4.0 * dw * growth / den**2
-        d_dw_f = np.where(is_filt, d_dw_common, 0.0)
-        d_dw_u = np.where(is_filt, 0.0, d_dw_common)
-        d_growth_d_tau = -delay * np.exp(-delay / tau) / tau**2
-        d_tau = -g * big_g * 2.0 * dw * dw * d_growth_d_tau / den**2
-        return _columns(delay.size, d_gs, d_dw_f, d_dw_u, d_tau)
+        return g * big_g / den, jac
 
     return FitModel(("gamma_star", "delta_omega_filtered", "delta_omega_unfiltered",
-                     "tau_c_ns"), fn, jac)
+                     "tau_c_ns"), evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +463,10 @@ def _fss_seed(t: np.ndarray, c: np.ndarray, t1_0: float) -> list[float]:
     tau, y = tau[keep], c[on:][keep]
 
     def best(w: np.ndarray, t1: np.ndarray) -> tuple[float, float, np.ndarray]:
-        cost, coef = _beat_scan(tau, y, w, t1)
+        with np.errstate(over="ignore", invalid="ignore"):  # counts near the float range
+            cost, coef = _beat_scan(tau, y, w, t1)
+        # np.argmin would pick the first NaN: a cell without a finite cost ranks last
+        cost = np.where(np.isfinite(cost), cost, np.inf)
         i, j = np.unravel_index(np.argmin(cost), cost.shape)
         return float(w[j]), float(t1[i]), coef[i, j]
 

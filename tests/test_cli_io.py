@@ -1305,6 +1305,59 @@ def test_cli_fit_lifetime_slow_beat_converges(tmp_path, capsys):
     assert payload["params"]["fss_uev"] == pytest.approx(fss, abs=3.0 * payload["sigmas"]["fss_uev"])
 
 
+def _decay_rows(amplitude: float, background: float, rounded: bool = False) -> list[str]:
+    """Rows amplitude exp(-t / 160) + background at t = 0, 4, ..., 1996 ps."""
+    t = np.arange(0.0, 2000.0, 4.0)
+    counts = amplitude * np.exp(-t / 160.0) + background
+    return [f"{ti!r},{ci!r}" for ti, ci in zip(t.tolist(),
+                                               (np.round(counts) if rounded else counts).tolist())]
+
+
+def _dip_rows(scale: float) -> list[str]:
+    x = np.linspace(924.0, 926.0, 200)
+    y = scale * (0.97 - 0.6e-4 / ((x - 925.0) ** 2 + 1e-4))
+    return [f"{xi!r},{yi!r}" for xi, yi in zip(x.tolist(), y.tolist())]
+
+
+_NOT_FINITE_START = "numerical failure: cost at the start point is not finite\n"
+# per case: the command, the file's text, its options and the one stderr line of exit 3
+_FLOAT_RANGE_FITS = {
+    "background_1e200": ("fit-lifetime", ["time_ps,counts", *_decay_rows(1e4, 5.0, True)],
+                         ["--background", "1e200"], _NOT_FINITE_START),
+    "background_1e308": ("fit-lifetime", ["time_ps,counts", *_decay_rows(1e4, 5.0, True)],
+                         ["--background", "1e308"], _NOT_FINITE_START),
+    "counts_1e160": ("fit-lifetime", ["time_ps,counts", *_decay_rows(1e160, 0.0)], [],
+                     _NOT_FINITE_START),
+    "counts_1e160_fss": ("fit-lifetime", ["time_ps,counts", *_decay_rows(1e160, 0.0)],
+                         ["--model", "fss_beating"], _NOT_FINITE_START),
+    "dip_1e200": ("fit-reflectivity", ["wavelength_nm,reflectivity", *_dip_rows(1e200)], [],
+                  _NOT_FINITE_START),
+    # finite start costs: J^T J overflows at the optimum, or J^T J does not
+    # but the covariance, its inverse times the mean squared residual, does
+    "dip_1e153": ("fit-reflectivity", ["wavelength_nm,reflectivity", *_dip_rows(1e153)], [],
+                  "numerical failure: singular Jacobian at the optimum\n"),
+    "counts_1e148_fss": ("fit-lifetime", ["time_ps,counts", *_decay_rows(1e148, 0.0)],
+                         ["--model", "fss_beating"],
+                         "numerical failure: fit result is not finite\n"),
+}
+
+
+@pytest.mark.parametrize("command, lines, options, err", _FLOAT_RANGE_FITS.values(),
+                         ids=list(_FLOAT_RANGE_FITS))
+def test_cli_fits_at_the_top_of_the_float_range_exit_3_without_a_warning(tmp_path, capsys,
+                                                                         command, lines,
+                                                                         options, err):
+    data = tmp_path / "data.csv"
+    data.write_text(csv_text(lines))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(data), *options, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("mutate", [
     lambda cfg: cfg["pair"]["a"].update(t1_ps=None),
     lambda cfg: cfg["pair"]["a"].update(t1_ps=[1]),

@@ -35,15 +35,14 @@ HBAR_UEV_PS = 658.2119
 
 
 def linear_model() -> FitModel:
-    return FitModel(("a",), lambda p, x: p[0] * x,
-                    lambda p, x: np.asarray(x)[:, None].copy())
+    return FitModel(("a",), lambda p, x: (p[0] * x, lambda: np.asarray(x)[:, None].copy()))
 
 
 def affine_model() -> FitModel:
-    def jac(p, x):
+    def evaluate(p, x):
         x = np.asarray(x)
-        return np.stack([x, np.ones_like(x)], axis=1)
-    return FitModel(("a", "b"), lambda p, x: p[0] * x + p[1], jac)
+        return p[0] * x + p[1], lambda: np.stack([x, np.ones_like(x)], axis=1)
+    return FitModel(("a", "b"), evaluate)
 
 
 # --- engine basics ----------------------------------------------------------
@@ -80,10 +79,10 @@ def test_weighted_fit_respects_sigmas():
 
 
 def test_rank_deficiency_raises():
-    def jac(p, x):
+    def evaluate(p, x):
         x = np.asarray(x)
-        return np.stack([x, x], axis=1)  # duplicated columns
-    model = FitModel(("a", "b"), lambda p, x: (p[0] + p[1]) * x, jac)
+        return (p[0] + p[1]) * x, lambda: np.stack([x, x], axis=1)  # duplicated columns
+    model = FitModel(("a", "b"), evaluate)
     with pytest.raises(RankDeficiencyError):
         least_squares(model, np.linspace(1, 5, 20), 2.0 * np.linspace(1, 5, 20),
                       [1.0, 1.0])
@@ -672,3 +671,89 @@ def test_least_squares_reproduces_the_reference_loop_on_bounds_and_hostile_trace
     assert {(RankDeficiencyError, "singular Jacobian in normal equations"),
             (RankDeficiencyError, "singular Jacobian at the optimum")} <= set(checked_fits)
     assert any(f[4:] == (False, estimation.MAX_ITER) for f in checked_fits[1:])
+
+
+# --- inputs and gradients the loop cannot use -------------------------------
+
+@pytest.mark.parametrize("field, message", [("y", "y must be finite"),
+                                            ("init", "init must be finite"),
+                                            ("sigma", "every sigma must be > 0")])
+def test_least_squares_names_a_nan_input(field, message):
+    x = np.linspace(0.0, 1.0, 10)
+    kwargs = {"y": 2.0 * x, "init": [1.0, 0.0], "sigma": np.full(10, 0.1)}
+    kwargs[field] = np.array(kwargs[field], dtype=float)
+    kwargs[field][1] = np.nan
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        least_squares(affine_model(), x, **kwargs)
+
+
+def test_least_squares_raises_on_a_start_cost_that_is_not_finite():
+    # counts of 1e4 over a background of 1e200: (y - f)^2 overflows at the start,
+    # where the cosine test would divide by an infinite |r| and pass
+    t = np.arange(0.0, 2000.0, 4.0)
+    counts = np.round(1e4 * np.exp(-t / 160.0) + 5.0)
+    with pytest.raises(FloatingPointError, match="cost at the start point is not finite"):
+        least_squares(mono_exp_model(), t, counts, [1e4, 160.0, 1e200])
+
+
+def constant_jacobian_model(jm: np.ndarray) -> FitModel:
+    """f(p) = jm @ p: a linear model whose Jacobian is the constant jm."""
+    return FitModel(tuple("abc"[:jm.shape[1]]), lambda p, x: (jm @ p, jm.copy))
+
+
+def both_loops(*args, **kwargs) -> tuple:
+    """The fingerprints of one least_squares call by the package and by `reference`,
+    whose loop forms an overflowing J^T J outside its errstate."""
+    outcomes = []
+    for engine in (least_squares, reference.least_squares):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                outcomes.append(fingerprint(engine(*args, **kwargs)))
+            except Exception as exc:
+                outcomes.append(fingerprint(exc))
+    return tuple(outcomes)
+
+
+# per case: the Jacobian's column of b and the bounds of b. The column of a is
+# (1, -1, 1, -1), orthogonal to it and to the residual (1e150, ...) at the start
+# (0, 0), so J and r are finite and J^T r = (0, inf | -inf | inf - inf). The last
+# is NaN where the dot product sums the two halves apart (OpenBLAS does), +inf
+# where one fused multiply-add chain runs through them; either must fail the test
+_NON_FINITE_GRADIENTS = {
+    "plus_inf": ((1e160, 1e160, 1e160, 1e160), (None, None)),
+    "minus_inf": ((-1e160, -1e160, -1e160, -1e160), (None, None)),
+    "nan": ((1e160, 1e160, -1e160, -1e160), (None, None)),
+    "plus_inf_held_at_its_upper_bound": ((1e160, 1e160, 1e160, 1e160), (None, 0.0)),
+    "minus_inf_held_at_its_lower_bound": ((-1e160, -1e160, -1e160, -1e160), (0.0, None)),
+}
+
+
+@pytest.mark.parametrize("col_b, b_bounds", _NON_FINITE_GRADIENTS.values(),
+                         ids=list(_NON_FINITE_GRADIENTS))
+@pytest.mark.parametrize("swap", [False, True], ids=["b_last", "b_first"])
+def test_non_finite_gradient_components_are_judged_as_the_reference_loop_judges_them(
+        col_b, b_bounds, swap):
+    # a free inf or NaN component fails the gradient test wherever it stands (a
+    # Python max over (0, nan) returns 0, and would pass it), so the step is
+    # solved, comes out non-finite and is rejected; a held one is set to 0 and
+    # the test passes
+    jm, bounds = np.column_stack([(1.0, -1.0, 1.0, -1.0), col_b]), [(None, None), b_bounds]
+    if swap:
+        jm, bounds = jm[:, ::-1].copy(), bounds[::-1]
+    new, ref = both_loops(constant_jacobian_model(jm), None, np.full(4, 1e150), [0.0, 0.0],
+                          bounds=bounds)
+    assert new == ref
+    assert new[4:] == (b_bounds != (None, None), 1)
+
+
+@pytest.mark.parametrize("j_exp", [-170, -160, -120, 0, 120, 155])
+@pytest.mark.parametrize("r_exp", [-170, -150, 0, 150])
+def test_gradient_test_matches_the_reference_loop_across_the_float_range(j_exp, r_exp):
+    # judge skips the column norms where some |g| exceeds GTOL times the
+    # Frobenius norm of J times |r|; a linear fit must end as the reference
+    # loop's does from column sums that underflow to ones that overflow
+    rng = np.random.default_rng([38, j_exp % 1000, r_exp % 1000])
+    jm = rng.normal(size=(40, 3)) * 10.0 ** j_exp
+    new, ref = both_loops(constant_jacobian_model(jm), None,
+                          rng.normal(size=40) * 10.0 ** r_exp, [0.0, 0.0, 0.0])
+    assert new == ref
