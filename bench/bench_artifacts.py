@@ -17,12 +17,12 @@ process:
 An op's digest is the sha256 of its exit codes, its stdout (the op's
 directory replaced by a fixed token) and every file it writes. The
 process also hashes the delay shape (`hom_montecarlo._delay_bin_probs`:
-bin edges and the per-peak bin probabilities as a dense table, whether the
-tree stores whole rows or banded ones) of 300 random configs, and counts
-`WavepacketProfile.from_intensity` calls per command on one config with
-and without `s_classical`. Stdout is JSON: per tree, per category, the
-op count and a sha256 over the op digests, plus the profile builds; with
-two trees, whether each category matches and its first differing op.
+bin edges and the per-peak bands of bin probabilities as a dense table) of
+300 random configs, and counts `WavepacketProfile.from_intensity` calls
+per command on one config with and without `s_classical`. Stdout is JSON:
+per tree, per category, the op count and a sha256 over the op digests,
+plus the profile builds; with two trees, whether each category matches
+and its first differing op.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ import contextlib
 import hashlib
 import io
 import json
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import harness
+
 SEEDS = (41, 42)
 OPS = {"mc_simulate": 12, "overlap_sweep": 300, "fit_batch": 600}
 SHAPE_CONFIGS = 300
@@ -45,7 +45,7 @@ SHAPE_CONFIGS = 300
 
 def run_tree(src: Path) -> dict:
     """Digests and profile-build counts of the package in `src`, in this process."""
-    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    harness.use_tree(src)
     import numpy as np
 
     import fit_batch
@@ -96,15 +96,13 @@ def run_tree(src: Path) -> dict:
             cfg = hm.HomExperimentConfig(n_pulses=1000, window_peaks=int(rng.integers(1, 6)),
                                          jitter_sigma_ps=float(rng.uniform(0.0, 200.0)),
                                          bin_width_ps=float(rng.uniform(5.0, 200.0)))
-            shape = hm._delay_bin_probs(make_source_pair(*emitters, s_classical=1.0), cfg)
+            pair = make_source_pair(*emitters, s_classical=1.0)
+            edges, starts, bands = hm._delay_bin_probs(pair, cfg)
+            dense = np.zeros((bands.shape[0], edges.size - 1))
             # without the overflow cells, whose sums may round differently
-            edges, probs = shape[0], shape[-1][:, :-1]
-            if len(shape) == 3:  # banded rows: (edges, first bin of each band, bands)
-                dense = np.zeros((probs.shape[0], edges.size - 1))
-                for row, start, band in zip(dense, shape[1], probs):
-                    row[start:start + band.size] = band
-                probs = dense
-            shapes.append(hashlib.sha256(edges.tobytes() + probs.tobytes()).hexdigest())
+            for row, start, band in zip(dense, starts, bands[:, :-1]):
+                row[start:start + band.size] = band
+            shapes.append(hashlib.sha256(edges.tobytes() + dense.tobytes()).hexdigest())
         categories["delay_shape_random_configs"] = shapes
 
         builds = []
@@ -141,18 +139,14 @@ def main() -> int:
     parser.add_argument("--one", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.one:
-        sys.stdout.write(json.dumps(run_tree(args.one.resolve())))
+        sys.stdout.write(json.dumps(run_tree(args.one)))
         return 0
-    trees = [s.resolve() for s in (args.src or [ROOT / "src"])]
-    results = [json.loads(subprocess.run([sys.executable, __file__, "--one", str(t)],
-                                         check=True, capture_output=True, text=True).stdout)
-               for t in trees]
-    report = {"trees": {}}
-    for tree, res in zip(trees, results):
-        report["trees"][str(tree)] = {
-            "categories": {k: {"ops": v["ops"], "sha256": v["sha256"]}
-                           for k, v in res["categories"].items()},
-            "profile_builds": res["profile_builds"]}
+    trees = [s.resolve() for s in (args.src or [harness.ROOT / "src"])]
+    results = [harness.child_json(__file__, "--one", str(t)) for t in trees]
+    report = {"trees": {str(tree): {"categories": {k: {"ops": v["ops"], "sha256": v["sha256"]}
+                                                   for k, v in res["categories"].items()},
+                                    "profile_builds": res["profile_builds"]}
+                        for tree, res in zip(trees, results)}}
     if len(results) == 2:
         first, second = (r["categories"] for r in results)
         report["identical"] = {

@@ -7,14 +7,14 @@ Usage, from the root of a source checkout:
 `--src` is the directory that holds the `remotehom` package to time
 (default: this checkout's `src/`), so that two trees can be timed by one
 script. The inputs are the CSVs that `perfbench/fit_batch.py` generates
-for seeds 41 and 42, ops 0-399: 100 mono-exponential and 100 beating
+for seeds 41 and 42, ops 0-199: 100 mono-exponential and 100 beating
 lifetime traces, 100 reflectivity spectra and 100 delay-series pairs,
 each read once before any timing. Each model's fit (`fit_lifetime`,
 `fit_reflectivity` or `fit_delay_visibility`, the call its `fit-*`
 command makes) runs over its inputs once untimed, then `ROUNDS` times
 timed, one call at a time; an input's time is its fastest call, which
-drops the bursts of a shared host. Stdout is JSON: per model, the median
-and quartiles of those times in ms; the median, 90th percentile and
+drops the bursts of a shared host. Stdout is JSON: per model, the
+quartiles of those times in ms; the median, 90th percentile and
 maximum of the LM iterations; and the median cost of one iteration in
 µs, each input's time divided by its iterations, which reads the
 engine's cost apart from how many iterations a fit takes.
@@ -24,23 +24,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import harness
+
 SEEDS, OPS = (41, 42), 200
 ROUNDS = 5
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--src", type=Path, default=harness.ROOT / "src")
     args = parser.parse_args(argv)
-    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+    harness.use_tree(args.src)
     import numpy as np
 
     import fit_batch
@@ -72,21 +71,15 @@ def main(argv: list[str] | None = None) -> int:
     result = {}
     for fit, fns in calls.items():
         iterations = [fn().n_iter for fn in fns]
-        times = [float("inf")] * len(fns)
-        for _ in range(ROUNDS):
-            for i, fn in enumerate(fns):
-                t0 = time.perf_counter()
-                fn()
-                times[i] = min(times[i], (time.perf_counter() - t0) * 1e3)
-        q1, median, q3 = statistics.quantiles(times, n=4)
-        result[fit] = {"median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
+        rounds = [[harness.time_calls(fn, 1)[0] for fn in fns] for _ in range(ROUNDS)]
+        times = [min(calls) for calls in zip(*rounds)]  # each input's fastest call
+        result[fit] = {"quartiles_ms": harness.quartiles(times),
                        "inputs": len(fns), "n_iter_median": statistics.median(iterations),
                        "n_iter_p90": float(np.percentile(iterations, 90)),
                        "n_iter_max": max(iterations),
                        "us_per_iter_median": round(statistics.median(
                            1e3 * t / n for t, n in zip(times, iterations)), 2)}
-    payload = {"src": str(args.src), "python": platform.python_version(),
-               "numpy": np.__version__, "fits": result}
+    payload = {"src": str(args.src), "host": harness.host(), "fits": result}
     print(json.dumps(payload, indent=1))
     return 0
 

@@ -6,8 +6,7 @@ Usage, from the root of a source checkout:
 
 Each `--src` is a directory that holds a `remotehom` package (default:
 this checkout's `src/`). Every pair runs each tree once, in a fresh
-process, in alternating order (the first tree first on even pairs), so
-that a shared host's slow spells fall on both trees alike. One run is:
+process, in `harness.alternate`'s order. One run is:
 
 - in process: the benchmark's own mc_simulate ops (`perfbench/mc_simulate.py`,
   seed 7, ops 0 to N-1) through `remotehom.cli_io.main`, at 1 and then 2
@@ -17,19 +16,17 @@ that a shared host's slow spells fall on both trees alike. One run is:
   1e6 pulses with 1 and 2 workers and at 1e7 pulses with 2 workers, each
   one fresh process, timed from outside.
 
-Stdout is JSON: per tree, per measure, the per-pair values and their
-median; with two trees, per measure, the pairs in which the second tree
-was faster (or took fewer faults) and the median relative change.
+Each finished pair goes to stderr as one JSON line. Stdout is JSON: per
+tree, per measure, the per-pair values and their median; with two trees,
+per measure, `harness.compare`'s summary, in which every measure is
+better lower.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import os
-import platform
 import resource
 import statistics
 import subprocess
@@ -38,7 +35,8 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import harness
+
 SEED = 7
 WORKERS = (1, 2)
 COLD = (("1e6_w1", 1_000_000, 1), ("1e6_w2", 1_000_000, 2), ("1e7_w2", 10_000_000, 2))
@@ -55,7 +53,7 @@ README_CONFIG = {
 
 def in_process(src: Path, n_ops: int) -> dict:
     """Per worker count, the median wall time (ms) and minor faults per op."""
-    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    harness.use_tree(src)
     import mc_simulate
     from remotehom.cli_io import main
 
@@ -67,11 +65,8 @@ def in_process(src: Path, n_ops: int) -> dict:
             for k, op in enumerate([ops[0], *ops]):
                 argv = mc_simulate.argv(op, op.workdir / "out", workers)
                 f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = main(argv)
+                harness.run_cli(main, argv)
                 t1, f1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                if code != 0:
-                    raise SystemExit(f"simulate exited {code} on op {op.op_id}")
                 if k:  # the first op warms up
                     times.append((t1 - t0) * 1e3)
                     faults.append(f1 - f0)
@@ -80,9 +75,9 @@ def in_process(src: Path, n_ops: int) -> dict:
     return result
 
 
-def cold(src: Path) -> dict:
+def cold(src: str) -> dict:
     """Wall time (s) of one fresh `simulate` process per setting."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=src)
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "run.json"
@@ -97,10 +92,8 @@ def cold(src: Path) -> dict:
     return result
 
 
-def one_run(src: Path, n_ops: int) -> dict:
-    out = subprocess.run([sys.executable, __file__, "--child", str(src), "--ops", str(n_ops)],
-                         check=True, capture_output=True, text=True).stdout
-    return dict(json.loads(out), **cold(src))
+def one_run(src: str, n_ops: int) -> dict:
+    return dict(harness.child_json(__file__, "--child", src, "--ops", str(n_ops)), **cold(src))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,28 +107,19 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, name) < 1:
             parser.error(f"--{name} {getattr(args, name)}: need at least one")
     if args.child is not None:
-        print(json.dumps(in_process(args.child.resolve(), args.ops)))
+        print(json.dumps(in_process(args.child, args.ops)))
         return 0
-    srcs = [s.resolve() for s in (args.src or [ROOT / "src"])]
-    runs: list[list[dict]] = [[] for _ in srcs]
-    for pair in range(args.pairs):
-        order = range(len(srcs)) if pair % 2 == 0 else reversed(range(len(srcs)))
-        for k in order:
-            runs[k].append(one_run(srcs[k], args.ops))
-    trees = {}
-    for src, tree_runs in zip(srcs, runs):
-        trees[str(src)] = {key: {"median": statistics.median(r[key] for r in tree_runs),
-                                 "runs": [round(r[key], 4) for r in tree_runs]}
-                           for key in tree_runs[0]}
-    result = {"host": {"vcpus": os.cpu_count(), "python": platform.python_version()},
-              "seed": SEED, "ops": args.ops, "pairs": args.pairs, "trees": trees}
+    srcs = [str(s.resolve()) for s in (args.src or [harness.ROOT / "src"])]
+    records = harness.alternate(args.pairs, srcs, lambda _, src: one_run(src, args.ops))
+    runs = [[r["runs"][k] for r in records] for k in range(len(srcs))]
+    trees = {src: {key: {"median": statistics.median(r[key] for r in tree_runs),
+                         "runs": [round(r[key], 4) for r in tree_runs]}
+                   for key in tree_runs[0]}
+             for src, tree_runs in zip(srcs, runs)}
+    result = {"host": harness.host(), "seed": SEED, "ops": args.ops, "pairs": args.pairs,
+              "trees": trees}
     if len(srcs) == 2:
-        # a change relative to 0 (say, no minor faults on the first tree) is null
-        result["second_vs_first"] = {
-            key: {"second_lower": sum(b[key] < a[key] for a, b in zip(*runs)),
-                  "median_rel_change": None if any(a[key] == 0 for a in runs[0]) else
-                  round(statistics.median(b[key] / a[key] - 1.0 for a, b in zip(*runs)), 4)}
-            for key in runs[0][0]}
+        result["summary"] = harness.compare(*runs, dict.fromkeys(runs[0][0], "lower"))
     print(json.dumps(result, indent=1))
     return 0
 

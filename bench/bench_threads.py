@@ -41,20 +41,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import math
-import os
-import platform
 import statistics
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 from typing import Callable
 
-ROOT = Path(__file__).resolve().parent.parent
+import harness
+
 N = 65536
 SEED = 32
 
@@ -84,14 +81,7 @@ def two_threads(make: Callable[[], Callable[[], object]], calls: int) -> tuple[f
 
 
 def measure(make: Callable[[], Callable[[], object]], rounds: int) -> dict:
-    fn = make()
-    fn()  # warm up
-    serial = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        serial.append(time.perf_counter() - t0)
-    t1 = statistics.median(serial)
+    t1 = statistics.median(harness.time_calls(make(), rounds, 1)) / 1e3
     calls = max(3, int(0.03 / t1))  # a two-thread round of about 30 ms or more
     speedups, ratios = [], []
     for _ in range(rounds):
@@ -105,10 +95,10 @@ def measure(make: Callable[[], Callable[[], object]], rounds: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--src", type=Path, default=harness.ROOT / "src")
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    harness.use_tree(args.src)
     import numpy as np
 
     from remotehom import hom_montecarlo as hm
@@ -125,12 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     T, W = cfg.rep_period_ns, cfg.window_peaks
     lam = math.exp(-T / a.tau_c_ns)
     sigma = pair.combined_wandering.value
-    shape = hm._delay_bin_probs(pair, cfg)
-    # a tree whose shards take the shape as a future gets a resolved one
-    probs = shape[2]
-    if "shape" in inspect.signature(hm._simulate_shard).parameters:
-        probs = Future()
-        probs.set_result(shape)
+    probs = hm._delay_bin_probs(pair, cfg)[2]
     rng = make_rng(SEED, 0)
     both = (rng.random(N) < 0.72) & hm._blink_chain(rng, N, 0.9, T, 100.0)
     n_pairs = np.full(2 * W + 1, 28000, dtype=np.int64)
@@ -213,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
             n_peak[W] = 9000
             n_peak[side] = g.binomial(n_pairs[side], 0.5)
             n_peak += g.binomial(n_pairs, 0.5 * cfg.g2)
-            return g.multinomial(n_peak, shape[2])
+            return g.multinomial(n_peak, probs)
         return run
 
     def shard(pol):
@@ -235,9 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         "perpendicular shard": shard(hm.Polarization.PERPENDICULAR),
         "delay shape": lambda: lambda: hm._delay_bin_probs(pair, cfg),
     })
-    result = {"host": {"vcpus": os.cpu_count(), "python": platform.python_version(),
-                       "numpy": np.__version__},
-              "src": str(args.src), "rounds": args.rounds,
+    result = {"host": harness.host(), "src": str(args.src), "rounds": args.rounds,
               "stages": {name: measure(make, args.rounds) for name, make in stages.items()}}
 
     # the pool itself: when its threads start, and what a parallel shard costs there

@@ -447,6 +447,15 @@ def _beat_scan(tau: np.ndarray, y: np.ndarray, w: np.ndarray,
     return -np.sum(b * coef, axis=-1), coef
 
 
+def _finite_start(init: list[float]) -> list[float]:
+    """`init` as it is. A fit derives its start from finite data, so a start
+    that is not finite has overflowed: a numerical failure, which
+    `least_squares`' own check would report as bad input."""
+    if not all(math.isfinite(v) for v in init):
+        raise FloatingPointError("start point is not finite")
+    return init
+
+
 def _fss_seed(t: np.ndarray, c: np.ndarray, t1_0: float) -> list[float]:
     """Start of the beating fit: (amplitude, t1, fss, t0, background).
 
@@ -505,9 +514,10 @@ def fit_lifetime(trace: LifetimeTrace, model: LifetimeModel) -> FitResult:
     if model is LifetimeModel.MONO_EXP:
         init = [max(float(c.max()) - bg0, 1e-6), t1_0, bg0]
         bounds = [(0.0, None), (1e-6, None), (0.0, None)]
-        return least_squares(mono_exp_model(), t, c, init, bounds=bounds)
+        return least_squares(mono_exp_model(), t, c, _finite_start(init), bounds=bounds)
     bounds = [(0.0, None), (1e-6, None), (1e-6, None), (None, None), (0.0, None)]
-    return least_squares(fss_beating_model(), t, c, _fss_seed(t, c, t1_0), bounds=bounds)
+    return least_squares(fss_beating_model(), t, c, _finite_start(_fss_seed(t, c, t1_0)),
+                         bounds=bounds)
 
 
 def read_reflectivity_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -527,8 +537,9 @@ def fit_reflectivity(wavelength_nm: np.ndarray, reflectivity: np.ndarray) -> Fit
     if x.size < 8:
         raise ValueError("need at least 8 spectral points")
     c0 = float(x[np.argmin(y)])
-    base0 = float(np.median(np.concatenate([y[: max(x.size // 10, 2)],
-                                            y[-max(x.size // 10, 2):]])))
+    with np.errstate(over="ignore"):  # the median's mean of two values near the float range
+        base0 = float(np.median(np.concatenate([y[: max(x.size // 10, 2)],
+                                                y[-max(x.size // 10, 2):]])))
     depth0 = max(base0 - float(y.min()), 1e-9)
     below = x[y < base0 - depth0 / 2.0]
     fwhm0 = float(below.max() - below.min()) if below.size >= 2 else (x[-1] - x[0]) / 10.0
@@ -536,7 +547,7 @@ def fit_reflectivity(wavelength_nm: np.ndarray, reflectivity: np.ndarray) -> Fit
     if (x.max() - x.min()) < 3.0 * fwhm0:
         raise ValueError("spectrum must span at least three linewidths")
     result = least_squares(
-        lorentzian_dip_model(), x, y, [c0, fwhm0, depth0, base0],
+        lorentzian_dip_model(), x, y, _finite_start([c0, fwhm0, depth0, base0]),
         bounds=[(None, None), (1e-12, None), (0.0, None), (None, None)])
     c, fwhm = result.params["center_nm"], result.params["fwhm_nm"]
     q = c / fwhm
@@ -585,13 +596,13 @@ def fit_delay_visibility(filtered: DelayVisibilitySeries, unfiltered: DelayVisib
     big_g0 = g + gs_0
 
     def dw_guess(series: DelayVisibilitySeries) -> float:
-        v_first, v_last = float(series.visibility[0]), float(series.visibility[-1])
+        v_last = float(series.visibility[-1])
         if v_last <= 0 or v_last >= v0_0:
             return 0.1 * big_g0
         ratio = v0_0 / v_last - 1.0
         return big_g0 * math.sqrt(max(ratio, 1e-6) / 2.0)
 
-    init = [gs_0, dw_guess(filtered), dw_guess(unfiltered), 1000.0]
+    init = _finite_start([gs_0, dw_guess(filtered), dw_guess(unfiltered), 1000.0])
     bounds = [(0.0, None), (0.0, None), (0.0, None), (1e-3, None)]
     result = least_squares(delay_visibility_model(gamma), (delay, is_filt), vis,
                            init, sigma=sigma, bounds=bounds)

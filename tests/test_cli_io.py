@@ -577,6 +577,72 @@ def test_bench_scripts_reject_too_few_runs_before_running(tmp_path, script, args
     assert proc.stderr.startswith("usage: ") and proc.stderr.endswith(f"error: {error}\n")
 
 
+@pytest.mark.parametrize("script", sorted(p.name for p in (_ROOT / "bench").glob("bench_*.py")))
+def test_bench_scripts_print_their_help_from_outside_the_checkout(tmp_path, script):
+    # a broken `import harness`, or one that a perfbench module shadows, fails here
+    proc = subprocess.run([sys.executable, str(_ROOT / "bench" / script), "--help"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: ")
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    monkeypatch.syspath_prepend(str(_ROOT / "bench"))
+    import harness
+
+    return harness
+
+
+def test_bench_harness_compare_signs_the_gain_and_counts_a_tie_for_neither(harness):
+    first = [{"ms": 10.0, "ops": 100.0, "faults": 0}, {"ms": 10.0, "ops": 100.0, "faults": 0},
+             {"ms": 10.0, "ops": 100.0, "faults": 3}]
+    second = [{"ms": 8.0, "ops": 120.0, "faults": 1}, {"ms": 8.0, "ops": 90.0, "faults": 0},
+              {"ms": 10.0, "ops": 120.0, "faults": 0}]
+    summary = harness.compare(first, second, {"ms": "lower", "ops": "higher", "faults": "lower"})
+    assert summary["ms"] == {"first_quartiles": [10.0, 10.0, 10.0],
+                             "second_quartiles": [8.0, 8.0, 9.0],  # the inclusive method
+                             "second_wins": 2, "pairs": 3, "median_rel_gain": 0.2}
+    assert (summary["ops"]["second_wins"], summary["ops"]["median_rel_gain"]) == (2, 0.2)
+    # a first-side median of 0 has no relative change
+    assert (summary["faults"]["second_wins"], summary["faults"]["median_rel_gain"]) == (1, None)
+    worse = harness.compare(first, [dict(r, ms=12.0, ops=80.0) for r in first],
+                            {"ms": "lower", "ops": "higher"})
+    assert [(s["second_wins"], s["median_rel_gain"]) for s in worse.values()] == \
+        [(0, -0.2), (0, -0.2)]
+    # one pair a side, as `bench_shard_alloc.py --pairs 1` gives
+    assert harness.compare(first[:1], second[:1], {"ms": "lower"})["ms"]["second_quartiles"] == \
+        [8.0, 8.0, 8.0]
+
+
+def test_bench_harness_alternate_reverses_the_sides_on_odd_pairs(harness, capsys):
+    calls = []
+
+    def run(i, side):
+        calls.append((i, side))
+        return {"i": i, "side": side}
+
+    records = harness.alternate(3, ["a", "b", "c"], run)
+    assert calls == [(0, "a"), (0, "b"), (0, "c"), (1, "c"), (1, "b"), (1, "a"),
+                     (2, "a"), (2, "b"), (2, "c")]
+    assert [(r["pair"], r["first"]) for r in records] == [(1, "a"), (2, "c"), (3, "a")]
+    assert records[1]["runs"] == [{"i": 1, "side": side} for side in "abc"]
+    assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == records
+
+
+def test_bench_harness_alternate_keeps_the_pairs_before_a_failure(harness, capsys):
+    def run(i, side):
+        if i == 2:
+            raise RuntimeError("the run of pair 3 failed")
+        return {"seconds": 1.0 + i}
+
+    with pytest.raises(RuntimeError, match="pair 3"):
+        harness.alternate(10, ["parent", "change"], run)
+    lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [(r["pair"], r["runs"]) for r in lines] == \
+        [(1, [{"seconds": 1.0}] * 2), (2, [{"seconds": 2.0}] * 2)]
+
+
 def test_cli_match_pairs_demo(tmp_path, capsys):
     assert main(["match-pairs"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -1320,6 +1386,7 @@ def _dip_rows(scale: float) -> list[str]:
 
 
 _NOT_FINITE_START = "numerical failure: cost at the start point is not finite\n"
+_NOT_FINITE_SEED = "numerical failure: start point is not finite\n"
 # per case: the command, the file's text, its options and the one stderr line of exit 3
 _FLOAT_RANGE_FITS = {
     "background_1e200": ("fit-lifetime", ["time_ps,counts", *_decay_rows(1e4, 5.0, True)],
@@ -1332,6 +1399,13 @@ _FLOAT_RANGE_FITS = {
                          ["--model", "fss_beating"], _NOT_FINITE_START),
     "dip_1e200": ("fit-reflectivity", ["wavelength_nm,reflectivity", *_dip_rows(1e200)], [],
                   _NOT_FINITE_START),
+    # the start point itself overflows: the median of the baseline, the beat's amplitude
+    "dip_1e308": ("fit-reflectivity", ["wavelength_nm,reflectivity", *_dip_rows(1e308)], [],
+                  _NOT_FINITE_SEED),
+    "counts_1e306_fss": ("fit-lifetime", ["time_ps,counts", *_decay_rows(1e306, 0.0)],
+                         ["--model", "fss_beating"], _NOT_FINITE_SEED),
+    "counts_1e308_fss": ("fit-lifetime", ["time_ps,counts", *_decay_rows(1e308, 0.0)],
+                         ["--model", "fss_beating"], _NOT_FINITE_SEED),
     # finite start costs: J^T J overflows at the optimum, or J^T J does not
     # but the covariance, its inverse times the mean squared residual, does
     "dip_1e153": ("fit-reflectivity", ["wavelength_nm,reflectivity", *_dip_rows(1e153)], [],
@@ -1356,6 +1430,18 @@ def test_cli_fits_at_the_top_of_the_float_range_exit_3_without_a_warning(tmp_pat
     captured = capsys.readouterr()
     assert captured.err == err
     assert captured.out == "" and not out.exists()
+
+
+def test_cli_fit_delay_whose_start_overflows_exits_3_without_a_warning(tmp_path, capsys):
+    # visibilities of 1e-310 are valid data, but the start's dephasing rate
+    # g (1 - v) / v overflows
+    data = tmp_path / "series.csv"
+    data.write_text(csv_text(["delay_ns,visibility,sigma_v",
+                              *(f"{d!r},1e-310,0" for d in (12.2, 40.0, 120.0, 300.0))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit-delay", str(data), str(data), "--t1-ps", "160"]) == 3
+    assert capsys.readouterr() == ("", _NOT_FINITE_SEED)
 
 
 @pytest.mark.parametrize("mutate", [
