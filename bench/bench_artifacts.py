@@ -20,9 +20,10 @@ process also hashes the delay shape (`hom_montecarlo._delay_bin_probs`:
 bin edges and the per-peak bands of bin probabilities as a dense table) of
 300 random configs, and counts `WavepacketProfile.from_intensity` calls
 per command on one config with and without `s_classical`. Stdout is JSON:
-per tree, per category, the op count and a sha256 over the op digests,
-plus the profile builds; with two trees, whether each category matches
-and its first differing op.
+one entry per `--src`, in their order, naming its tree and giving, per
+category, the op count and a sha256 over the op digests, plus the profile
+builds; with two trees, whether each category matches and its first
+differing op.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def run_tree(src: Path) -> dict:
     import overlap_sweep
     from remotehom import hom_montecarlo as hm
     from remotehom.cli_io import main
-    from remotehom.overlap_analytics import make_source_pair
+    from remotehom.overlap_analytics import SourcePair
     from remotehom.wavepacket import Charge, EmitterParams, WavepacketProfile
     from remotehom.units_core import EnergySplitting
 
@@ -96,7 +97,7 @@ def run_tree(src: Path) -> dict:
             cfg = hm.HomExperimentConfig(n_pulses=1000, window_peaks=int(rng.integers(1, 6)),
                                          jitter_sigma_ps=float(rng.uniform(0.0, 200.0)),
                                          bin_width_ps=float(rng.uniform(5.0, 200.0)))
-            pair = make_source_pair(*emitters, s_classical=1.0)
+            pair = SourcePair(*emitters, s_given=1.0)
             edges, starts, bands = hm._delay_bin_probs(pair, cfg)
             dense = np.zeros((bands.shape[0], edges.size - 1))
             # without the overflow cells, whose sums may round differently
@@ -132,21 +133,22 @@ def run_tree(src: Path) -> dict:
             "profile_builds": profile_builds}
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", type=Path,
                         help="directory holding a remotehom package (repeatable)")
     parser.add_argument("--one", type=Path, help=argparse.SUPPRESS)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.one:
         sys.stdout.write(json.dumps(run_tree(args.one)))
         return 0
     trees = [s.resolve() for s in (args.src or [harness.ROOT / "src"])]
     results = [harness.child_json(__file__, "--one", str(t)) for t in trees]
-    report = {"trees": {str(tree): {"categories": {k: {"ops": v["ops"], "sha256": v["sha256"]}
-                                                   for k, v in res["categories"].items()},
-                                    "profile_builds": res["profile_builds"]}
-                        for tree, res in zip(trees, results)}}
+    report = {"trees": [{"tree": str(tree),
+                         "categories": {k: {"ops": v["ops"], "sha256": v["sha256"]}
+                                        for k, v in res["categories"].items()},
+                         "profile_builds": res["profile_builds"]}
+                        for tree, res in zip(trees, results)]}
     if len(results) == 2:
         first, second = (r["categories"] for r in results)
         report["identical"] = {

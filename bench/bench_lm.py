@@ -62,8 +62,8 @@ def main(argv: list[str] | None = None) -> int:
                 elif fit == "reflectivity":
                     call = (lambda d=read_reflectivity_csv(argv_fit[1]): fit_reflectivity(*d))
                 else:
-                    series = (DelayVisibilitySeries.from_csv(argv_fit[1], filtered=True),
-                              DelayVisibilitySeries.from_csv(argv_fit[2], filtered=False))
+                    series = (DelayVisibilitySeries.from_csv(argv_fit[1]),
+                              DelayVisibilitySeries.from_csv(argv_fit[2]))
                     gamma = Rate(1000.0 / op.truth["t1_ps_input"])
                     call = (lambda s=series, g=gamma: fit_delay_visibility(*s, g))
                 calls[fit].append(call)

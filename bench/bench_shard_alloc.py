@@ -16,10 +16,10 @@ process, in `harness.alternate`'s order. One run is:
   1e6 pulses with 1 and 2 workers and at 1e7 pulses with 2 workers, each
   one fresh process, timed from outside.
 
-Each finished pair goes to stderr as one JSON line. Stdout is JSON: per
-tree, per measure, the per-pair values and their median; with two trees,
-per measure, `harness.compare`'s summary, in which every measure is
-better lower.
+Each finished pair goes to stderr as one JSON line. Stdout is JSON: one
+entry per `--src`, in their order, naming its tree and giving, per measure,
+the per-pair values and their median; with two trees, per measure,
+`harness.compare`'s summary, in which every measure is better lower.
 """
 
 from __future__ import annotations
@@ -112,10 +112,10 @@ def main(argv: list[str] | None = None) -> int:
     srcs = [str(s.resolve()) for s in (args.src or [harness.ROOT / "src"])]
     records = harness.alternate(args.pairs, srcs, lambda _, src: one_run(src, args.ops))
     runs = [[r["runs"][k] for r in records] for k in range(len(srcs))]
-    trees = {src: {key: {"median": statistics.median(r[key] for r in tree_runs),
-                         "runs": [round(r[key], 4) for r in tree_runs]}
-                   for key in tree_runs[0]}
-             for src, tree_runs in zip(srcs, runs)}
+    trees = [dict(tree=src, **{key: {"median": statistics.median(r[key] for r in tree_runs),
+                                     "runs": [round(r[key], 4) for r in tree_runs]}
+                               for key in tree_runs[0]})
+             for src, tree_runs in zip(srcs, runs)]
     result = {"host": harness.host(), "seed": SEED, "ops": args.ops, "pairs": args.pairs,
               "trees": trees}
     if len(srcs) == 2:

@@ -98,6 +98,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", type=Path, default=harness.ROOT / "src")
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args(argv)
+    if args.rounds < 1:  # no run to take a median of
+        parser.error(f"--rounds {args.rounds}: need at least one")
     harness.use_tree(args.src)
     import numpy as np
 

@@ -246,14 +246,13 @@ def load_run_config(path: str | Path, *, seed_override: Optional[int] = None,
                                   fwhm_pm=filter_fwhm_override)
 
     experiment = HomExperimentConfig(**_take(resolved["experiment"], "experiment", _EXPERIMENT))
-    filt = None
     if resolved.get("filter"):
         f = _take(resolved["filter"], "filter", {"center_nm": float, "fwhm_pm": float})
         filt = FilterParams(center=Wavelength(f["center_nm"]), fwhm_pm=f["fwhm_pm"])
         a, _ = apply_filter(a, filt)
         b, _ = apply_filter(b, filt)
     pair = SourcePair(a=a, b=b, mean_detuning=Frequency(pair_d["mean_detuning_ns_inv"]),
-                      s_given=pair_d["s_classical"], filter=filt)
+                      s_given=pair_d["s_classical"])
     cfg = RunConfig(pair=pair, experiment=experiment, seed=top["seed"],
                     outputs=Path(top["outputs"]), workers=workers)
     return cfg, config_hash(resolved)

@@ -4,7 +4,10 @@ None is needed at run time: `closed_form_temporal_overlap` is the
 closed form that `classical_overlap` must reproduce for mono-exponential
 profiles, `beating_overlap_quadrature` the piecewise adaptive quadrature it
 must reproduce for beating ones, `delay_law` the scalar delay law that
-`individual_indistinguishability` must reproduce, `finite_difference_jacobian`
+`individual_indistinguishability` must reproduce, `voigt_quadrature` the
+Lorentzian-Gaussian convolution by `quad` that `voigt` must reproduce,
+`ou_inflated_sigma` the counting error of a Monte-Carlo visibility widened by
+the wandering's correlation across the pulse train, `finite_difference_jacobian`
 the numerical derivative that every analytic Jacobian in
 `remotehom.estimation` must match,
 `csv_float_columns` the `csv` module and `float()` reading of a CSV that
@@ -38,6 +41,30 @@ def closed_form_temporal_overlap(gamma_i: Rate, gamma_j: Rate) -> float:
 def delay_law(v0: float, dw_r: float, tau_c_ns: float, delay_ns: float) -> float:
     """V(d) = v0 / [1 + 2 dw_r^2 (1 - exp(-d / tau_c))], one scalar delay, by `math`."""
     return v0 / (1.0 + 2.0 * dw_r**2 * (1.0 - math.exp(-delay_ns / tau_c_ns)))
+
+
+def voigt_quadrature(x: float, gl: float, sig: float) -> float:
+    """Voigt profile at x (Lorentzian HWHM gl, Gaussian sigma sig) by convolution quadrature."""
+    lorentz = lambda u: gl / math.pi / (u * u + gl * gl)
+    gauss = lambda u: math.exp(-u * u / (2 * sig * sig)) / (sig * math.sqrt(2 * math.pi))
+    span = 40.0 * max(gl, sig)
+    val, _ = quad(lambda u: lorentz(x - u) * gauss(u), -span, span,
+                  points=[0.0, x], limit=800, epsabs=1e-13, epsrel=1e-10)
+    return val
+
+
+def ou_inflated_sigma(pair, cfg, est_sigma: float, seed: int) -> float:
+    """Counting error `est_sigma` inflated by var(m) * 2 tau_c / T_total, with the
+    longer tau_c: the wandering's residual correlation across the pulse train.
+    var(m) is taken over 200,000 Gaussian detunings drawn on `default_rng(seed)`."""
+    deltas = np.random.default_rng(seed).normal(pair.mean_detuning.value,
+                                                pair.combined_wandering.value, size=200_000)
+    gsum = pair.a.gamma.value + pair.b.gamma.value
+    big_gsum = pair.a.total_linewidth.value + pair.b.total_linewidth.value
+    m = big_gsum * gsum / (big_gsum**2 + 4.0 * deltas**2)
+    t_total = cfg.n_pulses * cfg.rep_period_ns
+    tau_c = max(pair.a.tau_c_ns, pair.b.tau_c_ns)
+    return math.hypot(est_sigma, math.sqrt(m.var() * 2.0 * tau_c / t_total))
 
 
 def finite_difference_jacobian(fn: Callable, p: np.ndarray, x, rel_step: float = 1e-6) -> np.ndarray:

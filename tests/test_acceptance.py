@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from remotehom.units_core import EnergySplitting, Frequency, Rate
 from remotehom.wavepacket import (
@@ -34,7 +33,7 @@ from remotehom.hom_montecarlo import (
     Polarization,
     analytic_prediction,
     estimate_visibility,
-    simulate_histogram,
+    simulate_histograms,
 )
 from remotehom.estimation import (
     delay_visibility_model,
@@ -48,7 +47,7 @@ from remotehom.estimation import (
 from remotehom.cli_io import main
 
 from reference import (beating_overlap_quadrature, closed_form_temporal_overlap,
-                       finite_difference_jacobian)
+                       finite_difference_jacobian, ou_inflated_sigma, voigt_quadrature)
 
 PAR, PERP = Polarization.PARALLEL, Polarization.PERPENDICULAR
 GAMMA_IA = Rate(1000 / 162)
@@ -112,15 +111,6 @@ def test_criterion_03_mono_pair_overlap_table():
         assert abs(s - ref) < 0.015, f"({t1a}, {t1b}): {s:.5f} vs {ref}"
 
 
-def _voigt_quadrature(x: float, gl: float, sig: float) -> float:
-    lorentz = lambda u: gl / math.pi / (u * u + gl * gl)
-    gauss = lambda u: math.exp(-u * u / (2 * sig * sig)) / (sig * math.sqrt(2 * math.pi))
-    span = 40.0 * max(gl, sig)
-    val, _ = quad(lambda u: lorentz(x - u) * gauss(u), -span, span,
-                  points=[0.0, x], limit=800, epsabs=1e-13, epsrel=1e-10)
-    return val
-
-
 def test_criterion_04_voigt_evaluator():
     t0 = time.perf_counter()
     rng = np.random.default_rng(44)
@@ -129,7 +119,7 @@ def test_criterion_04_voigt_evaluator():
         sig = rng.uniform(0.05, 8.0)
         x = rng.uniform(-20.0, 20.0)
         assert voigt(x, Rate(gl), Rate(sig)) == \
-            pytest.approx(_voigt_quadrature(x, gl, sig), rel=1e-6)
+            pytest.approx(voigt_quadrature(x, gl, sig), rel=1e-6)
     for x in (0.0, 0.7, -2.3, 5.1):
         gauss = math.exp(-x * x / 8.0) / (2.0 * math.sqrt(2 * math.pi))
         assert voigt(x, Rate(0.0), Rate(2.0)) == pytest.approx(gauss, rel=1e-6)
@@ -176,21 +166,6 @@ def test_criterion_06_filtered_and_unfiltered_predictions():
     assert analytic_prediction(unfiltered) == pytest.approx(0.65, abs=0.05)
 
 
-def _ou_inflated_sigma(pair: SourcePair, cfg: HomExperimentConfig,
-                       est_sigma: float, seed: int) -> float:
-    # residual correlation of the wandering across the pulse train
-    # inflates the counting error by var(m) * 2 tau_c / T_total
-    rng = np.random.default_rng(seed)
-    deltas = rng.normal(pair.mean_detuning.value, pair.combined_wandering.value,
-                        size=200_000)
-    gsum = pair.a.gamma.value + pair.b.gamma.value
-    big_gsum = pair.a.total_linewidth.value + pair.b.total_linewidth.value
-    m = big_gsum * gsum / (big_gsum**2 + 4.0 * deltas**2)
-    t_total = cfg.n_pulses * cfg.rep_period_ns
-    tau_c = max(pair.a.tau_c_ns, pair.b.tau_c_ns)
-    return math.hypot(est_sigma, math.sqrt(m.var() * 2.0 * tau_c / t_total))
-
-
 def test_criterion_07_simulation_matches_analytic_prediction():
     t0 = time.perf_counter()
     rng = np.random.default_rng(77)
@@ -202,10 +177,9 @@ def test_criterion_07_simulation_matches_analytic_prediction():
         pair = noise_pair(gamma_star=tuple(gs), delta_omega=tuple(dw),
                           detuning=dbar, s=1.0, tau_c=50.0)
         est = estimate_visibility(
-            simulate_histogram(pair, cfg, PAR, seed=700 + k, workers=4),
-            simulate_histogram(pair, cfg, PERP, seed=700 + k, workers=4),
+            *simulate_histograms(pair, cfg, (PAR, PERP), seed=700 + k, workers=4),
             cfg.rep_period_ns)
-        sigma = _ou_inflated_sigma(pair, cfg, est.sigma, seed=7000 + k)
+        sigma = ou_inflated_sigma(pair, cfg, est.sigma, seed=7000 + k)
         assert abs(est.v_tpi - analytic_prediction(pair)) <= 3.0 * sigma, f"config {k}"
     assert time.perf_counter() - t0 < 300.0
 
@@ -219,8 +193,7 @@ def test_criterion_08_remote_bound_property():
     cfg = HomExperimentConfig(n_pulses=1_000_000, g2=0.0, blink_on_prob=1.0)
     pair_1 = noise_pair(gamma_star=(0.17, 0.03), delta_omega=(4.6, 1.78), s=0.986)
     assert analytic_prediction(pair_1) <= bound_1
-    est = estimate_visibility(simulate_histogram(pair_1, cfg, PAR, seed=81),
-                              simulate_histogram(pair_1, cfg, PERP, seed=81),
+    est = estimate_visibility(*simulate_histograms(pair_1, cfg, (PAR, PERP), seed=81),
                               cfg.rep_period_ns)
     assert est.v_tpi <= bound_1 + 3.0 * est.sigma
 
@@ -230,8 +203,7 @@ def test_criterion_08_remote_bound_property():
     pair_4 = noise_pair(t1=(240.0, 212.0), s=0.995,
                         gamma_star=(g_i * (1 / 0.966 - 1), g_j * (1 / 0.938 - 1)))
     assert analytic_prediction(pair_4) <= bound_4
-    est = estimate_visibility(simulate_histogram(pair_4, cfg, PAR, seed=84),
-                              simulate_histogram(pair_4, cfg, PERP, seed=84),
+    est = estimate_visibility(*simulate_histograms(pair_4, cfg, (PAR, PERP), seed=84),
                               cfg.rep_period_ns)
     assert est.v_tpi <= bound_4 + 3.0 * est.sigma
 
@@ -245,11 +217,11 @@ def test_criterion_09_delay_law_round_trip():
     delays = np.array([12.2, 40.0, 120.0, 300.0, 525.0, 1200.0, 3000.0])
     rng = np.random.default_rng(3)
     series = []
-    for dw, filtered in ((dw_f, True), (dw_u, False)):
+    for dw in (dw_f, dw_u):
         src = EmitterParams(162.0, gamma_star=Rate(gs), delta_omega=Rate(dw), tau_c_ns=tau)
         v = individual_indistinguishability(src, delays)
         noisy = np.clip(v * (1.0 + rng.normal(0, 0.01, size=v.size)), 0.0, 1.0)
-        series.append(DelayVisibilitySeries(delays, noisy, 0.01 * v, filtered=filtered))
+        series.append(DelayVisibilitySeries(delays, noisy, 0.01 * v))
     res = fit_delay_visibility(series[0], series[1], GAMMA_IA)
     assert res.converged
     assert res.params["gamma_star"] == pytest.approx(gs, rel=0.10)
@@ -278,8 +250,8 @@ def test_criterion_09_delay_law_round_trip():
     v_unfilt = np.array([0.8965] + [curve(dw_u, d) for d in inter] + [0.646])
     n = all_delays.size
     res_b = fit_delay_visibility(
-        DelayVisibilitySeries(all_delays, v_filt, np.full(n, 0.01), filtered=True),
-        DelayVisibilitySeries(all_delays, v_unfilt, np.full(n, 0.01), filtered=False),
+        DelayVisibilitySeries(all_delays, v_filt, np.full(n, 0.01)),
+        DelayVisibilitySeries(all_delays, v_unfilt, np.full(n, 0.01)),
         GAMMA_IA, sigma_overrides=[("unfiltered", 12.2, 0.1)])
     assert res_b.converged
     assert res_b.params["delta_omega_unfiltered"] == pytest.approx(4.7, rel=0.20)
@@ -331,11 +303,9 @@ def test_criterion_11_blinking_invariance():
     cfg_blink = HomExperimentConfig(n_pulses=1_000_000, g2=0.0,
                                     blink_on_prob=0.9, blink_dwell_ns=100.0)
     cfg_steady = HomExperimentConfig(n_pulses=1_000_000, g2=0.0, blink_on_prob=1.0)
-    est_b = estimate_visibility(simulate_histogram(pair, cfg_blink, PAR, seed=1101),
-                                simulate_histogram(pair, cfg_blink, PERP, seed=1101),
+    est_b = estimate_visibility(*simulate_histograms(pair, cfg_blink, (PAR, PERP), seed=1101),
                                 cfg_blink.rep_period_ns)
-    est_s = estimate_visibility(simulate_histogram(pair, cfg_steady, PAR, seed=1101),
-                                simulate_histogram(pair, cfg_steady, PERP, seed=1101),
+    est_s = estimate_visibility(*simulate_histograms(pair, cfg_steady, (PAR, PERP), seed=1101),
                                 cfg_steady.rep_period_ns)
     assert abs(est_b.v_tpi - est_s.v_tpi) <= 3.0 * math.hypot(est_b.sigma, est_s.sigma)
 

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import remotehom
+from remotehom.units_core import Wavelength
 from remotehom.wavepacket import Charge, WavepacketProfile
-from remotehom.overlap_analytics import mwo_voigt_averaged, remote_upper_bound
+from remotehom.overlap_analytics import FilterParams, apply_filter, mwo_voigt_averaged
 from remotehom.hom_montecarlo import HomExperimentConfig, analytic_prediction
 from remotehom.estimation import RankDeficiencyError
 from remotehom.cli_io import (
@@ -139,7 +140,6 @@ def test_load_run_config_basics(tmp_path):
     assert cfg.seed == 7
     assert cfg.experiment.n_pulses == 20000
     assert cfg.pair.s_classical == 0.986
-    assert cfg.pair.filter is None
     assert len(h) == 64
 
 
@@ -162,10 +162,11 @@ def test_load_run_config_filter_applies_to_both_sources(tmp_path):
     path = write_config(tmp_path)
     plain, _ = load_run_config(path)
     filtered, _ = load_run_config(path, filter_fwhm_override=8.0)
-    assert filtered.pair.filter is not None
-    assert filtered.pair.filter.fwhm_pm == 8.0
+    # the 8 pm override, centered on pair.a's wavelength, reaches both emitters
+    filt = FilterParams(Wavelength(924.847), 8.0)
     for before, after in zip((plain.pair.a, plain.pair.b),
                              (filtered.pair.a, filtered.pair.b)):
+        assert after == apply_filter(before, filt)[0]
         assert after.delta_omega.value < before.delta_omega.value
         assert after.sideband_fraction == 0.0
         assert after.brightness < before.brightness
@@ -552,7 +553,7 @@ def test_bench_artifact_digests_are_pinned():
         pytest.skip(f"digests taken with numpy {pinned['numpy']} on {pinned['machine']}")
     proc = subprocess.run([sys.executable, str(_ROOT / "bench" / "bench_artifacts.py"),
                            "--src", _SRC], capture_output=True, text=True, check=True)
-    (tree,) = json.loads(proc.stdout)["trees"].values()
+    (tree,) = json.loads(proc.stdout)["trees"]
     assert {name: c["sha256"] for name, c in tree["categories"].items()} == \
         pinned["categories"]
     assert tree["profile_builds"] == pinned["profile_builds"]
@@ -563,6 +564,7 @@ def test_bench_artifact_digests_are_pinned():
     ("bench_pairs.py", ["--seeds", "10-1"], "--seeds 10-1: need at least two seeds"),
     ("bench_shard_alloc.py", ["--pairs", "0"], "--pairs 0: need at least one"),
     ("bench_shard_alloc.py", ["--ops", "0"], "--ops 0: need at least one"),
+    ("bench_threads.py", ["--rounds", "0"], "--rounds 0: need at least one"),
 ])
 def test_bench_scripts_reject_too_few_runs_before_running(tmp_path, script, args, error):
     # the checkouts do not exist, so a run that started would fail with a traceback
@@ -641,6 +643,35 @@ def test_bench_harness_alternate_keeps_the_pairs_before_a_failure(harness, capsy
     lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [(r["pair"], r["runs"]) for r in lines] == \
         [(1, [{"seconds": 1.0}] * 2), (2, [{"seconds": 2.0}] * 2)]
+
+
+def test_bench_scripts_keep_both_sides_of_an_a_a_run(harness, monkeypatch, capsys, tmp_path):
+    # the same tree twice: one entry per side, in --src order, none overwritten
+    import bench_artifacts as artifacts
+    import bench_shard_alloc as shard_alloc
+
+    values = iter(range(1, 10))
+    monkeypatch.setattr(shard_alloc, "one_run",
+                        lambda src, n_ops: {"inproc_w1_p50_ms": float(next(values))})
+    argv = ["--src", str(tmp_path), "--src", str(tmp_path)]
+    assert shard_alloc.main([*argv, "--pairs", "2", "--ops", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [e["tree"] for e in report["trees"]] == [str(tmp_path.resolve())] * 2
+    # pair 2 runs the sides in reverse
+    assert [e["inproc_w1_p50_ms"]["runs"] for e in report["trees"]] == [[1.0, 4.0], [2.0, 3.0]]
+    assert report["summary"]["inproc_w1_p50_ms"]["pairs"] == 2
+
+    def child_json(*args):
+        digest = str(next(values))
+        return {"categories": {"c": {"ops": 1, "sha256": digest, "ops_sha256": [digest]}},
+                "profile_builds": {}}
+
+    monkeypatch.setattr(harness, "child_json", child_json)
+    assert artifacts.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [(e["tree"], e["categories"]["c"]["sha256"]) for e in report["trees"]] == \
+        [(str(tmp_path.resolve()), "5"), (str(tmp_path.resolve()), "6")]
+    assert report["identical"] == {"c": {"match": False, "first_differing_op": 0}}
 
 
 def test_cli_match_pairs_demo(tmp_path, capsys):
@@ -987,7 +1018,6 @@ def test_cli_simulate_upper_bound_is_s(tmp_path, capsys, s_classical):
     summary = json.loads(capsys.readouterr().out)
     report = json.loads((out / "overlap.json").read_text())
     assert summary["upper_bound"] == report["upper_bound"] == report["s_classical"]
-    assert report["upper_bound"] == remote_upper_bound(report["s_classical"], 1.0, 1.0)
     if s_classical == 1:
         assert '"upper_bound": 1\n' in (out / "overlap.json").read_text()
 

@@ -450,12 +450,11 @@ def synthetic_delay_series(gs, dw_f, dw_u, tau_c, noise=0.01, seed=0):
     delays = np.array([12.2, 40.0, 120.0, 300.0, 525.0, 1200.0, 3000.0])
     rng = np.random.default_rng(seed)
     out = []
-    for dw, filtered in ((dw_f, True), (dw_u, False)):
+    for dw in (dw_f, dw_u):
         src = EmitterParams(162.0, gamma_star=Rate(gs), delta_omega=Rate(dw), tau_c_ns=tau_c)
         v = individual_indistinguishability(src, delays)
         v_noisy = np.clip(v * (1.0 + rng.normal(0, noise, size=v.size)), 0.0, 1.0)
-        out.append(DelayVisibilitySeries(delays, v_noisy, noise * v,
-                                         filtered=filtered))
+        out.append(DelayVisibilitySeries(delays, v_noisy, noise * v))
     return out[0], out[1]
 
 
@@ -483,8 +482,8 @@ def test_delay_fit_shared_zero_delay_value():
 def test_delay_fit_flat_series_pins_wandering_to_zero():
     delays = np.array([12.2, 100.0, 525.0, 2000.0])
     v = np.full(4, 0.91)
-    filt = DelayVisibilitySeries(delays, v, np.full(4, 0.005), filtered=True)
-    unfilt = DelayVisibilitySeries(delays, v, np.full(4, 0.005), filtered=False)
+    filt = DelayVisibilitySeries(delays, v, np.full(4, 0.005))
+    unfilt = DelayVisibilitySeries(delays, v, np.full(4, 0.005))
     res = fit_delay_visibility(filt, unfilt, GAMMA_IA)
     assert res.converged
     assert res.params["delta_omega_filtered"] == pytest.approx(0.0, abs=1e-6)
@@ -504,8 +503,7 @@ def test_delay_fit_outlier_inflation_changes_weight():
     # corrupt the first unfiltered point downward
     v = unfilt.visibility.copy()
     v[0] *= 0.9
-    corrupted = DelayVisibilitySeries(unfilt.delay_ns, v, unfilt.sigma_v,
-                                      filtered=False)
+    corrupted = DelayVisibilitySeries(unfilt.delay_ns, v, unfilt.sigma_v)
     plain = fit_delay_visibility(filt, corrupted, GAMMA_IA)
     inflated = fit_delay_visibility(filt, corrupted, GAMMA_IA,
                                     sigma_overrides=[("unfiltered", 12.2, 0.1)])
@@ -524,9 +522,9 @@ def test_delay_fit_starts_from_the_last_visibility_of_each_series(monkeypatch):
     # each series' last two visibilities differ, so a wandering width guessed from
     # any point but the last starts elsewhere and ends in other bits
     delays = np.array([12.2, 40.0, 120.0, 300.0, 525.0, 1200.0, 3000.0])
-    series = [DelayVisibilitySeries(delays, np.array(v), np.full(7, 0.01), filtered=filtered)
-              for v, filtered in (([0.93, 0.90, 0.84, 0.75, 0.69, 0.62, 0.60], True),
-                                  ([0.92, 0.86, 0.74, 0.62, 0.55, 0.50, 0.49], False))]
+    series = [DelayVisibilitySeries(delays, np.array(v), np.full(7, 0.01))
+              for v in ([0.93, 0.90, 0.84, 0.75, 0.69, 0.62, 0.60],
+                        [0.92, 0.86, 0.74, 0.62, 0.55, 0.50, 0.49])]
     starts = []
 
     def spy(model, x, y, init, **kwargs):
@@ -552,9 +550,9 @@ def test_delay_fit_starts_from_the_last_visibility_of_each_series(monkeypatch):
 def test_delay_fit_rejects_mixed_zero_sigmas():
     delays = np.array([12.2, 100.0, 525.0])
     filt = DelayVisibilitySeries(delays, np.array([0.9, 0.85, 0.8]),
-                                 np.array([0.0, 0.01, 0.01]), filtered=True)
+                                 np.array([0.0, 0.01, 0.01]))
     unfilt = DelayVisibilitySeries(delays, np.array([0.88, 0.8, 0.75]),
-                                   np.full(3, 0.01), filtered=False)
+                                   np.full(3, 0.01))
     with pytest.raises(ValueError):
         fit_delay_visibility(filt, unfilt, GAMMA_IA)
 
@@ -625,8 +623,8 @@ def oracle_delay(i: int, weighted: bool) -> None:
                                     rng.uniform(300.0, 3000.0), noise=rng.uniform(0.003, 0.03),
                                     seed=i)
     if not weighted:
-        series = [DelayVisibilitySeries(s.delay_ns, s.visibility, np.zeros(len(s)),
-                                        filtered=s.filtered) for s in series]
+        series = [DelayVisibilitySeries(s.delay_ns, s.visibility, np.zeros(len(s)))
+                  for s in series]
     fit_delay_visibility(*series, GAMMA_IA)
 
 
@@ -653,7 +651,7 @@ def test_least_squares_reproduces_the_reference_loop_on_bounds_and_hostile_trace
     for name, rows in _BOUND_DELAY_SERIES.items():
         path = tmp_path / f"{name}.csv"
         path.write_text("delay_ns,visibility,sigma_v\n" + rows)
-        series.append(DelayVisibilitySeries.from_csv(path, filtered=name == "filtered"))
+        series.append(DelayVisibilitySeries.from_csv(path))
     fit_delay_visibility(*series, Rate(1000.0 / 141.25780437760147))
     assert "'gamma_star': 0.0," in checked_fits[0][0] and checked_fits[0][4]
     # no fit sets an upper bound, so call the loop directly

@@ -27,7 +27,7 @@ from remotehom.hom_montecarlo import (
     write_visibility_json,
 )
 
-from reference import dense_delay_bin_probs
+from reference import dense_delay_bin_probs, ou_inflated_sigma
 
 PAR, PERP = Polarization.PARALLEL, Polarization.PERPENDICULAR
 
@@ -57,7 +57,7 @@ def central_and_side_areas(h: CoincidenceHistogram, rep=12.2):
 
 def test_perfect_interference_suppresses_central_peak():
     pair = quiet_pair(s_given=1.0)
-    h = simulate_histogram(pair, quiet_config(), PAR, seed=101)
+    h = simulate_histograms(pair, quiet_config(), (PAR,), seed=101)[0]
     central, side = central_and_side_areas(h)
     assert central == 0.0
     assert side > 0.0
@@ -65,7 +65,7 @@ def test_perfect_interference_suppresses_central_peak():
 
 def test_perpendicular_central_equals_side_peaks():
     pair = quiet_pair(s_given=1.0)
-    h = simulate_histogram(pair, quiet_config(), PERP, seed=102)
+    h = simulate_histograms(pair, quiet_config(), (PERP,), seed=102)[0]
     central, side = central_and_side_areas(h)
     per_side_peak = side / 2.0  # the area helper covers the two +-T peaks
     sigma = math.sqrt(central + side / 4.0)
@@ -75,8 +75,7 @@ def test_perpendicular_central_equals_side_peaks():
 def test_visibility_one_for_perfect_pair():
     pair = quiet_pair(s_given=1.0)
     cfg = quiet_config()
-    est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=103),
-                              simulate_histogram(pair, cfg, PERP, seed=103),
+    est = estimate_visibility(*simulate_histograms(pair, cfg, (PAR, PERP), seed=103),
                               cfg.rep_period_ns)
     assert est.v_tpi == 1.0
     assert est.a_par == 0.0
@@ -87,8 +86,7 @@ def test_visibility_approaches_classical_overlap_noise_off():
     # estimator should land on s
     pair = quiet_pair(162.0, 128.0, s_given=82944 / 84100)
     cfg = quiet_config(300_000)
-    est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=104),
-                              simulate_histogram(pair, cfg, PERP, seed=104),
+    est = estimate_visibility(*simulate_histograms(pair, cfg, (PAR, PERP), seed=104),
                               cfg.rep_period_ns)
     assert abs(est.v_tpi - pair.s_classical) <= 3.0 * est.sigma
 
@@ -98,11 +96,9 @@ def test_detuned_pair_loses_visibility():
     detuned = SourcePair(a=quiet_source(), b=quiet_source(),
                          mean_detuning=Frequency(12.0), s_given=1.0)
     cfg = quiet_config()
-    v_res = estimate_visibility(simulate_histogram(resonant, cfg, PAR, seed=105),
-                                simulate_histogram(resonant, cfg, PERP, seed=105),
+    v_res = estimate_visibility(*simulate_histograms(resonant, cfg, (PAR, PERP), seed=105),
                                 cfg.rep_period_ns)
-    v_det = estimate_visibility(simulate_histogram(detuned, cfg, PAR, seed=105),
-                                simulate_histogram(detuned, cfg, PERP, seed=105),
+    v_det = estimate_visibility(*simulate_histograms(detuned, cfg, (PAR, PERP), seed=105),
                                 cfg.rep_period_ns)
     assert v_det.v_tpi < v_res.v_tpi - 3.0 * (v_det.sigma + v_res.sigma)
     expected = analytic_prediction(detuned)
@@ -112,8 +108,7 @@ def test_detuned_pair_loses_visibility():
 def test_g2_contamination_lowers_visibility():
     pair = quiet_pair(s_given=1.0)
     cfg = quiet_config(g2=0.02)
-    est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=106),
-                              simulate_histogram(pair, cfg, PERP, seed=106),
+    est = estimate_visibility(*simulate_histograms(pair, cfg, (PAR, PERP), seed=106),
                               cfg.rep_period_ns)
     # injected distinguishable extras contaminate both polarizations:
     # v = 1 - g2/(1 + g2) up to Poisson noise
@@ -128,8 +123,7 @@ def test_sideband_fraction_degrades_visibility():
     for (p_a, p_b), expected in (((0.1, 0.2), 0.9 * 0.8), ((0.0, 0.3), 0.7)):
         pair = SourcePair(a=EmitterParams(162.0, sideband_fraction=p_a),
                           b=EmitterParams(162.0, sideband_fraction=p_b), s_given=1.0)
-        est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=107),
-                                  simulate_histogram(pair, cfg, PERP, seed=107),
+        est = estimate_visibility(*simulate_histograms(pair, cfg, (PAR, PERP), seed=107),
                                   cfg.rep_period_ns)
         assert abs(est.v_tpi - expected) <= 3.0 * est.sigma, (p_a, p_b)
 
@@ -137,7 +131,7 @@ def test_sideband_fraction_degrades_visibility():
 def test_brightness_thins_the_coincidences():
     pair = SourcePair(a=quiet_source(brightness=0.6), b=quiet_source(), s_given=1.0)
     cfg = quiet_config(200_000)
-    central, _ = central_and_side_areas(simulate_histogram(pair, cfg, PERP, seed=120))
+    central, _ = central_and_side_areas(simulate_histograms(pair, cfg, (PERP,), seed=120)[0])
     # a pair exists in a fraction 0.6 of the pulses and half of them coincide
     expected = 0.5 * 0.6 * cfg.n_pulses
     assert abs(central - expected) <= 5.0 * math.sqrt(expected)
@@ -152,23 +146,10 @@ def test_mc_matches_analytic_prediction_with_wandering():
     b = quiet_source(gamma_star=Rate(0.03), delta_omega=Rate(2.0), tau_c_ns=50.0)
     pair = SourcePair(a=a, b=b, mean_detuning=Frequency(2.0), s_given=1.0)
     cfg = quiet_config(500_000)
-    est = estimate_visibility(simulate_histogram(pair, cfg, PAR, seed=108, workers=4),
-                              simulate_histogram(pair, cfg, PERP, seed=108, workers=4),
+    est = estimate_visibility(*simulate_histograms(pair, cfg, (PAR, PERP), seed=108, workers=4),
                               cfg.rep_period_ns)
     expected = analytic_prediction(pair)
-    assert abs(est.v_tpi - expected) <= 3.0 * ou_inflated_sigma(pair, cfg, est.sigma)
-
-
-def ou_inflated_sigma(pair: SourcePair, cfg: HomExperimentConfig, est_sigma: float) -> float:
-    """Counting error inflated by var(m) * 2 tau_c / T_total, with the longer tau_c."""
-    deltas = np.random.default_rng(0).normal(pair.mean_detuning.value,
-                                             pair.combined_wandering.value, size=200_000)
-    gsum = pair.a.gamma.value + pair.b.gamma.value
-    Gsum = pair.a.total_linewidth.value + pair.b.total_linewidth.value
-    m_draws = Gsum * gsum / (Gsum**2 + 4 * deltas**2)
-    t_total = cfg.n_pulses * cfg.rep_period_ns
-    tau_c = max(pair.a.tau_c_ns, pair.b.tau_c_ns)
-    return math.hypot(est_sigma, math.sqrt(m_draws.var() * 2.0 * tau_c / t_total))
+    assert abs(est.v_tpi - expected) <= 3.0 * ou_inflated_sigma(pair, cfg, est.sigma, seed=0)
 
 
 def spy_ou_paths(monkeypatch) -> list:
@@ -193,7 +174,7 @@ def test_shared_tau_c_draws_one_detuning_path_of_summed_variance(monkeypatch):
     a = quiet_source(delta_omega=Rate(3.0), tau_c_ns=50.0)
     b = quiet_source(delta_omega=Rate(2.0), tau_c_ns=50.0)
     cfg = quiet_config(1 << 18)
-    simulate_histogram(SourcePair(a=a, b=b, s_given=1.0), cfg, PAR, seed=117)
+    simulate_histograms(SourcePair(a=a, b=b, s_given=1.0), cfg, (PAR,), seed=117)
     assert len(calls) == 4  # one path per shard of 65536 pulses
     paths = np.stack([path for _, _, path in calls])
     var, lam, n = 3.0**2 + 2.0**2, math.exp(-cfg.rep_period_ns / 50.0), paths.size
@@ -212,21 +193,21 @@ def test_unequal_tau_c_draws_two_paths_and_matches_analytic_prediction(monkeypat
     b = quiet_source(gamma_star=Rate(0.03), delta_omega=Rate(2.0), tau_c_ns=20.0)
     pair = SourcePair(a=a, b=b, mean_detuning=Frequency(2.0), s_given=1.0)
     cfg = quiet_config(500_000)
-    h_par = simulate_histogram(pair, cfg, PAR, seed=118, workers=2)
+    h_par, h_perp = simulate_histograms(pair, cfg, (PAR, PERP), seed=118, workers=2)
     T = cfg.rep_period_ns
-    assert len(calls) == 2 * 8  # both paths in each of the 8 shards
+    # both paths in each of the 8 parallel shards; a perpendicular shard draws none
+    assert len(calls) == 2 * 8
     assert {(s, lam) for s, lam, _ in calls} == {(3.0, math.exp(-T / 50.0)),
                                                  (2.0, math.exp(-T / 20.0))}
-    est = estimate_visibility(h_par, simulate_histogram(pair, cfg, PERP, seed=118, workers=2),
-                              cfg.rep_period_ns)
-    sigma = ou_inflated_sigma(pair, cfg, est.sigma)
+    est = estimate_visibility(h_par, h_perp, cfg.rep_period_ns)
+    sigma = ou_inflated_sigma(pair, cfg, est.sigma, seed=0)
     assert abs(est.v_tpi - analytic_prediction(pair)) <= 4.0 * sigma
 
 
 @pytest.mark.parametrize("workers", [0, -1])
 def test_fewer_than_one_worker_raises(workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        simulate_histogram(quiet_pair(), quiet_config(1000), PAR, seed=1, workers=workers)
+        simulate_histograms(quiet_pair(), quiet_config(1000), (PAR,), seed=1, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -247,11 +228,9 @@ def test_blinking_invariance_of_estimator():
     pair = quiet_pair(162.0, 128.0, s_given=82944 / 84100)
     cfg_blink = quiet_config(400_000, blink_on_prob=0.9, blink_dwell_ns=100.0)
     cfg_steady = quiet_config(400_000)
-    est_b = estimate_visibility(simulate_histogram(pair, cfg_blink, PAR, seed=109),
-                                simulate_histogram(pair, cfg_blink, PERP, seed=109),
+    est_b = estimate_visibility(*simulate_histograms(pair, cfg_blink, (PAR, PERP), seed=109),
                                 cfg_blink.rep_period_ns)
-    est_s = estimate_visibility(simulate_histogram(pair, cfg_steady, PAR, seed=109),
-                                simulate_histogram(pair, cfg_steady, PERP, seed=109),
+    est_s = estimate_visibility(*simulate_histograms(pair, cfg_steady, (PAR, PERP), seed=109),
                                 cfg_steady.rep_period_ns)
     sigma = math.hypot(est_b.sigma, est_s.sigma)
     assert abs(est_b.v_tpi - est_s.v_tpi) <= 3.0 * sigma
@@ -260,8 +239,7 @@ def test_blinking_invariance_of_estimator():
 def test_blinking_bunches_both_polarizations_equally():
     pair = quiet_pair(s_given=1.0)
     cfg = quiet_config(400_000, blink_on_prob=0.8, blink_dwell_ns=200.0)
-    h_par = simulate_histogram(pair, cfg, PAR, seed=110)
-    h_perp = simulate_histogram(pair, cfg, PERP, seed=110)
+    h_par, h_perp = simulate_histograms(pair, cfg, (PAR, PERP), seed=110)
     _, side_par = central_and_side_areas(h_par)
     _, side_perp = central_and_side_areas(h_perp)
     sigma = math.sqrt(side_par + side_perp)
@@ -292,10 +270,10 @@ def test_blink_chain_that_never_switches_draws_nothing(p_on):
 def test_simulation_deterministic_and_worker_invariant():
     pair = quiet_pair(162.0, 128.0)
     cfg = quiet_config(200_000, blink_on_prob=0.9, blink_dwell_ns=100.0, g2=0.01)
-    h1 = simulate_histogram(pair, cfg, PAR, seed=111, workers=1)
-    h2 = simulate_histogram(pair, cfg, PAR, seed=111, workers=4)
+    h1 = simulate_histograms(pair, cfg, (PAR,), seed=111, workers=1)[0]
+    h2 = simulate_histograms(pair, cfg, (PAR,), seed=111, workers=4)[0]
     np.testing.assert_array_equal(h1.counts, h2.counts)
-    h3 = simulate_histogram(pair, cfg, PAR, seed=112)
+    h3 = simulate_histograms(pair, cfg, (PAR,), seed=112)[0]
     assert not np.array_equal(h1.counts, h3.counts)
 
 
@@ -395,7 +373,7 @@ def test_banded_delay_rows_are_the_dense_rows(charge, filtered):
     filt = FilterParams(Wavelength(924.8), 20.0) if filtered else None
     if filtered:
         sources = [apply_filter(src, filt)[0] for src in sources]
-    pair = SourcePair(*sources, s_given=1.0, filter=filt)
+    pair = SourcePair(*sources, s_given=1.0)
     for w in (1, 3, 7):
         for jitter in (0.0, 12.0, 100.0):
             for bin_ps in (5.0, 50.0, 200.0):
@@ -462,7 +440,7 @@ def pinned_pair(dw_a: float, tau_c_a: float, dw_b: float, tau_c_b: float,
                                          (128.0, 0.03, dw_b, tau_c_b))]
     if filtered:
         sources = [apply_filter(src, filt)[0] for src in sources]
-    return SourcePair(*sources, mean_detuning=Frequency(1.0), filter=filt)
+    return SourcePair(*sources, mean_detuning=Frequency(1.0))
 
 
 # pinned_pair's arguments, the pulse count and the counts_digests value
@@ -498,14 +476,13 @@ def test_every_parallel_branch_is_pinned_at_every_worker_count(branch):
 def test_polarizations_draw_independent_streams():
     pair = quiet_pair()
     cfg = quiet_config(100_000)
-    h_par = simulate_histogram(pair, cfg, PAR, seed=113)
-    h_perp = simulate_histogram(pair, cfg, PERP, seed=113)
+    h_par, h_perp = simulate_histograms(pair, cfg, (PAR, PERP), seed=113)
     assert not np.array_equal(h_par.counts, h_perp.counts)
 
 
 def test_histogram_window_and_binning():
     cfg = quiet_config(70_000, window_peaks=2, bin_width_ps=100.0)
-    h = simulate_histogram(quiet_pair(), cfg, PERP, seed=114)
+    h = simulate_histograms(quiet_pair(), cfg, (PERP,), seed=114)[0]
     span = (cfg.window_peaks + 0.5) * cfg.rep_period_ns
     assert h.bin_centers[0] == pytest.approx(-span + 0.05, abs=1e-9)
     assert h.bin_centers[-1] == pytest.approx(span - 0.05, abs=1e-9)
@@ -535,7 +512,7 @@ def event_level_histogram(pair, cfg, edges, rng):
 def test_count_level_synthesis_matches_event_level_sampler(jitter_ps):
     pair = quiet_pair(162.0, 128.0)
     cfg = quiet_config(1_000_000, jitter_sigma_ps=jitter_ps)
-    h = simulate_histogram(pair, cfg, PERP, seed=115, workers=2)
+    h = simulate_histograms(pair, cfg, (PERP,), seed=115, workers=2)[0]
     width = h.bin_centers[1] - h.bin_centers[0]
     edges = np.append(h.bin_centers - width / 2, h.bin_centers[-1] + width / 2)
     ref = event_level_histogram(pair, cfg, edges, np.random.default_rng(116))

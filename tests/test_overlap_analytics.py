@@ -25,6 +25,8 @@ from remotehom.overlap_analytics import (
     voigt,
 )
 
+from reference import voigt_quadrature
+
 GAMMA_A = Rate(1000.0 / 162.0)  # 6.173 ns^-1
 GAMMA_B = Rate(1000.0 / 128.0)  # 7.8125 ns^-1
 
@@ -205,15 +207,6 @@ def test_voigt_keeps_its_value_where_scipy_underflows():
     assert report["m_averaged"] > 0.29
 
 
-def _voigt_quadrature(x: float, gl: float, sig: float) -> float:
-    lorentz = lambda u: gl / math.pi / (u * u + gl * gl)
-    gauss = lambda u: math.exp(-u * u / (2 * sig * sig)) / (sig * math.sqrt(2 * math.pi))
-    span = 40.0 * max(gl, sig)
-    val, _ = quad(lambda u: lorentz(x - u) * gauss(u), -span, span,
-                  points=[0.0, x], limit=800, epsabs=1e-13, epsrel=1e-10)
-    return val
-
-
 def test_voigt_matches_convolution_quadrature():
     rng = np.random.default_rng(35)
     for _ in range(50):
@@ -221,7 +214,7 @@ def test_voigt_matches_convolution_quadrature():
         sig = rng.uniform(0.05, 8.0)
         x = rng.uniform(-15.0, 15.0)
         ours = voigt(x, Rate(gl), Rate(sig))
-        ref = _voigt_quadrature(x, gl, sig)
+        ref = voigt_quadrature(x, gl, sig)
         assert ours == pytest.approx(ref, rel=1e-6)
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import remotehom
 
 MODULES = sorted(Path(remotehom.__file__).parent.glob("*.py"))
-BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def private_relative_imports(path: Path) -> list[str]:
@@ -54,3 +55,24 @@ def test_every_exported_name_is_reached_outside_the_tests():
     unreached = {p.name: names for p in MODULES
                  if (names := [n for n in exported_names(p) if n not in reached])}
     assert unreached == {}
+
+
+# callables that no command runs, kept while perfbench/ imports them: the tests
+# and bench/ scripts allowed to reference each (its own unit tests, or a paper
+# check that reads it)
+SECOND_PATHS = {
+    "simulate_histogram": {"test_hom_montecarlo.py"},
+    "make_source_pair": {"test_overlap_analytics.py"},
+    "remote_upper_bound": {"test_overlap_analytics.py", "test_acceptance.py"},
+    "sample_frequency_path": {"test_spectral_noise.py"},
+    "WanderingProcess": {"test_spectral_noise.py"},
+}
+
+
+def test_only_their_own_tests_reach_the_paths_no_command_takes():
+    files = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    assert len(files) > 2
+    refs = {p.name: referenced_names(p) for p in files}
+    found = {name: {f for f, names in refs.items() if name in names} - allowed
+             for name, allowed in SECOND_PATHS.items()}
+    assert found == dict.fromkeys(SECOND_PATHS, set())
